@@ -168,10 +168,7 @@ class ContentDefinedChunker:
                 yield data[start:end]
                 start = end
                 continue
-            if (
-                kernels.kernels_enabled()
-                and end - scan_from >= _MIN_KERNEL_SCAN
-            ):
+            if end - scan_from >= _MIN_KERNEL_SCAN:
                 cut = self._gear_cut_kernel(data, start, scan_from, end)
             else:
                 cut = self._gear_cut_reference(data, start, scan_from, end)
@@ -250,10 +247,7 @@ class ContentDefinedChunker:
                 yield data[start:end]
                 start = end
                 continue
-            if (
-                kernels.kernels_enabled()
-                and end - scan_from >= _MIN_KERNEL_SCAN
-            ):
+            if end - scan_from >= _MIN_KERNEL_SCAN:
                 cut = self._rabin_cut_kernel(data, start, scan_from, end)
             else:
                 cut = self._rabin_cut_reference(data, start, scan_from, end)

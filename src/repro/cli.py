@@ -61,6 +61,7 @@ from repro.tedstore.network import (
     serve_key_manager,
     serve_provider,
 )
+from repro.tedstore.pipeline import stage_threads
 from repro.tedstore.provider import ProviderService
 from repro.traces.format import read_snapshot, write_dataset
 from repro.traces.synthetic import generate_fsl_like, generate_ms_like
@@ -85,7 +86,10 @@ def _make_client(args: argparse.Namespace) -> TedStoreClient:
         from repro.storage.dedup import FingerprintCache
 
         cache = FingerprintCache(capacity=args.fp_cache)
-    pipelined = workers > 1 or crypto_workers > 0 or cache is not None
+    # Stage threads overlap data frames with control round trips, which
+    # is what dedicated data connections are for (DESIGN.md §10); an
+    # inline client sends one request at a time and needs none.
+    data_connections = 2 if stage_threads(workers, crypto_workers) else 0
     auth_token = b""
     if getattr(args, "auth_token", None):
         auth_token = Path(args.auth_token).read_bytes().strip()
@@ -107,16 +111,13 @@ def _make_client(args: argparse.Namespace) -> TedStoreClient:
             ring,
             tenant=getattr(args, "tenant", "") or "default",
             auth_token=auth_token,
-            data_connections=2 if pipelined else 0,
+            data_connections=data_connections,
             heartbeat_interval=getattr(args, "heartbeat_interval", 0.0),
         )
     else:
         provider = RemoteProvider(
             _address(args.provider),
-            # Pipelined uploads push data frames over dedicated
-            # connections so PUT traffic never queues behind control
-            # round trips (DESIGN.md §10).
-            data_connections=2 if pipelined else 0,
+            data_connections=data_connections,
             tenant=getattr(args, "tenant", "") or "default",
             auth_token=auth_token,
         )
@@ -815,26 +816,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--batch-size", type=int, default=48_000)
         p.add_argument(
             "--workers", type=int, default=1,
-            help="encrypt/decrypt worker threads; >1 enables the "
-                 "pipelined upload and download paths "
-                 "(DESIGN.md §§10-11)",
+            help="encrypt/decrypt worker threads; >1 overlaps keygen, "
+                 "crypto, and the wire on stage threads (DESIGN.md §10)",
         )
         p.add_argument(
             "--pipeline-depth", type=int, default=4,
-            help="bounded-queue depth between pipeline stages",
+            help="bounded-queue depth between threaded stages",
         )
         p.add_argument(
             "--crypto-workers", type=int, default=0, metavar="N",
             help="encrypt in a pool of N OS processes instead of the "
                  "worker threads (sidesteps the GIL for CPU-bound "
-                 "profiles; implies the pipelined upload path and keeps "
-                 "stored bytes identical, DESIGN.md §16)",
+                 "profiles; stored bytes stay identical, DESIGN.md §16)",
         )
         p.add_argument(
             "--fp-cache", type=int, default=0, metavar="ENTRIES",
             help="client fingerprint-cache capacity; >0 enables "
-                 "client-side duplicate short-circuiting (implies the "
-                 "pipelined path)",
+                 "client-side duplicate short-circuiting",
         )
         p.add_argument(
             "--tenant", default="default",

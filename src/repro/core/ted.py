@@ -29,7 +29,6 @@ from repro.core import tuning
 from repro.core.keygen import KeySeedGenerator
 from repro.obs import metrics as obs_metrics
 from repro.sketch.countmin import CountMinSketch
-from repro.utils import kernels
 
 DEFAULT_SKETCH_ROWS = 4
 DEFAULT_SKETCH_WIDTH = 2**20
@@ -193,14 +192,12 @@ class TedKeyManager:
     ) -> List[bytes]:
         """Handle a batch of requests (one TEDStore round trip).
 
-        With kernels enabled, each retune-free run of the batch goes
-        through :meth:`CountMinSketch.update_batch` — one pass over the
+        Each retune-free run of the batch goes through
+        :meth:`CountMinSketch.update_batch` — one pass over the
         counter array instead of per-request scalar indexing — while
         seed selection, FTED frequency tracking, and batch-boundary
         retuning keep their exact sequential order and semantics.
         """
-        if not kernels.kernels_enabled():
-            return [self.generate_seed(hashes) for hashes in batch]
         seeds: List[bytes] = []
         for lo, hi in self._batch_runs(len(batch)):
             run = batch[lo:hi]
@@ -239,16 +236,6 @@ class TedKeyManager:
         minus seed selection; batch-boundary retuning is the front's
         job, so observers are built with ``batch_size=None``.
         """
-        if not kernels.kernels_enabled():
-            estimates: List[int] = []
-            for short_hashes in batch:
-                frequency = self.sketch.update(short_hashes)
-                if self.is_fted:
-                    self._freq_by_identity[tuple(short_hashes)] = frequency
-                self.stats.requests += 1
-                _KEYGEN_REQUESTS.inc()
-                estimates.append(frequency)
-            return estimates
         estimates = self.sketch.update_batch(batch)
         if self.is_fted:
             tracked = self._freq_by_identity
@@ -268,18 +255,6 @@ class TedKeyManager:
         so replaying every acked batch reconstructs the frequency state
         (and hence every future seed decision) bit-for-bit.
         """
-        if not kernels.kernels_enabled():
-            for short_hashes in batch:
-                frequency = self.sketch.update(short_hashes)
-                if self.is_fted:
-                    self._freq_by_identity[tuple(short_hashes)] = frequency
-                self.stats.requests += 1
-                if self.batch_size is not None:
-                    self._requests_in_batch += 1
-                    if self._requests_in_batch >= self.batch_size:
-                        self._retune_from_tracked()
-                        self._requests_in_batch = 0
-            return
         for lo, hi in self._batch_runs(len(batch)):
             run = batch[lo:hi]
             frequencies = self.sketch.update_batch(run)

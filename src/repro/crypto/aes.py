@@ -258,20 +258,14 @@ class AES:
 
         ``data`` is any bytes-like object whose length is a multiple of
         16 (ECB over the batch — the CTR layer feeds counter blocks, so
-        no chaining is wanted). The batched path runs the T-table round
-        function over every block with the word-form key schedule reused
-        across the batch; it is byte-identical to calling
-        :meth:`encrypt_block` per block (property-tested), which is also
-        the fallback when kernels are disabled.
+        no chaining is wanted). Runs the T-table round function over
+        every block with the word-form key schedule reused across the
+        batch; byte-identical to calling :meth:`encrypt_block` per block
+        (property-tested).
         """
         view = memoryview(data)
         if len(view) % BLOCK_SIZE:
             raise ValueError("batch length must be a multiple of 16")
-        if not kernels.kernels_enabled():
-            return b"".join(
-                self.encrypt_block(bytes(view[i : i + BLOCK_SIZE]))
-                for i in range(0, len(view), BLOCK_SIZE)
-            )
         start = time.perf_counter()
         t0, t1, t2, t3 = _T0, _T1, _T2, _T3
         sbox = _SBOX

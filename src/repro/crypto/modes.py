@@ -11,7 +11,6 @@ here take an explicit IV/nonce and leave that policy to the caller.
 from __future__ import annotations
 
 from repro.crypto.aes import AES, BLOCK_SIZE
-from repro.utils import kernels
 from repro.utils.bytesutil import xor_bytes
 
 
@@ -43,8 +42,8 @@ def pkcs7_unpad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
 def ctr_keystream(cipher: AES, nonce: bytes, length: int) -> bytes:
     """Generate ``length`` keystream bytes in big-endian counter mode.
 
-    The batched path materializes every counter block into one buffer
-    and encrypts them in a single :meth:`AES.encrypt_blocks` call, so
+    Materializes every counter block into one buffer and encrypts
+    them in a single :meth:`AES.encrypt_blocks` call, so
     the key schedule and the T-table round function are amortized over
     the whole message instead of being re-entered per block.
     """
@@ -52,14 +51,6 @@ def ctr_keystream(cipher: AES, nonce: bytes, length: int) -> bytes:
         raise ValueError("CTR nonce must be one block")
     counter = int.from_bytes(nonce, "big")
     nblocks = (length + BLOCK_SIZE - 1) // BLOCK_SIZE
-    if not kernels.kernels_enabled():
-        blocks = []
-        for _ in range(nblocks):
-            blocks.append(
-                cipher.encrypt_block(counter.to_bytes(BLOCK_SIZE, "big"))
-            )
-            counter = (counter + 1) % (1 << 128)
-        return b"".join(blocks)[:length]
     buf = bytearray(nblocks * BLOCK_SIZE)
     wrap = 1 << 128
     for i in range(nblocks):
@@ -73,8 +64,6 @@ def ctr_encrypt(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """Encrypt (or decrypt — CTR is an involution) ``data`` under AES-CTR."""
     cipher = AES(key)
     stream = ctr_keystream(cipher, nonce, len(data))
-    if not kernels.kernels_enabled():
-        return bytes(a ^ b for a, b in zip(data, stream))
     return xor_bytes(data, stream)
 
 

@@ -49,23 +49,15 @@ def _counter_bytes(nblocks: int) -> list:
 def keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     """Generate ``length`` pseudo-random bytes from (key, nonce).
 
-    The batched path hashes the (key || nonce) prefix once and clones
-    the resulting midstate per counter block (``hash.copy()``), so each
-    32-byte block costs one 8-byte update + finalize instead of
-    re-hashing the whole prefix — byte-identical output, since
-    SHA-256(prefix || counter) is exactly what the clone finalizes.
+    Block ``i`` is SHA-256(key || nonce || i as 8 big-endian bytes).
+    The (key || nonce) prefix is hashed once and the resulting midstate
+    cloned per counter block (``hash.copy()``), so each 32-byte block
+    costs one 8-byte update + finalize instead of re-hashing the whole
+    prefix.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
     nblocks = (length + _DIGEST_SIZE - 1) // _DIGEST_SIZE
-    if not kernels.kernels_enabled():
-        blocks = []
-        prefix = key + nonce
-        for counter in range(nblocks):
-            blocks.append(
-                hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()
-            )
-        return b"".join(blocks)[:length]
     start = time.perf_counter()
     copy = hashlib.sha256(key + nonce).copy
     blocks = []

@@ -76,13 +76,15 @@ class FlightRecorder:
 
     def emit(self, kind: str, **fields: object) -> None:
         """Write one event; rotates first if the budget would be crossed."""
-        event = {"ts": round(self._clock(), 6), "kind": kind}
-        event.update(fields)
-        line = json.dumps(event, separators=(",", ":")) + "\n"
-        encoded = len(line.encode("utf-8"))
         with self._lock:
             if self._file is None:
                 return  # closed: late events are dropped, not crashes
+            # Stamped under the lock: file order is timestamp order even
+            # when several threads emit at once.
+            event = {"ts": round(self._clock(), 6), "kind": kind}
+            event.update(fields)
+            line = json.dumps(event, separators=(",", ":")) + "\n"
+            encoded = len(line.encode("utf-8"))
             if self._size + encoded > self.max_bytes // 2:
                 self._rotate_locked()
             self._file.write(line)

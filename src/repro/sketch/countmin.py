@@ -146,7 +146,7 @@ class CountMinSketch:
         """
         if not batch:
             return []
-        if self.conservative or not kernels.kernels_enabled():
+        if self.conservative:
             return [self.update(indices) for indices in batch]
         start = time.perf_counter()
         idx = np.asarray(batch, dtype=np.int64)

@@ -91,7 +91,7 @@ class LookaheadRestorer:
     """Container-aware restore scheduler.
 
     The container LRU persists across :meth:`restore` calls, so a
-    recipe-ordered stream of ``GetChunks`` batches (the pipelined
+    recipe-ordered stream of ``GetChunks`` batches (the client's
     download path issues one call per batch) keeps its working set warm
     between calls instead of refetching at every batch boundary. The
     still-open container is never cached: it is still being appended

@@ -25,20 +25,18 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.chunking.cdc import ChunkerParams, ContentDefinedChunker
-from repro.core.keygen import derive_key
 from repro.crypto.cipher import SECURE, CipherProfile
-from repro.crypto.hashes import digest
-from repro.crypto.murmur3 import short_hashes
 from repro.obs import metrics as obs_metrics, tracing
 from repro.storage.dedup import FingerprintCache
 from repro.storage.recipe import FileRecipe, KeyRecipe, seal, unseal
 from repro.tedstore.messages import (
     GetChunks,
     GetRecipes,
-    KeyGenRequest,
     PutChunks,
     PutRecipes,
 )
+from repro.tedstore.pipeline import PipelinedUploader, batched
+from repro.tedstore.restore_pipeline import PipelinedDownloader
 from repro.tedstore.transports import KeyManagerTransport, ProviderTransport
 from repro.utils.timer import StageTimer
 
@@ -70,8 +68,7 @@ class UploadResult:
     physical storage, whether the provider detected the duplicate or the
     client's fingerprint cache short-circuited the upload entirely;
     ``cache_hits`` is the subset resolved client-side, so
-    ``stored_chunks + duplicate_chunks == chunk_count`` holds on every
-    path (serial, pipelined, cached).
+    ``stored_chunks + duplicate_chunks == chunk_count`` always holds.
     """
 
     file_name: str
@@ -95,21 +92,19 @@ class TedStoreClient:
         batch_size: chunks per key-generation round trip (§3.5).
         chunker: content-defined chunker (paper defaults 4/8/16 KB).
         timer: optional stage timer; a fresh one is created if omitted.
-        workers: encrypt worker threads. With ``workers > 1`` (or a
-            fingerprint cache) uploads run through the pipelined path
-            (:mod:`repro.tedstore.pipeline`), which is bit-identical to
-            the serial path by construction (DESIGN.md §10).
-        pipeline_depth: bounded-queue depth between pipeline stages —
+        workers: encrypt/decrypt worker threads. With ``workers == 1``
+            (and no ``crypto_workers``) the caller's thread runs every
+            stage itself and no thread is started; otherwise the same
+            stages overlap on threads (DESIGN.md §10). Stored state is
+            byte-identical for every value.
+        pipeline_depth: bounded-queue depth between threaded stages —
             the backpressure knob capping in-flight sub-batches.
         fingerprint_cache: optional client-side
             :class:`~repro.storage.dedup.FingerprintCache`; hits skip
             encryption and upload for chunks already at the provider.
         crypto_workers: if > 0, encrypt jobs run in a pool of this many
             OS processes instead of in the worker threads, sidestepping
-            the GIL for CPU-bound profiles. Implies the pipelined path;
-            byte-identical output since the re-sequencing uploader
-            restores chunk order and encryption is a pure function of
-            (profile, key, chunk) (DESIGN.md §16).
+            the GIL for CPU-bound profiles (DESIGN.md §16).
     """
 
     def __init__(
@@ -158,45 +153,29 @@ class TedStoreClient:
         self.fingerprint_cache = fingerprint_cache
         self.crypto_workers = crypto_workers
 
-    @property
-    def pipelined(self) -> bool:
-        """Whether transfers take the pipelined paths (DESIGN.md §§10–11).
-
-        Uploads go through :mod:`repro.tedstore.pipeline`, downloads
-        through :mod:`repro.tedstore.restore_pipeline`; both are
-        byte-identical to their serial counterparts by construction.
-        """
-        return (
-            self.workers > 1
-            or self.crypto_workers > 0
-            or self.fingerprint_cache is not None
-        )
-
     # -- upload ---------------------------------------------------------------
 
     def upload(self, file_name: str, data: bytes) -> UploadResult:
         """Chunk and upload a file's raw bytes.
 
-        On the pipelined path the chunker output streams straight into
-        the pipeline's feed stage, so chunking overlaps keygen, encrypt,
-        and upload instead of completing before they start.
+        The chunker output streams into the upload stages, so with
+        stage threads chunking overlaps keygen, encrypt, and upload.
         """
-        if self.pipelined:
-            return self._upload_chunks(file_name, self._chunk_stream(data))
-        with self.timer.stage("chunking"):
-            chunks = list(self.chunker.chunk(data))
-        return self._upload_chunks(file_name, chunks)
+        return self._upload_chunks(file_name, self._chunk_stream(data))
 
     def _chunk_stream(self, data: bytes) -> Iterable[bytes]:
-        """Chunk lazily, attributing time to the chunking stage."""
-        iterator = iter(self.chunker.chunk(data))
+        """Chunk lazily, attributing time to the chunking stage.
+
+        Timed a slab of chunks at a time so the stage clock's own cost
+        stays off the per-chunk path.
+        """
+        slabs = batched(self.chunker.chunk(data), 64)
         while True:
             with self.timer.stage("chunking"):
-                try:
-                    chunk = next(iterator)
-                except StopIteration:
-                    return
-            yield chunk
+                slab = next(slabs, None)
+            if slab is None:
+                return
+            yield from slab
 
     def upload_chunks(
         self, file_name: str, chunks: Sequence[bytes]
@@ -211,38 +190,28 @@ class TedStoreClient:
             count = len(chunks)  # type: ignore[arg-type]
         except TypeError:
             count = -1  # streaming feed: total unknown until chunked
+        uploader = PipelinedUploader(self)
         with tracing.get_tracer().span(
             "client.upload",
             attributes={"file": file_name, "chunks": count},
         ):
-            if self.pipelined:
-                result = self._upload_chunks_pipelined(file_name, chunks)
-            else:
-                result = self._upload_chunks_inner(file_name, chunks)
+            if self.fingerprint_cache is not None:
+                # A reshard moves fingerprint ownership between provider
+                # shards; cached "duplicate" verdicts from the old
+                # placement must not suppress uploads under the new one.
+                # The provider advertises its ring epoch; any advance
+                # drops the cache.
+                ring_epoch = getattr(self.provider, "ring_epoch", None)
+                if callable(ring_epoch):
+                    self.fingerprint_cache.advance_epoch(ring_epoch())
+            uploader.run(file_name, chunks)
+            with self.timer.stage("write"):
+                self._put_recipes(
+                    file_name, uploader.file_recipe, uploader.key_recipe
+                )
         _CLIENT_OPS.labels(op="upload").inc()
-        _CLIENT_BYTES.labels(op="upload").inc(result.logical_bytes)
-        _CLIENT_CHUNKS.labels(op="upload").inc(result.chunk_count)
-        return result
-
-    def _upload_chunks_pipelined(
-        self, file_name: str, chunks: Iterable[bytes]
-    ) -> UploadResult:
-        from repro.tedstore.pipeline import PipelinedUploader
-
-        if self.fingerprint_cache is not None:
-            # A reshard moves fingerprint ownership between provider
-            # shards; cached "duplicate" verdicts from the old placement
-            # must not suppress uploads under the new one. The provider
-            # advertises its ring epoch; any advance drops the cache.
-            ring_epoch = getattr(self.provider, "ring_epoch", None)
-            if callable(ring_epoch):
-                self.fingerprint_cache.advance_epoch(ring_epoch())
-        uploader = PipelinedUploader(self)
-        uploader.run(file_name, chunks)
-        with self.timer.stage("write"):
-            self._put_recipes(
-                file_name, uploader.file_recipe, uploader.key_recipe
-            )
+        _CLIENT_BYTES.labels(op="upload").inc(uploader.logical_bytes)
+        _CLIENT_CHUNKS.labels(op="upload").inc(uploader.chunk_count)
         return UploadResult(
             file_name=file_name,
             logical_bytes=uploader.logical_bytes,
@@ -252,87 +221,13 @@ class TedStoreClient:
             cache_hits=uploader.cache_hits,
         )
 
-    def _upload_chunks_inner(
-        self, file_name: str, chunks: Sequence[bytes]
-    ) -> UploadResult:
-        algorithm = self.profile.hash_algorithm
-        file_recipe = FileRecipe(file_name=file_name)
-        key_recipe = KeyRecipe()
-        stored = 0
-        duplicates = 0
-        logical = 0
-
-        for start in range(0, len(chunks), self.batch_size):
-            batch = chunks[start : start + self.batch_size]
-
-            with self.timer.stage("fingerprinting"):
-                fingerprints = [digest(c, algorithm) for c in batch]
-
-            # Short hashes are computed over the chunk *fingerprint* rather
-            # than the raw chunk: the client has just computed the
-            # fingerprint anyway, the counter mapping is statistically
-            # identical, and it keeps the MurmurHash pass off the
-            # full-data path (the C++ prototype murmurs whole chunks
-            # because Murmur is nearly free there; in Python it is not).
-            with self.timer.stage("hashing"):
-                hash_vectors = [
-                    short_hashes(fp, self.sketch_rows, self.sketch_width)
-                    for fp in fingerprints
-                ]
-
-            with self.timer.stage("key seeding"):
-                response = self.key_manager.keygen(
-                    KeyGenRequest(hash_vectors=hash_vectors)
-                )
-            if len(response.seeds) != len(batch):
-                raise RuntimeError(
-                    "key manager returned a mismatched seed batch"
-                )
-
-            with self.timer.stage("key derivation"):
-                keys = [
-                    derive_key(seed, fp, algorithm)
-                    for seed, fp in zip(response.seeds, fingerprints)
-                ]
-
-            with self.timer.stage("encryption"):
-                ciphertexts = [
-                    self.profile.encrypt(key, chunk)
-                    for key, chunk in zip(keys, batch)
-                ]
-                cipher_fps = [
-                    digest(ct, algorithm) for ct in ciphertexts
-                ]
-
-            with self.timer.stage("write"):
-                result = self.provider.put_chunks(
-                    PutChunks(chunks=list(zip(cipher_fps, ciphertexts)))
-                )
-            stored += result.stored
-            duplicates += result.duplicates
-
-            for chunk, cipher_fp, key in zip(batch, cipher_fps, keys):
-                file_recipe.add(cipher_fp, len(chunk))
-                key_recipe.add(key)
-                logical += len(chunk)
-
-        with self.timer.stage("write"):
-            self._put_recipes(file_name, file_recipe, key_recipe)
-        return UploadResult(
-            file_name=file_name,
-            logical_bytes=logical,
-            chunk_count=len(chunks),
-            stored_chunks=stored,
-            duplicate_chunks=duplicates,
-        )
-
     def _put_recipes(
         self,
         file_name: str,
         file_recipe: FileRecipe,
         key_recipe: KeyRecipe,
     ) -> None:
-        """Seal and upload recipes (shared by serial and pipelined paths)."""
+        """Seal and upload recipes."""
         if self.metadata_dedup:
             from repro.storage.metadedup import pack_metadata_chunks
 
@@ -410,12 +305,14 @@ class TedStoreClient:
         with tracing.get_tracer().span(
             "client.download", attributes={"file": file_name}
         ):
-            if self.pipelined:
-                data = self._download_pipelined(file_name)
-            else:
-                data = self._download_inner(file_name)
+            with self.timer.stage("recipe fetch"):
+                file_recipe, key_recipe = self._fetch_recipes(file_name)
+            data = PipelinedDownloader(self).run(
+                file_name, file_recipe.entries, key_recipe.keys
+            )
         _CLIENT_OPS.labels(op="download").inc()
         _CLIENT_BYTES.labels(op="download").inc(len(data))
+        _CLIENT_CHUNKS.labels(op="download").inc(len(file_recipe.entries))
         return data
 
     def _get_chunks_checked(
@@ -467,48 +364,6 @@ class TedStoreClient:
             )
         return file_recipe, key_recipe
 
-    def _download_pipelined(self, file_name: str) -> bytes:
-        from repro.tedstore.restore_pipeline import PipelinedDownloader
-
-        with self.timer.stage("recipe fetch"):
-            file_recipe, key_recipe = self._fetch_recipes(file_name)
-        downloader = PipelinedDownloader(self)
-        data = downloader.run(
-            file_name, file_recipe.entries, key_recipe.keys
-        )
-        _CLIENT_CHUNKS.labels(op="download").inc(
-            len(file_recipe.entries)
-        )
-        return data
-
-    def _download_inner(self, file_name: str) -> bytes:
-        with self.timer.stage("recipe fetch"):
-            file_recipe, key_recipe = self._fetch_recipes(file_name)
-
-        pieces: List[bytes] = []
-        entries = file_recipe.entries
-        keys = key_recipe.keys
-        for start in range(0, len(entries), self.batch_size):
-            batch_entries = entries[start : start + self.batch_size]
-            batch_keys = keys[start : start + self.batch_size]
-            with self.timer.stage("chunk fetch"):
-                chunks = self._get_chunks_checked(
-                    [fp for fp, _ in batch_entries]
-                )
-            _CLIENT_CHUNKS.labels(op="download").inc(len(chunks))
-            with self.timer.stage("decryption"):
-                for (fp, size), key, ciphertext in zip(
-                    batch_entries, batch_keys, chunks
-                ):
-                    plaintext = self.profile.decrypt(key, ciphertext)
-                    if len(plaintext) != size:
-                        raise ValueError(
-                            f"chunk {fp.hex()} decrypted to {len(plaintext)} "
-                            f"bytes, expected {size}"
-                        )
-                    pieces.append(plaintext)
-        return b"".join(pieces)
-
     # -- key generation only (Experiment B.2) -------------------------------------
 
     def generate_keys_only(
@@ -520,21 +375,9 @@ class TedStoreClient:
         steps Experiment B.2 measures (hashing + key seeding + key
         derivation) from chunk encryption and upload.
         """
-        algorithm = self.profile.hash_algorithm
-        chunk_list = list(chunks)
+        uploader = PipelinedUploader(self)
         output: List[Tuple[bytes, bytes]] = []
-        for start in range(0, len(chunk_list), self.batch_size):
-            batch = chunk_list[start : start + self.batch_size]
-            fingerprints = [digest(c, algorithm) for c in batch]
-            hash_vectors = [
-                short_hashes(fp, self.sketch_rows, self.sketch_width)
-                for fp in fingerprints
-            ]
-            response = self.key_manager.keygen(
-                KeyGenRequest(hash_vectors=hash_vectors)
-            )
-            output.extend(
-                (fp, derive_key(seed, fp, algorithm))
-                for seed, fp in zip(response.seeds, fingerprints)
-            )
+        for batch in batched(chunks, self.batch_size):
+            fingerprints, _seeds, keys = uploader.derive_keys(batch)
+            output.extend(zip(fingerprints, keys))
         return output

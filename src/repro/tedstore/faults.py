@@ -79,7 +79,7 @@ class FaultPlan:
 class _Injector:
     """Seeded fault scheduler shared by the transport wrappers.
 
-    Thread-safe: the pipelined client calls one transport from several
+    Thread-safe: a threaded client calls one transport from several
     worker threads concurrently, so RNG draws and counter updates are
     serialized under a lock (the delay sleep happens outside it). Under
     concurrency the *assignment* of faults to calls depends on thread

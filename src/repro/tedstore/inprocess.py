@@ -10,7 +10,7 @@ from __future__ import annotations
 import threading
 from typing import List, Tuple
 
-from repro.tedstore.keymanager import KeyManagerService
+from repro.tedstore.keymanager import KeygenStream, KeyManagerService
 from repro.tedstore.messages import (
     BatchedKeyGenRequest,
     BatchedKeyGenResponse,
@@ -37,10 +37,14 @@ class LocalKeyManager:
     never produce — which is exactly the in-process/wire divergence the
     cross-transport parity test pins down.
 
+    Each instance is one keygen stream, like one connection: it owns
+    the stream's sequence floor, so two transports over one service
+    never reject each other's batches.
+
     Args:
         service: the key-manager service to call into.
-        client_id: stream identity for rate limiting and the sequenced
-            batching contract (the wire path uses the peer host here).
+        client_id: identity for rate limiting and the durable log (the
+            wire path uses the peer host here).
     """
 
     def __init__(
@@ -49,6 +53,7 @@ class LocalKeyManager:
         self.service = service
         self.client_id = client_id
         self._lock = threading.Lock()
+        self._stream = KeygenStream()
 
     def keygen(self, request: KeyGenRequest) -> KeyGenResponse:
         with self._lock:
@@ -61,7 +66,7 @@ class LocalKeyManager:
     ) -> BatchedKeyGenResponse:
         with self._lock:
             return self.service.handle_keygen_batched(
-                request, client_id=self.client_id
+                request, client_id=self.client_id, stream=self._stream
             )
 
     def stats(self) -> List[Tuple[str, int]]:

@@ -37,6 +37,44 @@ _BATCH_SECONDS = _REGISTRY.histogram(
 )
 
 
+class KeygenStream:
+    """Sequence floor of one keygen stream (DESIGN.md §10).
+
+    A stream is one client transport — one TCP connection, or one
+    in-process transport instance — and whoever owns that transport
+    holds this object. The floor therefore dies with the connection,
+    and two clients behind one host never share (or trip) it. The owner
+    serializes calls, so no lock is needed.
+    """
+
+    def __init__(self) -> None:
+        self.last: Optional[int] = None
+
+    def admit(self, sequence: int) -> None:
+        """Accept ``sequence`` as the stream's next batch.
+
+        Batches of one stream must arrive in non-decreasing sequence
+        order, because the sketch's frequency state accumulates in
+        arrival order. A retry of the last-served sequence is accepted
+        (replay re-updates the sketch — the fail-safe, over-estimating
+        direction); sequence 0 starts a new upload.
+
+        Raises:
+            ValueError: on a sequence regression (a batch overtaken by a
+                later one — the stream was reordered in transit).
+        """
+        if (
+            sequence != 0
+            and self.last is not None
+            and sequence < self.last
+        ):
+            raise ValueError(
+                f"stale keygen batch: sequence {sequence} after "
+                f"{self.last} (stream reordered)"
+            )
+        self.last = sequence
+
+
 class KeyManagerService:
     """Thread-safe key-generation service.
 
@@ -65,7 +103,9 @@ class KeyManagerService:
         self.rate_limiter = rate_limiter
         self.state_store = state_store
         self._lock = threading.Lock()
-        # Last sequence number served per client stream (DESIGN.md §10).
+        # Last sequence number logged per client id — part of the
+        # durable state record (km_state); ordering is enforced per
+        # stream (KeygenStream), not from this map.
         self._last_sequence: Dict[str, int] = {}
         if state_store is not None:
             report = state_store.restore_into(self.key_manager)
@@ -110,33 +150,24 @@ class KeyManagerService:
             return KeyGenResponse(seeds=seeds, current_t=self.key_manager.t)
 
     def handle_keygen_batched(
-        self, request: BatchedKeyGenRequest, client_id: str = "local"
+        self,
+        request: BatchedKeyGenRequest,
+        client_id: str = "local",
+        *,
+        stream: KeygenStream,
     ) -> BatchedKeyGenResponse:
-        """Serve one *sequenced* keygen batch (pipelined client path).
+        """Serve one *sequenced* keygen batch of ``stream``.
 
-        Enforces the batching contract of DESIGN.md §10: batches of one
-        client stream must arrive in non-decreasing sequence order,
-        because the sketch's frequency state accumulates in arrival
-        order. A retry of the last-served sequence is accepted (replay
-        re-updates the sketch — the fail-safe, over-estimating
-        direction); sequence 0 starts a new stream.
+        ``client_id`` (the peer host over TCP) keys rate limiting and
+        the durable log; ``stream`` carries the ordering contract.
 
         Raises:
-            ValueError: on a sequence regression (a batch overtaken by a
-                later one — the stream was reordered in transit).
+            ValueError: on a sequence regression inside the stream
+                (:meth:`KeygenStream.admit`).
             RateLimitExceeded: per :meth:`handle_keygen`.
         """
+        stream.admit(request.sequence)
         with self._lock:
-            last = self._last_sequence.get(client_id)
-            if (
-                request.sequence != 0
-                and last is not None
-                and request.sequence < last
-            ):
-                raise ValueError(
-                    f"stale keygen batch: sequence {request.sequence} after "
-                    f"{last} (stream reordered)"
-                )
             self._last_sequence[client_id] = request.sequence
         inner = self.handle_keygen(
             KeyGenRequest(hash_vectors=request.hash_vectors),

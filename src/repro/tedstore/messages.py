@@ -52,7 +52,7 @@ MSG_STATS_RESPONSE = 13
 # Unlike MSG_ERROR it is always safe to retry: the request was never
 # dispatched, so no state changed.
 MSG_BUSY = 14
-# Sequenced keygen batch (pipelined client path, DESIGN.md §10): same
+# Sequenced keygen batch (what every upload sends, DESIGN.md §10): same
 # payload as MSG_KEYGEN_REQUEST/RESPONSE plus a stream sequence number so
 # the key manager can enforce in-order batch delivery — the frequency
 # state the sketch accumulates is order-sensitive across batches.
@@ -314,14 +314,15 @@ class KeyGenResponse:
 
 @dataclass
 class BatchedKeyGenRequest:
-    """A sequenced keygen batch from the pipelined client path.
+    """A sequenced keygen batch (every client upload sends these).
 
     The ``sequence`` number identifies this batch's position in the
     client's keygen stream (0, 1, 2, ... per upload). The key manager
     rejects regressions — a batch arriving after a later one has already
     been served — because sketch frequencies accumulate in arrival order;
     retries of the *same* sequence are accepted (replay only re-updates
-    the sketch, the fail-safe direction). Sequence 0 starts a new stream.
+    the sketch, the fail-safe direction). Sequence 0 starts a new upload;
+    sequences are only ever compared within one connection.
     """
 
     sequence: int = 0

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.tedstore import messages as m
-from repro.tedstore.keymanager import KeyManagerService
+from repro.tedstore.keymanager import KeygenStream, KeyManagerService
 from repro.tedstore.provider import DEFAULT_TENANT, ProviderService
 from repro.tedstore.retry import RetryPolicy
 
@@ -376,8 +376,15 @@ def serve_key_manager(
             )
             return m.frame(m.MSG_KEYGEN_RESPONSE, response.encode())
         if message_type == m.MSG_KEYGEN_BATCH_REQUEST:
+            # The connection is the keygen stream: its sequence floor
+            # lives (and dies) with the per-connection state, while rate
+            # limiting and the durable log stay keyed by peer host.
             response = service.handle_keygen_batched(
-                m.BatchedKeyGenRequest.decode(payload), client_id=peer
+                m.BatchedKeyGenRequest.decode(payload),
+                client_id=peer,
+                stream=conn_state.setdefault(
+                    "keygen_stream", KeygenStream()
+                ),
             )
             return m.frame(m.MSG_KEYGEN_BATCH_RESPONSE, response.encode())
         if message_type == m.MSG_STATS_REQUEST:
@@ -880,10 +887,10 @@ class RemoteProvider:
     Args:
         data_connections: extra connections dedicated to chunk-data
             frames (``put_chunks`` and ``get_chunks``). With the
-            default 0, all traffic shares one connection. The pipelined
-            client sets this so bulk chunk frames never queue behind
-            (or ahead of) recipe and control traffic, and so chunk
-            round-trips overlap with keygen traffic on the other
+            default 0, all traffic shares one connection. A client
+            running stage threads sets this so bulk chunk frames never
+            queue behind (or ahead of) recipe and control traffic, and
+            so chunk round-trips overlap with keygen traffic on the other
             entity's socket. Data calls round-robin over the pool; each
             individual call still runs request/response, so a single
             uploader (or prefetcher) thread keeps strict ordering even

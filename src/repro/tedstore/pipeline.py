@@ -1,46 +1,50 @@
-"""Pipelined, multi-worker client upload path (DESIGN.md §10).
+"""The client upload path: three stage bodies, two schedulers (DESIGN.md §10).
 
-The serial client runs chunk → fingerprint → keygen → encrypt → PUT
-strictly in sequence, so the wire sits idle while the CPU encrypts and the
-CPU sits idle during every round trip. This module overlaps the stages
-with a bounded-queue pipeline:
+An upload is chunk → fingerprint → short-hash → key seeding → key
+derivation → encrypt → write (Figure 1). Each step exists once, as one
+of three stage bodies on :class:`PipelinedUploader`:
 
-* **feed** — the caller's thread chunks the input (or walks pre-chunked
-  data) and pushes fixed-size sub-batches into a depth-bounded queue; the
-  bound is the pipeline's backpressure, so memory stays proportional to
-  ``pipeline_depth``, never file size.
-* **keygen dispatcher** — a single thread fingerprints and short-hashes
-  each sub-batch, coalesces whatever is queued (up to the client's
-  ``batch_size`` fingerprints) into one sequenced KEYGEN round trip, and
-  derives the per-chunk keys. Keygen stays *strictly ordered and single
-  in flight*: sketch frequencies and probabilistic seed selection depend
-  on the order chunks reach the key manager, and keeping that order is
-  what makes the pipelined path bit-identical to the serial one (the
-  differential harness proves it, ``tests/harness/differential.py``).
-* **fingerprint cache** — with a :class:`~repro.storage.dedup.FingerprintCache`
-  configured, each (plaintext fingerprint, seed) pair is checked after
-  keygen; a hit proves the exact ciphertext is already stored at the
-  provider, so the chunk skips encryption *and* upload entirely — the
-  dominant cost on duplicate-heavy workloads. Repeats of a pair already
-  dispatched earlier in the same run are suppressed too (in-flight
-  aliases): the uploader copies the first occurrence's ciphertext
-  fingerprint at resequencing time.
-* **encrypt workers** — ``workers`` threads encrypt cache misses and
-  fingerprint the ciphertexts. With ``crypto_workers > 0`` on the client,
-  the threads instead submit their jobs to a pool of OS processes
-  (:func:`_mp_encrypt_job`) and collect the results, sidestepping the GIL
-  for CPU-bound cipher profiles; encryption is a pure function of
-  (profile, key, chunk), and the uploader re-sequences by index either
-  way, so the stored bytes are identical to the serial path's.
-* **uploader** — a single thread re-sequences encrypted chunks into
-  original order, cuts PUT batches at the same ``batch_size`` boundaries
-  as the serial path, sends them one at a time (ordering is what keeps
-  container layout byte-identical), inserts acknowledged chunks into the
-  cache, and builds the file/key recipes in chunk order.
+* **prepare** — fingerprint and short-hash a run of chunks, fetch their
+  seeds in one *sequenced* KEYGEN round trip, derive the per-chunk keys
+  (:meth:`~PipelinedUploader.derive_keys`), then resolve what needs no
+  encryption. Keygen is strictly ordered and single in flight: sketch
+  frequencies and probabilistic seed selection depend on the order
+  chunks reach the key manager. With a
+  :class:`~repro.storage.dedup.FingerprintCache` configured, a
+  (plaintext fingerprint, seed) hit proves the exact ciphertext is
+  already stored, so the chunk skips encryption *and* upload; repeats of
+  a pair already seen in this run are suppressed too (in-flight
+  aliases, resolved from the first occurrence at sequencing time).
+* **encrypt** — encrypt the misses and fingerprint the ciphertexts; in
+  this thread, or in a pool of OS processes with ``crypto_workers > 0``
+  (:func:`_mp_encrypt_job`). A pure function of (profile, key, chunk).
+* **sequence** — put resolved chunks back into file order, cut PUT
+  batches every ``batch_size`` chunks, send them one at a time (ordering
+  is what keeps container layout byte-identical), insert acknowledged
+  chunks into the cache, and build the file/key recipes in chunk order.
 
-Failure in any stage latches a shared failure box; every stage unwinds
-promptly (all queue waits poll it) and the caller re-raises the first
-error, so a dead worker can never deadlock the pipeline.
+The schedulers differ only in *who calls the bodies*:
+
+* **inline** (``workers == 1 and crypto_workers == 0``) — the caller's
+  thread runs prepare → encrypt → sequence back to back per
+  ``batch_size`` batch. No thread, no queue: on small files thread
+  start/join and queue hand-offs cost more than there is to overlap.
+* **threaded** (otherwise) — the caller's thread feeds sub-batches into
+  a depth-bounded queue (the backpressure: memory stays proportional to
+  ``pipeline_depth``, never file size); one dispatcher thread coalesces
+  whatever is queued into one prepare call; ``workers`` threads encrypt;
+  one uploader thread sequences. The wire and the CPU overlap.
+
+Stored state is the same either way: keys depend only on the order
+chunks reach the key manager, ciphertexts only on (key, chunk), and PUT
+batches are cut from the re-sequenced stream
+(``tests/integration/test_pipeline_differential.py`` checks both
+schedulers against a straight-line oracle).
+
+A stage error is re-raised to the caller as itself — same type from
+either scheduler. In threaded mode it first latches a shared failure
+box that every queue wait polls, so a dead stage can never deadlock the
+rest.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ import queue
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.keygen import derive_key
 from repro.crypto.hashes import digest
@@ -70,11 +75,6 @@ _WORKERS_BUSY = _REGISTRY.gauge(
     "ted_pipeline_workers_busy",
     "Encrypt workers currently processing a job",
 )
-_STAGE_SECONDS = _REGISTRY.histogram(
-    "ted_pipeline_stage_seconds",
-    "Latency of one pipeline stage execution (per batch/job)",
-    labelnames=("stage",),
-)
 _PIPELINE_CHUNKS = _REGISTRY.counter(
     "ted_pipeline_chunks_total",
     "Chunks leaving the pipeline, by path taken",
@@ -86,8 +86,32 @@ _PIPELINE_CHUNKS = _REGISTRY.counter(
 _POLL_SECONDS = 0.05
 
 
+def stage_threads(workers: int, crypto_workers: int) -> bool:
+    """Whether transfers run their stages on threads (else inline).
+
+    Read off the two existing knobs: with one worker and no process
+    pool there is nothing to overlap, so the caller's thread runs the
+    stage bodies itself.
+    """
+    return workers > 1 or crypto_workers > 0
+
+
+def batched(chunks: Iterable[bytes], size: int) -> Iterator[List[bytes]]:
+    """Consecutive lists of up to ``size`` chunks, drawn lazily."""
+    iterator = iter(chunks)
+    while True:
+        batch = list(islice(iterator, size))
+        if not batch:
+            return
+        yield batch
+
+
 class PipelineError(RuntimeError):
-    """A pipeline stage failed; the original error is the ``__cause__``."""
+    """The pipeline broke its own invariant (chunks lost between stages).
+
+    Stage errors are never wrapped in this: they reach the caller as
+    themselves.
+    """
 
 
 class _Failure:
@@ -110,6 +134,16 @@ class _Failure:
 
 class _Aborted(Exception):
     """Internal unwind signal raised inside stages after a failure."""
+
+
+def _run_guarded(failure: _Failure, body) -> None:
+    """Run one stage loop; latch its first real error."""
+    try:
+        body()
+    except _Aborted:
+        pass
+    except BaseException as exc:
+        failure.set(exc)
 
 
 class _MeteredQueue:
@@ -169,8 +203,8 @@ class _Resolved:
     ``cipher_fp is None`` marks an in-flight alias: the same
     (fingerprint, seed) pair was dispatched earlier in this run, so the
     ciphertext fingerprint is copied from that first occurrence when the
-    uploader re-sequences — the first occurrence always precedes the
-    alias in emission order. ``ciphertext is None`` (with a cipher_fp)
+    chunk is sequenced — the first occurrence always precedes the
+    alias in file order. ``ciphertext is None`` (with a cipher_fp)
     marks a fingerprint-cache hit: nothing to upload at all.
     """
 
@@ -183,21 +217,14 @@ class _Resolved:
     seed: bytes
 
 
+#: One encrypt job entry: (file index, chunk, fingerprint, seed, key).
+_Miss = Tuple[int, bytes, bytes, bytes, bytes]
+
 _FEED_END = object()
 
 
-def _mp_encrypt_job(
-    profile_name: str, job: List[Tuple[int, bytes, bytes, bytes, bytes]]
-) -> List[_Resolved]:
-    """Encrypt one job in a pool process.
-
-    Module-level so it pickles; resolves the profile by name in the
-    child. Encryption is deterministic in (profile, key, chunk), so the
-    returned ciphertexts are byte-identical to in-process encryption.
-    """
-    from repro.crypto.cipher import get_profile
-
-    profile = get_profile(profile_name)
+def _encrypt_job(profile, job: List[_Miss]) -> List[_Resolved]:
+    """Encrypt one job and fingerprint its ciphertexts."""
     algorithm = profile.hash_algorithm
     resolved: List[_Resolved] = []
     for index, chunk, fp, seed, key in job:
@@ -216,8 +243,19 @@ def _mp_encrypt_job(
     return resolved
 
 
+def _mp_encrypt_job(profile_name: str, job: List[_Miss]) -> List[_Resolved]:
+    """:func:`_encrypt_job` in a pool process.
+
+    Module-level so it pickles; resolves the profile by name in the
+    child.
+    """
+    from repro.crypto.cipher import get_profile
+
+    return _encrypt_job(get_profile(profile_name), job)
+
+
 class PipelinedUploader:
-    """One pipelined upload execution (single use).
+    """One upload execution (single use).
 
     Args:
         client: the owning :class:`~repro.tedstore.client.TedStoreClient`
@@ -227,29 +265,26 @@ class PipelinedUploader:
 
     def __init__(self, client) -> None:
         self.client = client
-        self.workers = max(1, client.workers)
-        self.crypto_workers = max(0, getattr(client, "crypto_workers", 0))
-        if self.crypto_workers:
-            # Each worker thread blocks on one in-flight pool job, so the
-            # pool only stays busy if there are at least as many
-            # submitter threads as processes.
-            self.workers = max(self.workers, self.crypto_workers)
+        # Each worker thread blocks on one in-flight pool job, so the
+        # pool only stays busy if there are at least as many submitter
+        # threads as processes.
+        self.workers = max(client.workers, client.crypto_workers)
         self._pool: Optional[ProcessPoolExecutor] = None
-        depth = max(1, client.pipeline_depth)
-        self.failure = _Failure()
-        self.feed_q = _MeteredQueue("feed", depth, self.failure)
-        self.encrypt_q = _MeteredQueue(
-            "encrypt", depth * self.workers, self.failure
-        )
-        self.result_q = _MeteredQueue("results", 0, self.failure)
-        # Chunks per feed sub-batch: small enough that several are in
-        # flight across stages, large enough that queue overhead stays
-        # negligible against hashing/encryption work.
-        self.feed_batch = max(16, client.batch_size // max(2, self.workers))
-        self._total_chunks: Optional[int] = None  # set when feed ends
-        self._total_lock = threading.Lock()
-        self._sequence = 0
-        # Outputs (owned by the uploader thread until join).
+        # prepare state: next keygen sequence number, file index of the
+        # next chunk, and the (fingerprint, seed) pairs already sent to
+        # encryption this run (cache-enabled runs only).
+        self._keygen_sequence = 0
+        self._base_index = 0
+        self._first_seen: Set[bytes] = set()
+        # sequence state. ``_resolved_fp`` holds the ciphertext
+        # fingerprint of every sequenced (fingerprint, seed) pair, for
+        # resolving aliases: sequencing is in chunk order, so a pair's
+        # first occurrence is always recorded before any alias of it.
+        self._buffered: Dict[int, _Resolved] = {}
+        self._next_index = 0
+        self._put_batch: List[_Resolved] = []
+        self._resolved_fp: Dict[bytes, bytes] = {}
+        # Outputs.
         self.file_recipe: Optional[FileRecipe] = None
         self.key_recipe = KeyRecipe()
         self.stored = 0
@@ -260,319 +295,307 @@ class PipelinedUploader:
 
     # -- stage bodies ---------------------------------------------------------
 
-    def _run_guarded(self, body) -> None:
-        try:
-            body()
-        except _Aborted:
-            pass
-        except BaseException as exc:  # latch the first real failure
-            self.failure.set(exc)
+    def derive_keys(
+        self, chunks: List[bytes]
+    ) -> Tuple[List[bytes], List[bytes], List[bytes]]:
+        """Fingerprint → short-hash → sequenced keygen → derive.
 
-    def _feed(self, chunks: Iterable[bytes]) -> None:
-        """Caller-thread stage: push chunk sub-batches into the pipeline."""
-        total = 0
-        batch: List[bytes] = []
-        for chunk in chunks:
-            batch.append(chunk)
-            total += 1
-            if len(batch) >= self.feed_batch:
-                self.feed_q.put(batch)
-                batch = []
-        if batch:
-            self.feed_q.put(batch)
-        with self._total_lock:
-            self._total_chunks = total
-        self.feed_q.put(_FEED_END)
-
-    def _expected_total(self) -> Optional[int]:
-        with self._total_lock:
-            return self._total_chunks
-
-    def _dispatch(self) -> None:
-        """Fingerprint, coalesce, keygen (ordered), derive, fan out."""
+        Returns per-chunk ``(fingerprints, seeds, keys)``. Calls on one
+        uploader form one keygen stream: sequence 0, 1, 2, ….
+        """
         client = self.client
         algorithm = client.profile.hash_algorithm
         timer = client.timer
-        cache = client.fingerprint_cache
-        # In-flight duplicate suppression (cache-enabled runs only): once
-        # a (fingerprint, seed) pair has been dispatched this run, later
-        # repeats skip encryption and upload as *aliases* — the uploader
-        # copies the ciphertext fingerprint from the first occurrence at
-        # resequencing time (the first occurrence always precedes the
-        # alias in emission order). Tied to the cache because, like a
-        # cache hit, an alias relaxes the provider's offered-chunk
-        # counters; the strict cache-off guarantee stays untouched.
-        first_seen: set = set()
-        base_index = 0
-        done = False
-        while not done:
-            item = self.feed_q.get()
-            if item is _FEED_END:
-                break
-            # Coalesce everything already queued, up to one full keygen
-            # batch — more sub-batches may have piled up while the
-            # previous round trip was in flight.
-            pending: List[bytes] = list(item)
-            while len(pending) < client.batch_size:
-                try:
-                    extra = self.feed_q.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is _FEED_END:
-                    done = True
-                    break
-                pending.extend(extra)
-            with timer.stage("fingerprinting"):
-                fingerprints = [digest(c, algorithm) for c in pending]
-            with timer.stage("hashing"):
-                hash_vectors = [
-                    short_hashes(fp, client.sketch_rows, client.sketch_width)
-                    for fp in fingerprints
-                ]
-            with timer.stage("key seeding"), _STAGE_SECONDS.labels(
-                stage="keygen_rtt"
-            ).time():
-                seeds = self._keygen(hash_vectors)
-            if len(seeds) != len(pending):
-                raise RuntimeError(
-                    "key manager returned a mismatched seed batch"
+        with timer.stage("fingerprinting"):
+            fingerprints = [digest(c, algorithm) for c in chunks]
+        # Short hashes are computed over the chunk *fingerprint* rather
+        # than the raw chunk: the client has just computed the
+        # fingerprint anyway, the counter mapping is statistically
+        # identical, and it keeps the MurmurHash pass off the full-data
+        # path (the C++ prototype murmurs whole chunks because Murmur is
+        # nearly free there; in Python it is not).
+        with timer.stage("hashing"):
+            hash_vectors = [
+                short_hashes(fp, client.sketch_rows, client.sketch_width)
+                for fp in fingerprints
+            ]
+        with timer.stage("key seeding"):
+            seeds = client.key_manager.keygen_batched(
+                BatchedKeyGenRequest(
+                    sequence=self._keygen_sequence,
+                    hash_vectors=hash_vectors,
                 )
-            with timer.stage("key derivation"):
-                keys = [
-                    derive_key(seed, fp, algorithm)
-                    for seed, fp in zip(seeds, fingerprints)
-                ]
-            misses: List[Tuple[int, bytes, bytes, bytes, bytes]] = []
-            resolved_here: List[_Resolved] = []
-            cache_hit_count = 0
-            alias_count = 0
-            for offset, (chunk, fp, seed, key) in enumerate(
-                zip(pending, fingerprints, seeds, keys)
-            ):
-                index = base_index + offset
-                cached = (
-                    cache.lookup(fp, seed) if cache is not None else None
-                )
-                if cached is not None:
-                    cache_hit_count += 1
-                    resolved_here.append(
-                        _Resolved(
-                            index=index,
-                            size=len(chunk),
-                            key=key,
-                            cipher_fp=cached,
-                            ciphertext=None,
-                            fingerprint=fp,
-                            seed=seed,
-                        )
-                    )
-                    continue
-                if cache is not None:
-                    pair = FingerprintCache.key(fp, seed)
-                    if pair in first_seen:
-                        alias_count += 1
-                        resolved_here.append(
-                            _Resolved(
-                                index=index,
-                                size=len(chunk),
-                                key=key,
-                                cipher_fp=None,
-                                ciphertext=None,
-                                fingerprint=fp,
-                                seed=seed,
-                            )
-                        )
-                        continue
-                    first_seen.add(pair)
-                misses.append((index, chunk, fp, seed, key))
-            base_index += len(pending)
-            if resolved_here:
-                if cache_hit_count:
-                    _PIPELINE_CHUNKS.labels(path="cache_hit").inc(
-                        cache_hit_count
-                    )
-                if alias_count:
-                    _PIPELINE_CHUNKS.labels(path="inflight_dup").inc(
-                        alias_count
-                    )
-                self.result_q.put(resolved_here)
-            # Fan misses out to the encrypt workers in contiguous slices;
-            # the resequencer restores global order downstream.
-            if misses:
-                job_size = max(32, -(-len(misses) // self.workers))
-                for start in range(0, len(misses), job_size):
-                    self.encrypt_q.put(misses[start : start + job_size])
-        for _ in range(self.workers):
-            self.encrypt_q.put(_FEED_END)
-
-    def _keygen(self, hash_vectors: List[List[int]]) -> List[bytes]:
-        """One sequenced keygen round trip (falls back for old stubs)."""
-        transport = self.client.key_manager
-        batched = getattr(transport, "keygen_batched", None)
-        if batched is None:
-            from repro.tedstore.messages import KeyGenRequest
-
-            return transport.keygen(
-                KeyGenRequest(hash_vectors=hash_vectors)
             ).seeds
-        request = BatchedKeyGenRequest(
-            sequence=self._sequence, hash_vectors=hash_vectors
-        )
-        self._sequence += 1
-        return batched(request).seeds
+        self._keygen_sequence += 1
+        if len(seeds) != len(chunks):
+            raise RuntimeError(
+                "key manager returned a mismatched seed batch"
+            )
+        with timer.stage("key derivation"):
+            keys = [
+                derive_key(seed, fp, algorithm)
+                for seed, fp in zip(seeds, fingerprints)
+            ]
+        return fingerprints, seeds, keys
 
-    def _encrypt_worker(self, timer: StageTimer) -> None:
-        """Encrypt cache misses; fingerprint the ciphertexts."""
+    def prepare(
+        self, chunks: List[bytes]
+    ) -> Tuple[List[_Resolved], List[_Miss]]:
+        """Derive keys for the next run of chunks; split off the misses.
+
+        Returns ``(resolved, misses)``: chunks that need no encryption
+        (cache hits and in-flight aliases) and encrypt-job entries for
+        the rest. Alias suppression is tied to the cache because, like a
+        cache hit, an alias relaxes the provider's offered-chunk
+        counters; without a cache every chunk is a miss.
+        """
+        fingerprints, seeds, keys = self.derive_keys(chunks)
+        cache = self.client.fingerprint_cache
+        base_index = self._base_index
+        self._base_index += len(chunks)
+        if cache is None:
+            return [], [
+                (base_index + offset, chunk, fp, seed, key)
+                for offset, (chunk, fp, seed, key) in enumerate(
+                    zip(chunks, fingerprints, seeds, keys)
+                )
+            ]
+        first_seen = self._first_seen
+        resolved: List[_Resolved] = []
+        misses: List[_Miss] = []
+        cache_hit_count = 0
+        for offset, (chunk, fp, seed, key) in enumerate(
+            zip(chunks, fingerprints, seeds, keys)
+        ):
+            index = base_index + offset
+            cipher_fp = cache.lookup(fp, seed)
+            if cipher_fp is not None:
+                cache_hit_count += 1
+            else:
+                pair = FingerprintCache.key(fp, seed)
+                if pair not in first_seen:
+                    first_seen.add(pair)
+                    misses.append((index, chunk, fp, seed, key))
+                    continue
+            resolved.append(
+                _Resolved(
+                    index=index,
+                    size=len(chunk),
+                    key=key,
+                    cipher_fp=cipher_fp,
+                    ciphertext=None,
+                    fingerprint=fp,
+                    seed=seed,
+                )
+            )
+        if cache_hit_count:
+            _PIPELINE_CHUNKS.labels(path="cache_hit").inc(cache_hit_count)
+        if len(resolved) > cache_hit_count:
+            _PIPELINE_CHUNKS.labels(path="inflight_dup").inc(
+                len(resolved) - cache_hit_count
+            )
+        return resolved, misses
+
+    def encrypt(self, job: List[_Miss], timer: StageTimer) -> List[_Resolved]:
+        """Encrypt one job of misses; fingerprint the ciphertexts."""
         profile = self.client.profile
-        algorithm = profile.hash_algorithm
-        while True:
-            job = self.encrypt_q.get()
-            if job is _FEED_END:
-                return
-            resolved: List[_Resolved] = []
-            with timer.stage("encryption"), _WORKERS_BUSY.track(), \
-                    _STAGE_SECONDS.labels(stage="encrypt_job").time():
-                if self._pool is not None:
-                    resolved = self._pool.submit(
-                        _mp_encrypt_job, profile.name, job
-                    ).result()
-                else:
-                    for index, chunk, fp, seed, key in job:
-                        ciphertext = profile.encrypt(key, chunk)
-                        resolved.append(
-                            _Resolved(
-                                index=index,
-                                size=len(chunk),
-                                key=key,
-                                cipher_fp=digest(ciphertext, algorithm),
-                                ciphertext=ciphertext,
-                                fingerprint=fp,
-                                seed=seed,
-                            )
-                        )
-            _PIPELINE_CHUNKS.labels(path="encrypted").inc(len(resolved))
-            self.result_q.put(resolved)
+        with timer.stage("encryption"), _WORKERS_BUSY.track():
+            if self._pool is not None:
+                resolved = self._pool.submit(
+                    _mp_encrypt_job, profile.name, job
+                ).result()
+            else:
+                resolved = _encrypt_job(profile, job)
+        _PIPELINE_CHUNKS.labels(path="encrypted").inc(len(resolved))
+        return resolved
 
-    def _upload(self, file_name: str) -> None:
-        """Re-sequence, batch at serial boundaries, PUT in order."""
+    def sequence(self, entries: List[_Resolved]) -> None:
+        """Sequence resolved chunks; PUT every full ``batch_size`` batch."""
+        cache = self.client.fingerprint_cache
+        buffered = self._buffered
+        for entry in entries:
+            buffered[entry.index] = entry
+        while self._next_index in buffered:
+            entry = buffered.pop(self._next_index)
+            self._next_index += 1
+            if entry.cipher_fp is None:
+                # In-flight alias: a duplicate of a pair dispatched
+                # earlier this run. The provider would have deduped it
+                # anyway; count it as a duplicate (not a cache hit — the
+                # cache never saw it).
+                entry.cipher_fp = self._resolved_fp[
+                    FingerprintCache.key(entry.fingerprint, entry.seed)
+                ]
+                self.duplicates += 1
+            else:
+                if cache is not None:
+                    self._resolved_fp[
+                        FingerprintCache.key(entry.fingerprint, entry.seed)
+                    ] = entry.cipher_fp
+                if entry.ciphertext is None:
+                    self.cache_hits += 1
+                    self.duplicates += 1
+            self.file_recipe.add(entry.cipher_fp, entry.size)
+            self.key_recipe.add(entry.key)
+            self.logical_bytes += entry.size
+            self._put_batch.append(entry)
+            if len(self._put_batch) >= self.client.batch_size:
+                self._flush()
+
+    def _flush(self) -> None:
+        """PUT the sequenced chunks that carry a ciphertext."""
         client = self.client
         cache = client.fingerprint_cache
-        timer = client.timer
-        self.file_recipe = FileRecipe(file_name=file_name)
-        buffered = {}
-        next_index = 0
-        batch: List[_Resolved] = []
-        # Ciphertext fingerprint of every sequenced (fingerprint, seed)
-        # pair, for resolving in-flight aliases (``cipher_fp is None``).
-        # Sequencing is in chunk order, so a pair's first occurrence is
-        # always recorded before any alias of it is drained.
-        resolved_fp: Dict[bytes, bytes] = {}
+        batch = self._put_batch
+        to_send = [
+            (e.cipher_fp, e.ciphertext)
+            for e in batch
+            if e.ciphertext is not None
+        ]
+        if to_send:
+            with client.timer.stage("write"):
+                response = client.provider.put_chunks(
+                    PutChunks(chunks=to_send)
+                )
+            self.stored += response.stored
+            self.duplicates += response.duplicates
+        if cache is not None:
+            for e in batch:
+                if e.ciphertext is not None:
+                    # Coherence rule: insert only after the provider
+                    # acknowledged the batch (DESIGN.md §10).
+                    cache.insert(e.fingerprint, e.seed, e.cipher_fp)
+        batch.clear()
 
-        def flush() -> None:
-            to_send = [
-                (e.cipher_fp, e.ciphertext)
-                for e in batch
-                if e.ciphertext is not None
-            ]
-            if to_send:
-                with timer.stage("write"), _STAGE_SECONDS.labels(
-                    stage="upload_batch"
-                ).time():
-                    response = client.provider.put_chunks(
-                        PutChunks(chunks=to_send)
-                    )
-                self.stored += response.stored
-                self.duplicates += response.duplicates
-            if cache is not None:
-                for e in batch:
-                    if e.ciphertext is not None:
-                        # Coherence rule: insert only after the provider
-                        # acknowledged the batch (DESIGN.md §10).
-                        cache.insert(e.fingerprint, e.seed, e.cipher_fp)
-            batch.clear()
-
-        while True:
-            expected = self._expected_total()
-            if expected is not None and next_index >= expected:
-                break
-            try:
-                entries = self.result_q.try_get()
-            except queue.Empty:
-                # Nothing in flight right now; the total may have just
-                # been published — loop to re-check the exit condition.
-                continue
-            for entry in entries:
-                buffered[entry.index] = entry
-            while next_index in buffered:
-                entry = buffered.pop(next_index)
-                next_index += 1
-                if entry.cipher_fp is None:
-                    # In-flight alias: a duplicate of a pair dispatched
-                    # earlier this run. The provider would have deduped
-                    # it anyway; count it as a duplicate (not a cache
-                    # hit — the cache never saw it).
-                    entry.cipher_fp = resolved_fp[
-                        FingerprintCache.key(entry.fingerprint, entry.seed)
-                    ]
-                    self.duplicates += 1
-                else:
-                    if cache is not None:
-                        resolved_fp[
-                            FingerprintCache.key(
-                                entry.fingerprint, entry.seed
-                            )
-                        ] = entry.cipher_fp
-                    if entry.ciphertext is None:
-                        self.cache_hits += 1
-                        self.duplicates += 1
-                self.file_recipe.add(entry.cipher_fp, entry.size)
-                self.key_recipe.add(entry.key)
-                self.logical_bytes += entry.size
-                batch.append(entry)
-                if len(batch) >= client.batch_size:
-                    flush()
-        if buffered:
-            raise RuntimeError(
-                f"pipeline lost chunks: {len(buffered)} left unsequenced"
+    def _finish(self) -> None:
+        """PUT the last partial batch once every chunk is sequenced."""
+        if self._buffered:
+            raise PipelineError(
+                f"pipeline lost chunks: {len(self._buffered)} left "
+                "unsequenced"
             )
-        flush()
-        self.chunk_count = next_index
+        self._flush()
+        self.chunk_count = self._next_index
 
-    # -- orchestration --------------------------------------------------------
+    # -- schedulers -----------------------------------------------------------
 
     def run(self, file_name: str, chunks: Iterable[bytes]) -> None:
-        """Run the full pipeline to completion (or first failure).
+        """Upload every chunk (or raise the first stage error).
 
-        The caller's thread acts as the feed stage. On return, recipes
-        and counters are populated; on failure every thread has exited
-        and a :class:`PipelineError` wraps the first stage error.
+        On return, recipes and counters are populated; on failure every
+        thread this call started has exited.
         """
+        client = self.client
+        self.file_recipe = FileRecipe(file_name=file_name)
+        if stage_threads(client.workers, client.crypto_workers):
+            self._run_threaded(file_name, chunks)
+        else:
+            self._run_inline(chunks)
+
+    def _run_inline(self, chunks: Iterable[bytes]) -> None:
+        """The caller's thread runs every stage, batch by batch."""
+        client = self.client
+        for batch in batched(chunks, client.batch_size):
+            resolved, misses = self.prepare(batch)
+            if misses:
+                resolved += self.encrypt(misses, client.timer)
+            self.sequence(resolved)
+        self._finish()
+
+    def _run_threaded(self, file_name: str, chunks: Iterable[bytes]) -> None:
+        """Feed from the caller's thread; stages on threads of their own."""
+        client = self.client
+        failure = _Failure()
+        depth = client.pipeline_depth
+        feed_q = _MeteredQueue("feed", depth, failure)
+        encrypt_q = _MeteredQueue("encrypt", depth * self.workers, failure)
+        result_q = _MeteredQueue("results", 0, failure)
+        # Chunks per feed sub-batch: small enough that several are in
+        # flight across stages, large enough that queue overhead stays
+        # negligible against hashing/encryption work.
+        feed_batch = max(16, client.batch_size // max(2, self.workers))
+        total_lock = threading.Lock()
+        total: Optional[int] = None  # chunk count, once the feed ended
+
+        def feed() -> None:
+            nonlocal total
+            count = 0
+            for batch in batched(chunks, feed_batch):
+                count += len(batch)
+                feed_q.put(batch)
+            with total_lock:
+                total = count
+            feed_q.put(_FEED_END)
+
+        def dispatch() -> None:
+            done = False
+            while not done:
+                item = feed_q.get()
+                if item is _FEED_END:
+                    break
+                # Coalesce everything already queued, up to one full
+                # keygen batch — more sub-batches may have piled up
+                # while the previous round trip was in flight.
+                pending: List[bytes] = list(item)
+                while len(pending) < client.batch_size:
+                    try:
+                        extra = feed_q.get_nowait()
+                    except queue.Empty:
+                        break
+                    if extra is _FEED_END:
+                        done = True
+                        break
+                    pending.extend(extra)
+                resolved, misses = self.prepare(pending)
+                if resolved:
+                    result_q.put(resolved)
+                # Fan misses out in contiguous slices; sequencing
+                # restores global order downstream.
+                job_size = max(32, -(-len(misses) // self.workers))
+                for start in range(0, len(misses), job_size):
+                    encrypt_q.put(misses[start : start + job_size])
+            for _ in range(self.workers):
+                encrypt_q.put(_FEED_END)
+
+        def encrypt_worker(timer: StageTimer) -> None:
+            while True:
+                job = encrypt_q.get()
+                if job is _FEED_END:
+                    return
+                result_q.put(self.encrypt(job, timer))
+
+        def upload() -> None:
+            while True:
+                with total_lock:
+                    if total is not None and self._next_index >= total:
+                        break
+                try:
+                    entries = result_q.try_get()
+                except queue.Empty:
+                    # Nothing in flight right now; the total may have
+                    # just been published — re-check the exit condition.
+                    continue
+                self.sequence(entries)
+            self._finish()
+
         worker_timers = [StageTimer() for _ in range(self.workers)]
+        bodies = [("dispatch", dispatch), ("upload", upload)] + [
+            (f"encrypt-{i}", lambda t=timer: encrypt_worker(t))
+            for i, timer in enumerate(worker_timers)
+        ]
         threads = [
             threading.Thread(
-                target=self._run_guarded,
-                args=(self._dispatch,),
-                name="ted-pipeline-dispatch",
-                daemon=True,
-            ),
-            threading.Thread(
-                target=self._run_guarded,
-                args=(lambda: self._upload(file_name),),
-                name="ted-pipeline-upload",
-                daemon=True,
-            ),
-        ]
-        threads.extend(
-            threading.Thread(
-                target=self._run_guarded,
-                args=(lambda t=timer: self._encrypt_worker(t),),
-                name=f"ted-pipeline-encrypt-{i}",
+                target=_run_guarded,
+                args=(failure, body),
+                name=f"ted-pipeline-{name}",
                 daemon=True,
             )
-            for i, timer in enumerate(worker_timers)
-        )
-        if self.crypto_workers:
-            self._pool = ProcessPoolExecutor(max_workers=self.crypto_workers)
+            for name, body in bodies
+        ]
+        if client.crypto_workers:
+            self._pool = ProcessPoolExecutor(
+                max_workers=client.crypto_workers
+            )
         with tracing.get_tracer().span(
             "client.pipeline",
             attributes={"workers": self.workers, "file": file_name},
@@ -580,7 +603,7 @@ class PipelinedUploader:
             for thread in threads:
                 thread.start()
             try:
-                self._run_guarded(lambda: self._feed(chunks))
+                _run_guarded(failure, feed)
             finally:
                 for thread in threads:
                     thread.join()
@@ -588,9 +611,6 @@ class PipelinedUploader:
                     self._pool.shutdown(wait=True)
                     self._pool = None
         for timer in worker_timers:
-            self.client.timer.merge(timer)
-        if self.failure.exc is not None:
-            raise PipelineError(
-                f"pipelined upload of {file_name!r} failed: "
-                f"{self.failure.exc}"
-            ) from self.failure.exc
+            client.timer.merge(timer)
+        if failure.exc is not None:
+            raise failure.exc

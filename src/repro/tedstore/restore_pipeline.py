@@ -1,50 +1,39 @@
-"""Pipelined, multi-worker client download/restore path (DESIGN.md §11).
+"""The client restore path: three stage bodies, two schedulers (DESIGN.md §10).
 
-The serial download loop alternates a ``GetChunks`` round trip with a
-decrypt pass: the wire sits idle while the CPU decrypts, and the CPU sits
-idle during every round trip — the exact mirror of the serial upload path
-that :mod:`repro.tedstore.pipeline` replaced. This module overlaps the
-two with a bounded-queue read pipeline:
+The mirror of :mod:`repro.tedstore.pipeline`. Each step of a restore
+exists once, as a stage body on :class:`PipelinedDownloader`:
 
-* **prefetch** — the caller's thread walks the file recipe in the same
-  ``batch_size`` slices as the serial path, requests each batch's
-  ciphertexts with one ``GetChunks`` round trip, and fans decrypt jobs
-  out to the workers through a depth-bounded queue. While the workers
-  chew on batch *i*, the prefetcher is already waiting on batch *i+1*'s
-  round trip — network latency hides behind decryption.
-* **alias suppression** — repeated fingerprints within one restore (the
-  norm on deduplicated data) are fetched *and* decrypted only once.
-  The prefetcher tracks every ``(cipher_fp, key)`` pair dispatched this
-  run; repeats become aliases whose plaintext is copied from the first
-  occurrence's decrypt memo after the workers drain. Keying the memo on
-  the pair — not the fingerprint alone — means aliasing can never
-  change output, even if two keys ever mapped to one ciphertext.
-* **decrypt workers** — ``workers`` threads decrypt first-occurrence
-  jobs, verify each plaintext against the recipe size, and write
-  results straight into their recipe-order slot; joining the workers is
-  the re-sequencing barrier, so no resequencer thread is needed.
+* **fetch** — walk the file recipe in ``batch_size`` slices; request
+  each slice's ciphertexts with one ``GetChunks`` round trip and return
+  the decrypt jobs. Repeated fingerprints within one restore (the norm
+  on deduplicated data) are fetched *and* decrypted only once: every
+  ``(cipher_fp, key)`` pair dispatched this run is remembered, and
+  repeats become aliases whose plaintext is copied from the first
+  occurrence at assembly. Keying on the pair — not the fingerprint
+  alone — means aliasing can never change output, even if two keys ever
+  mapped to one ciphertext. Every reply is length-checked against its
+  request, so a short reply raises ``ValueError`` instead of silently
+  truncating the file.
+* **decrypt** — decrypt first-occurrence jobs, verify each plaintext
+  against the recipe size, and write it into its recipe-order slot.
+* **assemble** — resolve the aliases and join the slots.
 
-Every ``GetChunks`` reply is length-checked against its request — a
-short reply raises ``ValueError`` instead of silently truncating the
-restored file (the pre-pipeline serial path zipped the two silently).
-
-Failure in any stage latches the shared failure box from
-:mod:`repro.tedstore.pipeline`; all queue waits poll it, the caller
-re-raises the first error as a :class:`PipelineError`, and a dead worker
-can never deadlock the restore.
-
-Output is byte-identical to the serial path by construction; the
-differential harness proves it for MLE/BTED/FTED, metadata-dedup
-layouts, and under injected faults
-(``tests/integration/test_restore_differential.py``).
+Scheduling follows the upload path (same predicate,
+:func:`~repro.tedstore.pipeline.stage_threads`): **inline**, the
+caller's thread alternates fetch and decrypt per batch and starts no
+thread; **threaded**, the caller's thread fetches while ``workers``
+threads decrypt from a depth-bounded queue, so batch *i+1*'s round trip
+hides behind batch *i*'s decryption — joining the workers is the
+re-sequencing barrier. Output is byte-identical either way, and a stage
+error reaches the caller as itself from both.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.obs import metrics as obs_metrics, tracing
+from repro.obs import tracing
 from repro.tedstore.pipeline import (
     PipelineError,
     _Aborted,
@@ -52,12 +41,11 @@ from repro.tedstore.pipeline import (
     _FEED_END,
     _MeteredQueue,
     _PIPELINE_CHUNKS,
-    _STAGE_SECONDS,
     _WORKERS_BUSY,
+    _run_guarded,
+    stage_threads,
 )
 from repro.utils.timer import StageTimer
-
-_REGISTRY = obs_metrics.get_registry()
 
 #: One decrypt job: (recipe index, ciphertext fingerprint, chunk key,
 #: expected plaintext size).
@@ -70,7 +58,7 @@ def _pair(cipher_fp: bytes, key: bytes) -> bytes:
 
 
 class PipelinedDownloader:
-    """One pipelined restore execution (single use).
+    """One restore execution (single use).
 
     Args:
         client: the owning :class:`~repro.tedstore.client.TedStoreClient`
@@ -80,174 +68,84 @@ class PipelinedDownloader:
 
     def __init__(self, client) -> None:
         self.client = client
-        self.workers = max(1, client.workers)
-        depth = max(1, client.pipeline_depth)
-        self.failure = _Failure()
-        # Up to ``depth`` fetched batches may be in flight as decrypt
-        # jobs (each batch fans out into at most ``workers`` jobs), so
-        # memory stays proportional to depth, never file size.
-        self.decrypt_q = _MeteredQueue(
-            "decrypt", depth * self.workers, self.failure
-        )
         # Ciphertexts fetched this run, keyed by ciphertext fingerprint;
-        # filled by the prefetcher *before* any job referencing them is
-        # queued, so workers read without locking.
+        # filled by fetch *before* any job referencing them is handed
+        # on, so decrypt reads without locking.
         self._ciphertexts: Dict[bytes, bytes] = {}
-        # (cipher_fp, key) -> plaintext, written by the workers; aliases
-        # are resolved from it after the join barrier.
+        self._dispatched: Set[bytes] = set()
+        # (cipher_fp, key) -> plaintext, written by decrypt; aliases
+        # are resolved from it at assembly.
         self._memo: Dict[bytes, bytes] = {}
         self._alias_jobs: List[_Job] = []
         self._pieces: List[Optional[bytes]] = []
         self._count_lock = threading.Lock()
-        # Counters (exposed for tests and the restore benchmark).
+        # Counters (exposed for tests).
         self.fetched = 0  # unique ciphertexts fetched from the provider
         self.aliases = 0  # repeats served from the decrypt memo
         self.decrypted = 0  # ciphertexts actually decrypted
 
     # -- stage bodies ---------------------------------------------------------
 
-    def _run_guarded(self, body) -> None:
-        try:
-            body()
-        except _Aborted:
-            pass
-        except BaseException as exc:  # latch the first real failure
-            self.failure.set(exc)
-
-    def _prefetch(
+    def fetch(
         self,
+        start: int,
         entries: Sequence[Tuple[bytes, int]],
         keys: Sequence[bytes],
-    ) -> None:
-        """Caller-thread stage: fetch batches, fan out decrypt jobs."""
+    ) -> List[_Job]:
+        """Fetch one recipe slice's new ciphertexts; return its jobs."""
         client = self.client
-        timer = client.timer
-        dispatched: set = set()
-        for start in range(0, len(entries), client.batch_size):
-            batch_entries = entries[start : start + client.batch_size]
-            batch_keys = keys[start : start + client.batch_size]
-            jobs: List[_Job] = []
-            want: List[bytes] = []
-            want_set: set = set()
-            alias_count = 0
-            for offset, ((fp, size), key) in enumerate(
-                zip(batch_entries, batch_keys)
-            ):
-                index = start + offset
-                pair = _pair(fp, key)
-                if pair in dispatched:
-                    # In-flight alias: same (fingerprint, key) dispatched
-                    # earlier this restore — neither fetched nor
-                    # decrypted again; resolved from the memo after the
-                    # workers drain.
-                    alias_count += 1
-                    self._alias_jobs.append((index, fp, key, size))
-                    continue
-                dispatched.add(pair)
-                if fp not in self._ciphertexts and fp not in want_set:
-                    want_set.add(fp)
-                    want.append(fp)
-                jobs.append((index, fp, key, size))
-            if alias_count:
-                _PIPELINE_CHUNKS.labels(path="restore_alias").inc(
-                    alias_count
-                )
-            if want:
-                with timer.stage("chunk fetch"), _STAGE_SECONDS.labels(
-                    stage="fetch_rtt"
-                ).time():
-                    chunks = client._get_chunks_checked(want)
-                for fp, ciphertext in zip(want, chunks):
-                    self._ciphertexts[fp] = ciphertext
-                self.fetched += len(want)
-                _PIPELINE_CHUNKS.labels(path="fetched").inc(len(want))
-            # Fan out in contiguous slices; slot indices restore global
-            # order, so workers need no coordination beyond the queue.
-            if jobs:
-                job_size = max(32, -(-len(jobs) // self.workers))
-                for s in range(0, len(jobs), job_size):
-                    self.decrypt_q.put(jobs[s : s + job_size])
+        jobs: List[_Job] = []
+        want: List[bytes] = []
+        want_set: Set[bytes] = set()
+        alias_count = 0
+        for offset, ((fp, size), key) in enumerate(zip(entries, keys)):
+            index = start + offset
+            pair = _pair(fp, key)
+            if pair in self._dispatched:
+                alias_count += 1
+                self._alias_jobs.append((index, fp, key, size))
+                continue
+            self._dispatched.add(pair)
+            if fp not in self._ciphertexts and fp not in want_set:
+                want_set.add(fp)
+                want.append(fp)
+            jobs.append((index, fp, key, size))
+        if alias_count:
+            _PIPELINE_CHUNKS.labels(path="restore_alias").inc(alias_count)
+        if want:
+            with client.timer.stage("chunk fetch"):
+                chunks = client._get_chunks_checked(want)
+            self._ciphertexts.update(zip(want, chunks))
+            self.fetched += len(want)
+            _PIPELINE_CHUNKS.labels(path="fetched").inc(len(want))
+        return jobs
 
-    def _decrypt_worker(self, timer: StageTimer) -> None:
+    def decrypt(self, job: List[_Job], timer: StageTimer) -> None:
         """Decrypt first-occurrence jobs into their recipe-order slots."""
         profile = self.client.profile
-        while True:
-            job = self.decrypt_q.get()
-            if job is _FEED_END:
-                return
-            with timer.stage("decryption"), _WORKERS_BUSY.track(), \
-                    _STAGE_SECONDS.labels(stage="decrypt_job").time():
-                for index, fp, key, size in job:
-                    plaintext = profile.decrypt(
-                        key, self._ciphertexts[fp]
+        with timer.stage("decryption"), _WORKERS_BUSY.track():
+            for index, fp, key, size in job:
+                plaintext = profile.decrypt(key, self._ciphertexts[fp])
+                if len(plaintext) != size:
+                    raise ValueError(
+                        f"chunk {fp.hex()} decrypted to "
+                        f"{len(plaintext)} bytes, expected {size}"
                     )
-                    if len(plaintext) != size:
-                        raise ValueError(
-                            f"chunk {fp.hex()} decrypted to "
-                            f"{len(plaintext)} bytes, expected {size}"
-                        )
-                    self._memo[_pair(fp, key)] = plaintext
-                    self._pieces[index] = plaintext
-            _PIPELINE_CHUNKS.labels(path="decrypted").inc(len(job))
-            with self._count_lock:
-                self.decrypted += len(job)
+                self._memo[_pair(fp, key)] = plaintext
+                self._pieces[index] = plaintext
+        _PIPELINE_CHUNKS.labels(path="decrypted").inc(len(job))
+        with self._count_lock:
+            self.decrypted += len(job)
 
-    # -- orchestration --------------------------------------------------------
+    def assemble(self) -> bytes:
+        """Resolve aliases from the memo; join the slots in recipe order.
 
-    def run(
-        self,
-        file_name: str,
-        entries: Sequence[Tuple[bytes, int]],
-        keys: Sequence[bytes],
-    ) -> bytes:
-        """Restore one file's plaintext (or raise on first failure).
-
-        The caller's thread acts as the prefetch stage. ``entries`` and
-        ``keys`` come from the already-unsealed file/key recipes and
-        must agree on length (the client validates before calling).
+        Runs after every first occurrence has been decrypted.
         """
-        self._pieces = [None] * len(entries)
-        worker_timers = [StageTimer() for _ in range(self.workers)]
-        threads = [
-            threading.Thread(
-                target=self._run_guarded,
-                args=(lambda t=timer: self._decrypt_worker(t),),
-                name=f"ted-pipeline-decrypt-{i}",
-                daemon=True,
-            )
-            for i, timer in enumerate(worker_timers)
-        ]
-        with tracing.get_tracer().span(
-            "client.restore_pipeline",
-            attributes={"workers": self.workers, "file": file_name},
-        ):
-            for thread in threads:
-                thread.start()
-            try:
-                self._run_guarded(
-                    lambda: self._prefetch(entries, keys)
-                )
-            finally:
-                try:
-                    for _ in range(self.workers):
-                        self.decrypt_q.put(_FEED_END)
-                except _Aborted:
-                    pass  # failure latched; workers unwind on their own
-                for thread in threads:
-                    thread.join()
-        for timer in worker_timers:
-            self.client.timer.merge(timer)
-        if self.failure.exc is not None:
-            raise PipelineError(
-                f"pipelined download of {file_name!r} failed: "
-                f"{self.failure.exc}"
-            ) from self.failure.exc
-        # Aliases resolve after the join barrier: every first occurrence
-        # has been decrypted and memoized by now.
         for index, fp, key, size in self._alias_jobs:
             plaintext = self._memo.get(_pair(fp, key))
             if plaintext is None:
-                raise RuntimeError(
+                raise PipelineError(
                     f"restore pipeline lost the first occurrence of "
                     f"chunk {fp.hex()}"
                 )
@@ -257,10 +155,101 @@ class PipelinedDownloader:
                     f"bytes, expected {size}"
                 )
             self._pieces[index] = plaintext
-            self.aliases += 1
+        self.aliases = len(self._alias_jobs)
         missing = sum(1 for piece in self._pieces if piece is None)
         if missing:
-            raise RuntimeError(
+            raise PipelineError(
                 f"restore pipeline lost chunks: {missing} slots empty"
             )
         return b"".join(self._pieces)  # type: ignore[arg-type]
+
+    # -- schedulers -----------------------------------------------------------
+
+    def run(
+        self,
+        file_name: str,
+        entries: Sequence[Tuple[bytes, int]],
+        keys: Sequence[bytes],
+    ) -> bytes:
+        """Restore one file's plaintext (or raise the first stage error).
+
+        ``entries`` and ``keys`` come from the already-unsealed file/key
+        recipes and must agree on length (the client validates before
+        calling).
+        """
+        client = self.client
+        self._pieces = [None] * len(entries)
+        batch_size = client.batch_size
+        slices = (
+            (start, entries[start : start + batch_size],
+             keys[start : start + batch_size])
+            for start in range(0, len(entries), batch_size)
+        )
+        if stage_threads(client.workers, client.crypto_workers):
+            self._run_threaded(file_name, slices)
+        else:
+            for piece in slices:
+                jobs = self.fetch(*piece)
+                if jobs:
+                    self.decrypt(jobs, client.timer)
+        return self.assemble()
+
+    def _run_threaded(self, file_name: str, slices) -> None:
+        """Fetch from the caller's thread; decrypt on worker threads."""
+        client = self.client
+        workers = client.workers
+        failure = _Failure()
+        # Up to ``depth`` fetched batches may be in flight as decrypt
+        # jobs (each batch fans out into at most ``workers`` jobs), so
+        # memory stays proportional to depth, never file size.
+        decrypt_q = _MeteredQueue(
+            "decrypt", client.pipeline_depth * workers, failure
+        )
+
+        def prefetch() -> None:
+            for piece in slices:
+                jobs = self.fetch(*piece)
+                # Fan out in contiguous slices; slot indices restore
+                # global order, so workers need no coordination beyond
+                # the queue.
+                job_size = max(32, -(-len(jobs) // workers))
+                for s in range(0, len(jobs), job_size):
+                    decrypt_q.put(jobs[s : s + job_size])
+
+        def decrypt_worker(timer: StageTimer) -> None:
+            while True:
+                job = decrypt_q.get()
+                if job is _FEED_END:
+                    return
+                self.decrypt(job, timer)
+
+        worker_timers = [StageTimer() for _ in range(workers)]
+        threads = [
+            threading.Thread(
+                target=_run_guarded,
+                args=(failure, lambda t=timer: decrypt_worker(t)),
+                name=f"ted-pipeline-decrypt-{i}",
+                daemon=True,
+            )
+            for i, timer in enumerate(worker_timers)
+        ]
+        with tracing.get_tracer().span(
+            "client.restore_pipeline",
+            attributes={"workers": workers, "file": file_name},
+        ):
+            for thread in threads:
+                thread.start()
+            try:
+                _run_guarded(failure, prefetch)
+            finally:
+                try:
+                    for _ in range(workers):
+                        decrypt_q.put(_FEED_END)
+                except _Aborted:
+                    pass  # failure latched; workers unwind on their own
+                for thread in threads:
+                    thread.join()
+        for timer in worker_timers:
+            client.timer.merge(timer)
+        if failure.exc is not None:
+            raise failure.exc

@@ -60,6 +60,7 @@ from repro.core.ted import TedKeyManager
 from repro.obs import tracing
 from repro.storage.sharded import ShardRouteMeter
 from repro.storage.wal import OP_PUT, WriteAheadLog
+from repro.tedstore.keymanager import KeygenStream
 from repro.tedstore.km_state import KeyManagerStateStore, RestoreReport
 from repro.tedstore.messages import (
     BatchedKeyGenRequest,
@@ -443,24 +444,22 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
                 )
 
     def handle_keygen_batched(
-        self, request: BatchedKeyGenRequest, client_id: str = "local"
+        self,
+        request: BatchedKeyGenRequest,
+        client_id: str = "local",
+        *,
+        stream: KeygenStream,
     ) -> BatchedKeyGenResponse:
         """Sequenced batches, same ordering contract as the single KM.
 
-        The sequence check happens once at the front — sub-batches fan
-        out to shards only after the stream position is validated, and
-        the reply reassembles every shard's estimates back into arrival
-        order, so the client pipeline's contract (DESIGN.md §10) is
-        untouched by sharding.
+        The stream's sequence check happens once at the front —
+        sub-batches fan out to shards only after the stream position is
+        validated, and the reply reassembles every shard's estimates
+        back into arrival order, so the client's contract (DESIGN.md
+        §10) is untouched by sharding.
         """
+        stream.admit(request.sequence)
         with self._lock:
-            last = self._last_sequence.get(client_id)
-            if request.sequence != 0 and last is not None:
-                if request.sequence < last:
-                    raise ValueError(
-                        f"stale keygen batch: sequence {request.sequence} "
-                        f"after {last} (stream reordered)"
-                    )
             self._last_sequence[client_id] = request.sequence
         response = self.handle_keygen(
             KeyGenRequest(hash_vectors=request.hash_vectors),

@@ -34,9 +34,11 @@ class KeyManagerTransport(Protocol):
     transport instance reach the key manager in submission order, one in
     flight at a time — over TCP the per-connection request/response loop
     enforces this; the in-process transport holds an equivalent
-    per-transport lock. The pipelined client relies on this: sketch
-    frequency state and probabilistic seed selection are both sensitive
-    to the order in which chunks arrive at the key manager.
+    per-transport lock. One transport instance is one keygen *stream*:
+    the key manager rejects a sequence regression inside it and never
+    compares sequences across streams. The client relies on this:
+    sketch frequency state and probabilistic seed selection are both
+    sensitive to the order in which chunks arrive at the key manager.
     """
 
     def keygen(self, request: KeyGenRequest) -> KeyGenResponse:

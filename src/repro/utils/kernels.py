@@ -1,28 +1,15 @@
-"""Runtime switch and instruments for the batched hot-path kernels.
+"""Shared instruments for the batched hot-path kernels.
 
 The data-path inner loops (AES rounds, SHA-CTR keystream, gear/Rabin
-boundary scans, Count-Min batch updates — DESIGN.md §16) each exist in
-two byte-identical forms: the original *reference* implementation, kept
-as the semantic spec, and a *kernel* implementation that is table-driven
+boundary scans, Count-Min batch updates — DESIGN.md §16) are table-driven
 and batched (``memoryview``/``bytearray``/numpy) so interpreter overhead
-is paid per batch instead of per byte.
-
-Kernels are on by default. ``REPRO_KERNELS=off`` (or ``0``/``false``)
-in the environment forces every call site back onto the reference path —
-this is how ``tools/perf_delta.py`` measures the before/after pair in
-``BENCH_load.json``, and how a suspected kernel bug can be bisected in
-production without a rollback. Tests flip the switch in-process via
-:func:`set_kernels_enabled`.
-
-The shared ``ted_kernel_*`` instruments record batch sizes, bytes, and
-per-call latency for every kernel, labelled by kernel name, so the
-throughput effect of each kernel is visible in ``repro stats`` and the
-generated docs/METRICS.md.
+is paid per batch instead of per byte. The ``ted_kernel_*`` instruments
+record batch sizes, bytes, and per-call latency for every kernel,
+labelled by kernel name, so the throughput of each kernel is visible in
+``repro stats`` and the generated docs/METRICS.md.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.obs import metrics as obs_metrics
 
@@ -45,39 +32,6 @@ KERNEL_BYTES = _REGISTRY.counter(
     "Bytes run through each batched kernel",
     labelnames=("kernel",),
 )
-KERNEL_CALLS = _REGISTRY.counter(
-    "ted_kernel_calls_total",
-    "Batched-kernel invocations by implementation path",
-    labelnames=("kernel", "path"),
-)
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_KERNELS", "").strip().lower() not in (
-        "off",
-        "0",
-        "false",
-    )
-
-
-_enabled = _env_enabled()
-
-
-def kernels_enabled() -> bool:
-    """Whether call sites should take the batched-kernel fast path."""
-    return _enabled
-
-
-def set_kernels_enabled(enabled: bool) -> bool:
-    """Flip the kernel switch in-process; returns the previous value.
-
-    Intended for tests and the perf harness; production runs use the
-    ``REPRO_KERNELS`` environment variable read at import.
-    """
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
 
 
 def observe(kernel: str, items: int, nbytes: int, seconds: float) -> None:
@@ -86,15 +40,11 @@ def observe(kernel: str, items: int, nbytes: int, seconds: float) -> None:
     KERNEL_SECONDS.labels(kernel=kernel).observe(seconds)
     if nbytes:
         KERNEL_BYTES.labels(kernel=kernel).inc(nbytes)
-    KERNEL_CALLS.labels(kernel=kernel, path="kernel").inc()
 
 
 __all__ = [
-    "kernels_enabled",
-    "set_kernels_enabled",
     "observe",
     "KERNEL_BATCH_SIZE",
     "KERNEL_SECONDS",
     "KERNEL_BYTES",
-    "KERNEL_CALLS",
 ]

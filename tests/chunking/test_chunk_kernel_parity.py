@@ -2,11 +2,13 @@
 
 Cut points decide chunk identity, which decides fingerprints, keys, and
 ciphertexts — a one-byte divergence between the numpy scan kernels and
-the per-byte reference loops (DESIGN.md §16) would change every stored
-byte downstream. These tests pin the kernels to the references on
-random data and on the adversarial shapes that stress the kernel
-mechanics: empty/1-byte inputs, boundaries straddling the warm-up
-window, and cuts landing exactly on scan-segment edges.
+the per-byte reference scans (DESIGN.md §16) would change every stored
+byte downstream. These tests pin ``chunk()`` — and, region by region,
+the kernel itself, whatever the region's size — to
+``_gear_cut_reference`` / ``_rabin_cut_reference`` on random data and on
+the adversarial shapes that stress the kernel mechanics: empty/1-byte
+inputs, boundaries straddling the warm-up window, and cuts landing
+exactly on scan-segment edges.
 """
 
 import random
@@ -20,22 +22,31 @@ from repro.chunking.rabin import (
     RabinFingerprint,
     rolling_tables,
 )
-from repro.utils import kernels
-
-
-def _chunks(chunker, data, enabled):
-    previous = kernels.set_kernels_enabled(enabled)
-    try:
-        return list(chunker.chunk(data))
-    finally:
-        kernels.set_kernels_enabled(previous)
 
 
 def _assert_parity(chunker, data):
-    fast = _chunks(chunker, data, True)
-    ref = _chunks(chunker, data, False)
-    assert fast == ref
-    assert b"".join(fast) == data
+    """``chunk()`` ≡ a chunker driven only by the per-byte reference."""
+    gear = chunker.algorithm == "gear"
+    reference = (
+        chunker._gear_cut_reference if gear else chunker._rabin_cut_reference
+    )
+    kernel = chunker._gear_cut_kernel if gear else chunker._rabin_cut_kernel
+    params = chunker.params
+    expected = []
+    start = 0
+    while start < len(data):
+        end = min(start + params.max_size, len(data))
+        scan_from = start + params.min_size
+        cut = end
+        if scan_from < end:
+            cut = reference(data, start, scan_from, end)
+            # chunk() picks the kernel only for large regions; hold the
+            # kernel to the reference on the small ones too.
+            assert kernel(data, start, scan_from, end) == cut
+        expected.append(data[start:cut])
+        start = cut
+    assert list(chunker.chunk(data)) == expected
+    assert b"".join(expected) == data
 
 
 _PARAMS = [
@@ -98,9 +109,9 @@ def test_window_straddling_boundaries(algorithm):
 
 
 def test_small_scans_use_reference():
-    # Below _MIN_KERNEL_SCAN the kernel is never entered; parity there
-    # is trivially exact, and the threshold keeps numpy call overhead
-    # off tiny regions. This guards the guard.
+    # Below _MIN_KERNEL_SCAN chunk() never enters the kernel: the
+    # threshold keeps numpy call overhead off tiny regions. This guards
+    # the guard.
     chunker = ContentDefinedChunker(ChunkerParams(16, 32, 64))
     assert 64 - 16 < cdc._MIN_KERNEL_SCAN
     data = bytes(random.Random(3).randrange(256) for _ in range(1000))

@@ -1,13 +1,15 @@
-"""Batched crypto kernels must be byte-identical to the references.
+"""Batched crypto kernels must be byte-identical to their definitions.
 
-The batched fast paths (DESIGN.md §16) — AES T-table ``encrypt_blocks``,
-the single-call CTR keystream, and the SHA-CTR midstate keystream — are
-pure optimizations: with ``REPRO_KERNELS`` toggled off the originals run,
-and these tests pin the two implementations to each other on random and
-adversarial inputs. Any divergence would silently break deduplication
-(the same chunk would stop producing the same ciphertext).
+The shipped data path (DESIGN.md §16) is batched — AES T-table
+``encrypt_blocks``, the single-call CTR keystream, and the SHA-CTR
+midstate keystream. These tests pin each to its definition, written out
+the slow way here (per-block :meth:`AES.encrypt_block`, one SHA-256 per
+counter), on random and adversarial inputs. Any divergence would
+silently break deduplication (the same chunk would stop producing the
+same ciphertext).
 """
 
+import hashlib
 import random
 
 import pytest
@@ -15,26 +17,31 @@ import pytest
 from repro.crypto import shactr
 from repro.crypto.aes import AES, BLOCK_SIZE
 from repro.crypto.modes import ctr_encrypt, ctr_keystream
-from repro.utils import kernels
 
 
-@pytest.fixture
-def kernels_on():
-    previous = kernels.set_kernels_enabled(True)
-    yield
-    kernels.set_kernels_enabled(previous)
+def _ref_ctr_keystream(key, nonce, length):
+    """AES-CTR by definition: E_k(nonce + i mod 2^128), block by block."""
+    cipher, counter, blocks = AES(key), int.from_bytes(nonce, "big"), []
+    for _ in range(-(-length // BLOCK_SIZE)):
+        blocks.append(cipher.encrypt_block(counter.to_bytes(16, "big")))
+        counter = (counter + 1) % (1 << 128)
+    return b"".join(blocks)[:length]
 
 
-def _with_kernels(enabled, fn):
-    previous = kernels.set_kernels_enabled(enabled)
-    try:
-        return fn()
-    finally:
-        kernels.set_kernels_enabled(previous)
+def _ref_shactr_keystream(key, nonce, length):
+    """SHA-CTR by definition: SHA-256(key || nonce || i) per 32 bytes."""
+    return b"".join(
+        hashlib.sha256(key + nonce + i.to_bytes(8, "big")).digest()
+        for i in range(-(-length // 32))
+    )[:length]
+
+
+def _xor(data, stream):
+    return bytes(a ^ b for a, b in zip(data, stream))
 
 
 @pytest.mark.parametrize("key_size", [16, 24, 32])
-def test_encrypt_blocks_matches_per_block(kernels_on, key_size):
+def test_encrypt_blocks_matches_per_block(key_size):
     rng = random.Random(key_size)
     cipher = AES(bytes(rng.randrange(256) for _ in range(key_size)))
     for nblocks in (0, 1, 2, 7, 64):
@@ -46,18 +53,10 @@ def test_encrypt_blocks_matches_per_block(kernels_on, key_size):
         assert cipher.encrypt_blocks(data) == expected
 
 
-def test_encrypt_blocks_rejects_partial_blocks(kernels_on):
+def test_encrypt_blocks_rejects_partial_blocks():
     cipher = AES(b"k" * 16)
     with pytest.raises(ValueError):
         cipher.encrypt_blocks(b"\x00" * 17)
-
-
-def test_encrypt_blocks_off_path_matches_on_path():
-    cipher = AES(b"\x07" * 32)
-    data = bytes(range(256)) * 2
-    on = _with_kernels(True, lambda: cipher.encrypt_blocks(data))
-    off = _with_kernels(False, lambda: cipher.encrypt_blocks(data))
-    assert on == off
 
 
 @pytest.mark.parametrize("length", [0, 1, 15, 16, 17, 4096, 16384 + 5])
@@ -66,11 +65,9 @@ def test_ctr_parity(length):
     key = bytes(rng.randrange(256) for _ in range(32))
     nonce = bytes(rng.randrange(256) for _ in range(16))
     data = bytes(rng.randrange(256) for _ in range(length))
-    on = _with_kernels(True, lambda: ctr_encrypt(key, nonce, data))
-    off = _with_kernels(False, lambda: ctr_encrypt(key, nonce, data))
-    assert on == off
-    # Round trip through the involution on the fast path.
-    assert _with_kernels(True, lambda: ctr_encrypt(key, nonce, on)) == data
+    ciphertext = ctr_encrypt(key, nonce, data)
+    assert ciphertext == _xor(data, _ref_ctr_keystream(key, nonce, length))
+    assert ctr_encrypt(key, nonce, ciphertext) == data  # involution
 
 
 def test_ctr_counter_wraparound_parity():
@@ -79,12 +76,12 @@ def test_ctr_counter_wraparound_parity():
     key = b"\x42" * 16
     nonce = b"\xff" * 16
     data = bytes(range(160))
-    on = _with_kernels(True, lambda: ctr_encrypt(key, nonce, data))
-    off = _with_kernels(False, lambda: ctr_encrypt(key, nonce, data))
-    assert on == off
+    assert ctr_encrypt(key, nonce, data) == _xor(
+        data, _ref_ctr_keystream(key, nonce, len(data))
+    )
 
 
-def test_ctr_keystream_prefix_consistency(kernels_on):
+def test_ctr_keystream_prefix_consistency():
     cipher = AES(b"\x01" * 16)
     nonce = bytes(16)
     long = ctr_keystream(cipher, nonce, 512)
@@ -95,13 +92,9 @@ def test_ctr_keystream_prefix_consistency(kernels_on):
 @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 4096, 100_001])
 def test_shactr_keystream_parity(length):
     key, nonce = b"k" * 32, b"n" * 16
-    on = _with_kernels(
-        True, lambda: shactr.keystream(key, nonce, length)
+    assert shactr.keystream(key, nonce, length) == _ref_shactr_keystream(
+        key, nonce, length
     )
-    off = _with_kernels(
-        False, lambda: shactr.keystream(key, nonce, length)
-    )
-    assert on == off
 
 
 def test_shactr_encrypt_roundtrip_parity():
@@ -110,12 +103,11 @@ def test_shactr_encrypt_roundtrip_parity():
     nonce = bytes(rng.randrange(256) for _ in range(16))
     for size in (0, 1, 63, 64, 65, 16384):
         data = bytes(rng.randrange(256) for _ in range(size))
-        on = _with_kernels(True, lambda: shactr.encrypt(key, nonce, data))
-        off = _with_kernels(False, lambda: shactr.encrypt(key, nonce, data))
-        assert on == off
-        assert _with_kernels(
-            True, lambda: shactr.decrypt(key, nonce, on)
-        ) == data
+        ciphertext = shactr.encrypt(key, nonce, data)
+        assert ciphertext == _xor(
+            data, _ref_shactr_keystream(key, nonce, size)
+        )
+        assert shactr.decrypt(key, nonce, ciphertext) == data
 
 
 def test_shactr_counter_cache_overflow(monkeypatch):

@@ -1,10 +1,13 @@
-"""Differential harness: serial vs pipelined client equivalence.
+"""Differential harness: every client scheduling ≡ the reference oracle.
 
-The pipelined upload path (DESIGN.md §10) promises *bit-identical* stored
-state to the serial baseline. This harness makes that claim executable:
-build two isolated deployments (own key manager, own on-disk provider),
-run the same workload through each — one serial, one pipelined — and
-assert that everything durable is equal:
+The client data path (DESIGN.md §10) promises *bit-identical* stored
+state whichever way its stages are scheduled. This harness makes that
+claim executable: build isolated deployments (own key manager, own
+on-disk provider), run the same workload through each — one through the
+straight-line :class:`~tests.harness.reference.ReferenceClient`, the
+others through :class:`TedStoreClient` at some ``workers`` /
+``crypto_workers`` setting — and assert that everything durable is
+equal:
 
 * every byte under the provider's storage directory (containers, chunk
   index) — compared file by file;
@@ -42,6 +45,8 @@ from repro.tedstore.keymanager import KeyManagerService
 from repro.tedstore.messages import GetRecipes
 from repro.tedstore.provider import ProviderService
 
+from tests.harness.reference import ReferenceClient
+
 #: The paper's three operating points, smallest-knobs-first for tests.
 MODES = ("mle", "bted", "fted")
 
@@ -57,7 +62,7 @@ class Deployment:
     ted: TedKeyManager
     key_service: KeyManagerService
     provider_service: ProviderService
-    client: TedStoreClient
+    client: "TedStoreClient | ReferenceClient"
 
     def close(self) -> None:
         self.provider_service.flush()
@@ -103,11 +108,15 @@ def make_deployment(
     rng_seed: int = 7,
     metadata_dedup: bool = False,
     crypto_workers: int = 0,
+    oracle: bool = False,
     key_manager_wrap=None,
     provider_wrap=None,
 ) -> Deployment:
     """Build one deployment rooted at ``directory``.
 
+    ``oracle`` swaps the client for the straight-line reference (which
+    has no batches, workers, cache, or depth — those arguments are then
+    unused).
     ``key_manager_wrap`` / ``provider_wrap`` optionally wrap the local
     transports (fault injectors, tracing shims) before the client sees
     them — the stored-state contract must hold through them too.
@@ -129,18 +138,26 @@ def make_deployment(
         if cache_capacity > 0
         else None
     )
-    client = TedStoreClient(
-        key_transport,
-        provider_transport,
+    common = dict(
+        master_key=b"\x01" * 32,
         profile=get_profile("shactr"),
+        sketch_rows=4,
         sketch_width=_SKETCH_WIDTH,
-        batch_size=client_batch_size,
-        workers=workers,
-        pipeline_depth=pipeline_depth,
-        fingerprint_cache=cache,
         metadata_dedup=metadata_dedup,
-        crypto_workers=crypto_workers,
     )
+    if oracle:
+        client = ReferenceClient(key_transport, provider_transport, **common)
+    else:
+        client = TedStoreClient(
+            key_transport,
+            provider_transport,
+            batch_size=client_batch_size,
+            workers=workers,
+            pipeline_depth=pipeline_depth,
+            fingerprint_cache=cache,
+            crypto_workers=crypto_workers,
+            **common,
+        )
     return Deployment(
         mode=mode,
         directory=directory,

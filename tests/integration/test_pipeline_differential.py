@@ -1,15 +1,18 @@
-"""Differential proof: pipelined upload path ≡ serial upload path.
+"""Differential proof: every upload scheduling ≡ the straight-line oracle.
 
-For each of the paper's operating points (MLE, BTED, FTED) the pipelined
-client — multiple encrypt workers, coalesced batched keygen, overlapped
-uploads — must leave the provider and the key manager in *bit-identical*
-state to the serial baseline. These tests execute that contract through
+For each of the paper's operating points (MLE, BTED, FTED) the client —
+inline at ``workers=1``, threaded at ``workers=4``, with a process pool
+at ``crypto_workers=2`` — must leave the provider and the key manager in
+*bit-identical* state to :class:`tests.harness.reference.ReferenceClient`.
+These tests execute that contract through
 :mod:`tests.harness.differential` against real on-disk providers.
 """
 
 from __future__ import annotations
 
 import pytest
+
+from repro.tedstore.faults import FaultPlan, FaultyKeyManager, FaultyProvider
 
 from tests.harness.differential import (
     MODES,
@@ -27,6 +30,13 @@ WORKLOAD = make_workload(
 )
 FILE_NAMES = [name for name, _ in WORKLOAD]
 
+#: The schedulings under test: inline, threaded, threaded + process pool.
+SCHEDULINGS = {
+    "workers1": dict(workers=1),
+    "workers4": dict(workers=4, pipeline_depth=2),
+    "crypto2": dict(crypto_workers=2),
+}
+
 
 def _run(tmp_path, mode, **client_kwargs):
     deployment = make_deployment(mode, tmp_path, **client_kwargs)
@@ -35,38 +45,53 @@ def _run(tmp_path, mode, **client_kwargs):
     return deployment, results
 
 
+@pytest.fixture(scope="module")
+def oracle_runs(tmp_path_factory):
+    """One oracle run per (mode, metadata_dedup), shared by the module."""
+    runs = {}
+
+    def get(mode, metadata_dedup=False):
+        key = (mode, metadata_dedup)
+        if key not in runs:
+            runs[key] = _run(
+                tmp_path_factory.mktemp(f"oracle-{mode}"),
+                mode,
+                oracle=True,
+                metadata_dedup=metadata_dedup,
+            )
+        return runs[key]
+
+    return get
+
+
+@pytest.mark.parametrize("scheduling", SCHEDULINGS)
 @pytest.mark.parametrize("mode", MODES)
-def test_pipelined_matches_serial_bit_for_bit(tmp_path, mode):
-    """workers=3, no cache: strictly identical state *and* counters."""
-    serial, serial_results = _run(tmp_path / "serial", mode, workers=1)
-    piped, piped_results = _run(
-        tmp_path / "piped", mode, workers=3, pipeline_depth=2
-    )
-    assert piped.client.pipelined
-    assert not serial.client.pipelined
-    assert_equivalent(
-        serial,
-        piped,
-        FILE_NAMES,
-        serial_results,
-        piped_results,
-    )
+def test_matches_oracle_bit_for_bit(tmp_path, oracle_runs, mode, scheduling):
+    """No cache: strictly identical state *and* counters."""
+    oracle, oracle_results = oracle_runs(mode)
+    candidate, results = _run(tmp_path, mode, **SCHEDULINGS[scheduling])
+    assert_equivalent(oracle, candidate, FILE_NAMES, oracle_results, results)
     # Without a cache nothing is resolved client-side.
-    assert all(r.cache_hits == 0 for r in piped_results)
+    assert all(r.cache_hits == 0 for r in results)
+    for name, chunks in WORKLOAD:
+        assert candidate.client.download(name) == b"".join(chunks)
 
 
+@pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("mode", MODES)
-def test_cached_pipeline_matches_serial_storage(tmp_path, mode):
+def test_cached_upload_matches_oracle_storage(
+    tmp_path, oracle_runs, mode, workers
+):
     """The fingerprint cache may skip PUTs, never change stored bytes."""
-    serial, serial_results = _run(tmp_path / "serial", mode, workers=1)
+    oracle, oracle_results = oracle_runs(mode)
     cached, cached_results = _run(
-        tmp_path / "cached", mode, workers=3, cache_capacity=8192
+        tmp_path, mode, workers=workers, cache_capacity=8192
     )
     assert_equivalent(
-        serial,
+        oracle,
         cached,
         FILE_NAMES,
-        serial_results,
+        oracle_results,
         cached_results,
         ignore_offered_counters=True,
     )
@@ -77,49 +102,42 @@ def test_cached_pipeline_matches_serial_storage(tmp_path, mode):
     assert cache is not None and cache.hits == sum(
         r.cache_hits for r in cached_results
     )
-
-
-def test_single_worker_pipeline_matches_serial(tmp_path):
-    """workers=1 + cache routes through the pipeline; still identical."""
-    serial, serial_results = _run(tmp_path / "serial", "fted", workers=1)
-    piped, piped_results = _run(
-        tmp_path / "piped", "fted", workers=1, cache_capacity=4096
-    )
-    assert piped.client.pipelined
-    assert_equivalent(
-        serial,
-        piped,
-        FILE_NAMES,
-        serial_results,
-        piped_results,
-        ignore_offered_counters=True,
-    )
-
-
-@pytest.mark.parametrize("mode", ["fted"])
-def test_pipelined_downloads_round_trip(tmp_path, mode):
-    """Pipelined uploads stay readable through the normal download path."""
-    deployment, _ = _run(
-        tmp_path / "piped", mode, workers=3, cache_capacity=4096
-    )
     for name, chunks in WORKLOAD:
-        assert deployment.client.download(name) == b"".join(chunks)
+        assert cached.client.download(name) == b"".join(chunks)
 
 
-def test_pipelined_metadata_dedup_matches_serial(tmp_path):
-    """The metadata-dedup recipe layout is preserved by the pipeline."""
-    serial = make_deployment(
-        "fted", tmp_path / "serial", workers=1, metadata_dedup=True
+@pytest.mark.parametrize("scheduling", SCHEDULINGS)
+def test_metadata_dedup_matches_oracle(tmp_path, oracle_runs, scheduling):
+    """The metadata-dedup recipe layout is the same from every scheduling."""
+    oracle, oracle_results = oracle_runs("fted", metadata_dedup=True)
+    candidate, results = _run(
+        tmp_path, "fted", metadata_dedup=True, **SCHEDULINGS[scheduling]
     )
-    piped = make_deployment(
-        "fted", tmp_path / "piped", workers=3, metadata_dedup=True
-    )
-    serial_results = run_workload(serial, WORKLOAD)
-    piped_results = run_workload(piped, WORKLOAD)
-    serial.close()
-    piped.close()
-    assert_equivalent(
-        serial, piped, FILE_NAMES, serial_results, piped_results
-    )
+    assert_equivalent(oracle, candidate, FILE_NAMES, oracle_results, results)
     for name, chunks in WORKLOAD:
-        assert piped.client.download(name) == b"".join(chunks)
+        assert candidate.client.download(name) == b"".join(chunks)
+        assert oracle.client.download(name) == b"".join(chunks)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_delay_faults_jitter_interleavings_not_state(
+    tmp_path, oracle_runs, workers
+):
+    """Injected delays reorder thread wakeups, never stored bytes: the
+    delayed run must stay bit-identical to the clean oracle run."""
+    delay_plan = FaultPlan(delay_rate=0.3, delay_seconds=0.002, seed=42)
+    oracle, oracle_results = oracle_runs("fted")
+    jittered, jitter_results = _run(
+        tmp_path,
+        "fted",
+        workers=workers,
+        pipeline_depth=2,
+        client_batch_size=200,  # batch cuts differ from the oracle's too
+        key_manager_wrap=lambda t: FaultyKeyManager(t, delay_plan),
+        provider_wrap=lambda t: FaultyProvider(t, delay_plan),
+    )
+    assert_equivalent(
+        oracle, jittered, FILE_NAMES, oracle_results, jitter_results
+    )
+    counters = jittered.client.provider.fault_counters
+    assert counters["delays"] > 0  # the faults really fired

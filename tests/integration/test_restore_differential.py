@@ -1,10 +1,12 @@
-"""Differential tests: pipelined download vs serial (DESIGN.md §11).
+"""Differential tests: every restore scheduling ≡ the oracle (DESIGN.md §10).
 
-The pipelined restore path promises byte-identical plaintext to the
-serial loop for every operating point, every storage layout, and under
-injected faults. These tests download the same stored files through
-both paths and compare, and prove the path recovers from a provider
-crash mid-download over real TCP.
+The restore path promises byte-identical plaintext however its stages
+are scheduled — inline at ``workers=1``, threaded at ``workers=4`` or
+``crypto_workers=2`` — for every operating point, every storage layout,
+and under injected faults. These tests store files through the
+straight-line :class:`tests.harness.reference.ReferenceClient`, restore
+them through it and through each scheduling, and compare; and prove the
+path recovers from a provider crash mid-download over real TCP.
 """
 
 import random
@@ -45,10 +47,19 @@ FILE_NAMES = [name for name, _ in WORKLOAD]
 EXPECTED = {name: b"".join(chunks) for name, chunks in WORKLOAD}
 
 
-def pipelined_twin(
-    deployment, *, workers: int = 4, pipeline_depth: int = 3
-) -> TedStoreClient:
-    """A pipelined client sharing the serial deployment's transports.
+#: The schedulings under test: inline, threaded, threaded via the pool knob.
+SCHEDULINGS = {
+    "workers1": dict(workers=1),
+    "workers4": dict(workers=4, pipeline_depth=3),
+    "crypto2": dict(crypto_workers=2),
+}
+
+
+def client_twin(deployment, batch_size=120, **scheduling) -> TedStoreClient:
+    """A real client over the oracle deployment's transports.
+
+    The small ``batch_size`` makes every restore span several
+    ``GetChunks`` batches.
 
     Downloads never touch the key manager, so pointing a second client
     at the same provider state isolates exactly the path under test.
@@ -59,52 +70,49 @@ def pipelined_twin(
         base.provider,
         master_key=base.master_key,
         profile=base.profile,
-        sketch_width=base.sketch_width,
-        batch_size=base.batch_size,
-        workers=workers,
-        pipeline_depth=pipeline_depth,
+        sketch_width=base.width,
+        batch_size=batch_size,
         metadata_dedup=base.metadata_dedup,
+        **scheduling,
     )
+
+
+def _stored_by_oracle(mode, directory, **kwargs):
+    deployment = make_deployment(mode, directory, oracle=True, **kwargs)
+    run_workload(deployment, WORKLOAD)
+    deployment.close()
+    return deployment
 
 
 class TestByteIdentity:
     @pytest.mark.parametrize("mode", MODES)
-    def test_pipelined_matches_serial_and_content(self, tmp_path, mode):
-        deployment = make_deployment(mode, tmp_path)
-        run_workload(deployment, WORKLOAD)
-        deployment.close()
-        piped = pipelined_twin(deployment)
+    def test_every_scheduling_matches_oracle_and_content(
+        self, tmp_path, mode
+    ):
+        deployment = _stored_by_oracle(mode, tmp_path)
         for name in FILE_NAMES:
-            serial_data = deployment.client.download(name)
-            piped_data = piped.download(name)
-            assert serial_data == EXPECTED[name]
-            assert piped_data == serial_data
+            assert deployment.client.download(name) == EXPECTED[name]
+            for scheduling in SCHEDULINGS.values():
+                twin = client_twin(deployment, **scheduling)
+                assert twin.download(name) == EXPECTED[name]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_with_provider_lookahead(self, tmp_path, mode):
         """Container read-ahead on the provider must not change bytes."""
-        naive = make_deployment(mode, tmp_path / "naive")
-        run_workload(naive, WORKLOAD)
-        naive.close()
-        naive.provider_service.lookahead_window = 64
-        piped = pipelined_twin(naive)
+        deployment = _stored_by_oracle(mode, tmp_path)
+        deployment.provider_service.lookahead_window = 64
         for name in FILE_NAMES:
-            assert piped.download(name) == EXPECTED[name]
-            assert naive.client.download(name) == EXPECTED[name]
+            for scheduling in SCHEDULINGS.values():
+                twin = client_twin(deployment, **scheduling)
+                assert twin.download(name) == EXPECTED[name]
 
     def test_metadata_dedup_layout(self, tmp_path):
-        deployment = make_deployment(
-            "bted", tmp_path, metadata_dedup=True, client_batch_size=200
-        )
-        run_workload(deployment, WORKLOAD)
-        deployment.close()
-        piped = pipelined_twin(deployment)
+        deployment = _stored_by_oracle("bted", tmp_path, metadata_dedup=True)
         for name in FILE_NAMES:
-            assert (
-                deployment.client.download(name)
-                == piped.download(name)
-                == EXPECTED[name]
-            )
+            assert deployment.client.download(name) == EXPECTED[name]
+            for scheduling in SCHEDULINGS.values():
+                twin = client_twin(deployment, **scheduling)
+                assert twin.download(name) == EXPECTED[name]
 
 
 class _RetryingProvider:
@@ -145,38 +153,28 @@ class TestDownloadUnderFaults:
         delay_plan = FaultPlan(
             delay_rate=0.3, delay_seconds=0.002, seed=17
         )
-        deployment = make_deployment(
-            "fted",
-            tmp_path,
-            client_batch_size=150,
-            provider_wrap=lambda t: FaultyProvider(t, delay_plan),
-        )
-        run_workload(deployment, WORKLOAD)
-        deployment.close()
-        piped = pipelined_twin(deployment, workers=4, pipeline_depth=2)
-        for name in FILE_NAMES:
-            assert piped.download(name) == EXPECTED[name]
-        counters = deployment.client.provider.fault_counters
-        assert counters["delays"] > 0
+        deployment = _stored_by_oracle("fted", tmp_path)
+        delayed = FaultyProvider(deployment.client.provider, delay_plan)
+        for scheduling in SCHEDULINGS.values():
+            twin = client_twin(deployment, **scheduling)
+            twin.provider = delayed
+            for name in FILE_NAMES:
+                assert twin.download(name) == EXPECTED[name]
+        assert delayed.fault_counters["delays"] > 0
 
     def test_close_faults_recovered_by_retry(self, tmp_path):
         """Connection-close faults during fetches recover via retry and
         still restore byte-identical plaintext."""
-        deployment = make_deployment("bted", tmp_path)
-        run_workload(deployment, WORKLOAD)
-        deployment.close()
-
+        deployment = _stored_by_oracle("bted", tmp_path)
         close_plan = FaultPlan(close_rate=0.2, seed=3)
         retrying = _RetryingProvider(
             FaultyProvider(deployment.client.provider, close_plan)
         )
-        piped = pipelined_twin(deployment, workers=3)
-        piped.provider = retrying
-        serial = pipelined_twin(deployment, workers=1)
-        serial.provider = retrying
-        for name in FILE_NAMES:
-            assert piped.download(name) == EXPECTED[name]
-            assert serial.download(name) == EXPECTED[name]
+        for scheduling in SCHEDULINGS.values():
+            twin = client_twin(deployment, **scheduling)
+            twin.provider = retrying
+            for name in FILE_NAMES:
+                assert twin.download(name) == EXPECTED[name]
         assert retrying.retries > 0  # the faults really fired
 
 

@@ -132,9 +132,9 @@ class TestWireTrace:
         # all share the root's trace id (servers run in this process, so
         # one recorder sees every entity).
         for name in (
-            "rpc.keygen",
+            "rpc.keygen_batch",
             "rpc.put_chunks",
-            "server.keygen",
+            "server.keygen_batch",
             "server.put_chunks",
             "keymanager.keygen",
             "provider.put_chunks",
@@ -143,8 +143,8 @@ class TestWireTrace:
             for span in spans[name]:
                 assert span.trace_id == root.trace_id, name
         # The server dispatch span's parent is the client's rpc span.
-        rpc_ids = {s.span_id for s in spans["rpc.keygen"]}
-        assert spans["server.keygen"][0].parent_span_id in rpc_ids
+        rpc_ids = {s.span_id for s in spans["rpc.keygen_batch"]}
+        assert spans["server.keygen_batch"][0].parent_span_id in rpc_ids
 
     def test_retries_surface_as_span_events_and_counters(self, recorder):
         """PR-1 recovery machinery is trace-visible: a provider crash shows

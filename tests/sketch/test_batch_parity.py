@@ -12,15 +12,6 @@ import random
 
 from repro.core.ted import TedKeyManager
 from repro.sketch.countmin import CountMinSketch
-from repro.utils import kernels
-
-
-def _with_kernels(enabled, fn):
-    previous = kernels.set_kernels_enabled(enabled)
-    try:
-        return fn()
-    finally:
-        kernels.set_kernels_enabled(previous)
 
 
 def _collision_heavy_batch(rng, n, rows=4, width=64, distinct=12):
@@ -37,10 +28,8 @@ def test_update_batch_matches_sequential_plain():
     batch = _collision_heavy_batch(rng, 400)
     batched = CountMinSketch(rows=4, width=64)
     sequential = CountMinSketch(rows=4, width=64)
-    est_batched = _with_kernels(True, lambda: batched.update_batch(batch))
-    est_sequential = _with_kernels(
-        False, lambda: [sequential.update(item) for item in batch]
-    )
+    est_batched = batched.update_batch(batch)
+    est_sequential = [sequential.update(item) for item in batch]
     assert est_batched == est_sequential
     assert (batched._counters == sequential._counters).all()
     assert batched.total == sequential.total
@@ -51,7 +40,7 @@ def test_update_batch_conservative_falls_back_exactly():
     batch = _collision_heavy_batch(rng, 200)
     batched = CountMinSketch(rows=4, width=64, conservative=True)
     sequential = CountMinSketch(rows=4, width=64, conservative=True)
-    est_batched = _with_kernels(True, lambda: batched.update_batch(batch))
+    est_batched = batched.update_batch(batch)
     est_sequential = [sequential.update(item) for item in batch]
     assert est_batched == est_sequential
     assert (batched._counters == sequential._counters).all()
@@ -59,28 +48,33 @@ def test_update_batch_conservative_falls_back_exactly():
 
 def test_update_batch_empty_and_shape_checks():
     sketch = CountMinSketch(rows=4, width=64)
-    assert _with_kernels(True, lambda: sketch.update_batch([])) == []
+    assert sketch.update_batch([]) == []
     try:
-        _with_kernels(True, lambda: sketch.update_batch([[1, 2, 3]]))
+        sketch.update_batch([[1, 2, 3]])
     except ValueError:
         pass
     else:
         raise AssertionError("wrong-arity item was accepted")
 
 
-def _run_generate(enabled, batches, **kwargs):
-    def body():
-        km = TedKeyManager(secret=b"kappa", rng=random.Random(99), **kwargs)
-        seeds = [km.generate_seeds(batch) for batch in batches]
-        return km, seeds
+def _key_manager(**kwargs):
+    return TedKeyManager(secret=b"kappa", rng=random.Random(99), **kwargs)
 
-    return _with_kernels(enabled, body)
+
+def _assert_same_tuning_state(km_fast, km_ref):
+    assert km_fast.t == km_ref.t
+    assert km_fast.stats.requests == km_ref.stats.requests
+    assert km_fast.stats.t_history == km_ref.stats.t_history
+    assert (km_fast.sketch._counters == km_ref.sketch._counters).all()
+    assert km_fast._freq_by_identity == km_ref._freq_by_identity
+    assert km_fast._requests_in_batch == km_ref._requests_in_batch
 
 
 def test_generate_seeds_parity_bted_and_fted():
     rng = random.Random(31)
     # Batch sizes straddle the FTED retune boundary (37): mid-call
-    # retunes, exact-boundary calls, and empty calls all must agree.
+    # retunes, exact-boundary calls, and empty calls all must agree
+    # with one scalar ``generate_seed`` call per request.
     batches = [
         _collision_heavy_batch(rng, n, width=512, distinct=40)
         for n in (1, 36, 38, 0, 100, 37)
@@ -89,64 +83,46 @@ def test_generate_seeds_parity_bted_and_fted():
         dict(t=4),
         dict(blowup_factor=1.5, batch_size=37),
     ):
-        km_fast, seeds_fast = _run_generate(True, batches, **kwargs)
-        km_ref, seeds_ref = _run_generate(False, batches, **kwargs)
-        assert seeds_fast == seeds_ref
-        assert km_fast.t == km_ref.t
-        assert km_fast.stats.requests == km_ref.stats.requests
-        assert km_fast.stats.t_history == km_ref.stats.t_history
-        assert (
-            km_fast.sketch._counters == km_ref.sketch._counters
-        ).all()
-        assert km_fast._freq_by_identity == km_ref._freq_by_identity
-        assert km_fast._requests_in_batch == km_ref._requests_in_batch
+        km_fast, km_ref = _key_manager(**kwargs), _key_manager(**kwargs)
+        for batch in batches:
+            assert km_fast.generate_seeds(batch) == [
+                km_ref.generate_seed(hashes) for hashes in batch
+            ]
+        _assert_same_tuning_state(km_fast, km_ref)
 
 
 def test_observe_batch_parity_replays_retunes():
+    """Replay mutates exactly what per-request ``generate_seed`` does
+    (minus seed draws, which touch only the selection RNG)."""
     rng = random.Random(37)
     batches = [
         _collision_heavy_batch(rng, n, width=512, distinct=40)
         for n in (80, 37, 5)
     ]
-
-    def run(enabled):
-        def body():
-            km = TedKeyManager(
-                secret=b"kappa",
-                blowup_factor=1.5,
-                batch_size=37,
-                rng=random.Random(1),
-            )
-            for batch in batches:
-                km.observe_batch(batch)
-            return km
-
-        return _with_kernels(enabled, body)
-
-    km_fast, km_ref = run(True), run(False)
-    assert km_fast.t == km_ref.t
-    assert (km_fast.sketch._counters == km_ref.sketch._counters).all()
-    assert km_fast._requests_in_batch == km_ref._requests_in_batch
-    assert km_fast.stats.t_history == km_ref.stats.t_history
+    kwargs = dict(blowup_factor=1.5, batch_size=37)
+    km_fast, km_ref = _key_manager(**kwargs), _key_manager(**kwargs)
+    for batch in batches:
+        km_fast.observe_batch(batch)
+        for hashes in batch:
+            km_ref.generate_seed(hashes)
+    _assert_same_tuning_state(km_fast, km_ref)
 
 
 def test_estimate_batch_parity():
+    """Observer shards (no retune): estimates are the scalar sketch
+    updates', and the tracked frequency map follows them."""
     rng = random.Random(41)
     batches = [
         _collision_heavy_batch(rng, n, width=512, distinct=40)
         for n in (0, 50, 13)
     ]
-
-    def run(enabled):
-        def body():
-            km = TedKeyManager(
-                secret=b"kappa", blowup_factor=1.5, rng=random.Random(1)
-            )
-            return km, [km.estimate_batch(batch) for batch in batches]
-
-        return _with_kernels(enabled, body)
-
-    (km_fast, est_fast), (km_ref, est_ref) = run(True), run(False)
-    assert est_fast == est_ref
-    assert (km_fast.sketch._counters == km_ref.sketch._counters).all()
-    assert km_fast._freq_by_identity == km_ref._freq_by_identity
+    km = _key_manager(blowup_factor=1.5)
+    reference = CountMinSketch(rows=km.sketch.rows, width=km.sketch.width)
+    tracked = {}
+    for batch in batches:
+        expected = [reference.update(hashes) for hashes in batch]
+        tracked.update((tuple(h), f) for h, f in zip(batch, expected))
+        assert km.estimate_batch(batch) == expected
+    assert (km.sketch._counters == reference._counters).all()
+    assert km._freq_by_identity == tracked
+    assert km.stats.requests == sum(len(batch) for batch in batches)

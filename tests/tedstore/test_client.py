@@ -212,9 +212,9 @@ class TestSecurity:
             def __init__(self, inner):
                 self.inner = inner
 
-            def keygen(self, request):
+            def keygen_batched(self, request):
                 captured.extend(request.hash_vectors)
-                return self.inner.keygen(request)
+                return self.inner.keygen_batched(request)
 
         client = _make_client()
         client.key_manager = SpyKeyManager(client.key_manager)

@@ -2,9 +2,9 @@
 
 ``crypto_workers > 0`` moves encryption into a pool of OS processes
 (DESIGN.md §16). Encryption is a pure function of (profile, key, chunk)
-and the uploader re-sequences by index, so the provider's on-disk state,
-the recipes, and the upload results must be byte-identical to the serial
-client's — the same contract the threaded pipeline already honours.
+and chunks are re-sequenced by index, so the provider's on-disk state,
+the recipes, and the upload results must be byte-identical to the
+reference oracle's — the same contract every scheduling honours.
 """
 
 import pytest
@@ -15,10 +15,10 @@ from repro.tedstore.pipeline import _mp_encrypt_job
 
 
 @pytest.mark.parametrize("mode", ["mle", "bted", "fted"])
-def test_crypto_workers_matches_serial(mode, tmp_path):
+def test_crypto_workers_matches_oracle(mode, tmp_path):
     files = diff.make_workload(seed=3, files=5, chunks_per_file=80)
     names = [name for name, _ in files]
-    serial = diff.make_deployment(mode, tmp_path / "serial")
+    serial = diff.make_deployment(mode, tmp_path / "oracle", oracle=True)
     pooled = diff.make_deployment(
         mode, tmp_path / "pooled", crypto_workers=2
     )
@@ -32,20 +32,12 @@ def test_crypto_workers_matches_serial(mode, tmp_path):
     ]
 
 
-def test_crypto_workers_implies_pipelined(tmp_path):
-    deployment = diff.make_deployment(
-        "bted", tmp_path / "d", crypto_workers=1
-    )
-    assert deployment.client.pipelined
-    deployment.close()
-
-
 def test_crypto_workers_with_threads_and_cache(tmp_path):
     # The pool composes with the existing pipeline features: multiple
     # worker threads and the fingerprint cache (aliases + cache hits).
     files = diff.make_workload(seed=9, files=4, chunks_per_file=60)
     names = [name for name, _ in files]
-    serial = diff.make_deployment("bted", tmp_path / "serial")
+    serial = diff.make_deployment("bted", tmp_path / "oracle", oracle=True)
     combined = diff.make_deployment(
         "bted",
         tmp_path / "combined",
@@ -64,7 +56,7 @@ def test_crypto_workers_with_threads_and_cache(tmp_path):
 
 def test_mp_encrypt_job_matches_inline():
     # The pool entrypoint itself (callable in-process too) must produce
-    # what the inline worker loop produces.
+    # what encrypting with the profile directly produces.
     from repro.crypto.cipher import get_profile
     from repro.crypto.hashes import digest
 

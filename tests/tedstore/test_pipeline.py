@@ -1,10 +1,10 @@
-"""Unit tests for the pipelined upload path and the fingerprint cache.
+"""Unit tests for the upload path and the fingerprint cache.
 
 Integration-level equivalence lives in
-``tests/integration/test_pipeline_differential.py``; here the pipeline's
-local contracts are pinned down: ordering, accounting invariants, error
-propagation, graceful fallback, and the cache's thread-safety under a
-barrier-synchronized race.
+``tests/integration/test_pipeline_differential.py``; here the path's
+local contracts are pinned down: ordering, accounting invariants, the
+inline/threaded scheduling choice, error propagation, and the cache's
+thread-safety under a barrier-synchronized race.
 """
 
 import random
@@ -18,8 +18,7 @@ from repro.storage.dedup import FingerprintCache
 from repro.tedstore.client import TedStoreClient
 from repro.tedstore.inprocess import LocalKeyManager, LocalProvider
 from repro.tedstore.keymanager import KeyManagerService
-from repro.tedstore.messages import KeyGenRequest
-from repro.tedstore.pipeline import PipelineError, PipelinedUploader
+from repro.tedstore.pipeline import PipelinedUploader, stage_threads
 from repro.tedstore.provider import ProviderService
 
 _W = 2**14
@@ -100,18 +99,60 @@ class TestOrderingAndAccounting:
         assert client.download("one") == b"x" * 100
 
 
-class TestRoutingAndValidation:
-    def test_serial_client_is_not_pipelined(self):
-        assert not _client().pipelined
+def _pipeline_thread_names():
+    return [
+        t.name
+        for t in threading.enumerate()
+        if t.name.startswith("ted-pipeline")
+    ]
 
-    def test_workers_enable_pipeline(self):
-        assert _client(workers=2).pipelined
 
-    def test_cache_enables_pipeline_even_with_one_worker(self):
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Names of every thread started while the test runs."""
+    started = []
+    original = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+class TestSchedulingAndValidation:
+    def test_stage_threads_follow_workers_and_crypto_workers(self):
+        assert not stage_threads(1, 0)
+        assert stage_threads(2, 0)
+        assert stage_threads(1, 1)
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_one_worker_starts_no_thread(self, started_threads, cache):
+        """workers=1, crypto_workers=0: both directions run in the
+        caller's thread — cache or not — so no ``ted-pipeline-*`` thread
+        is ever created."""
         client = _client(
-            workers=1, fingerprint_cache=FingerprintCache(capacity=16)
+            workers=1,
+            fingerprint_cache=FingerprintCache(capacity=64) if cache else None,
         )
-        assert client.pipelined
+        chunks = _chunks()  # three keygen/PUT batches
+        client.upload_chunks("inline", chunks)
+        client.upload("inline-raw", b"".join(chunks))
+        assert client.download("inline") == b"".join(chunks)
+        assert client.download("inline-raw") == b"".join(chunks)
+        assert started_threads == []
+
+    def test_more_workers_start_stage_threads(self, started_threads):
+        client = _client(workers=2)
+        client.upload_chunks("threaded", _chunks())
+        client.download("threaded")
+        assert {
+            "ted-pipeline-dispatch",
+            "ted-pipeline-upload",
+            "ted-pipeline-encrypt-1",
+            "ted-pipeline-decrypt-1",
+        } <= set(started_threads)
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
@@ -122,28 +163,10 @@ class TestRoutingAndValidation:
             _client(workers=2, pipeline_depth=0)
 
 
-class _KeygenOnly:
-    """A key-manager transport predating the batched-keygen message."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def keygen(self, request: KeyGenRequest):
-        return self._inner.keygen(request)
-
-
-class TestFallbackAndErrors:
-    def test_falls_back_to_plain_keygen_transport(self):
-        client = _client(workers=3)
-        client.key_manager = _KeygenOnly(client.key_manager)
-        chunks = _chunks(count=300)
-        result = client.upload_chunks("fallback", chunks)
-        assert result.chunk_count == len(chunks)
-        client.key_manager = client.key_manager._inner  # downloads unaffected
-        assert client.download("fallback") == b"".join(chunks)
-
-    def test_provider_error_propagates_with_cause(self):
-        client = _client(workers=3, batch_size=50)
+class TestErrors:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_provider_error_reaches_caller_as_itself(self, workers):
+        client = _client(workers=workers, batch_size=50)
         boom = RuntimeError("disk on fire")
 
         class _Exploding:
@@ -161,9 +184,22 @@ class TestFallbackAndErrors:
                 return getattr(self._inner, name)
 
         client.provider = _Exploding(client.provider)
-        with pytest.raises(PipelineError) as excinfo:
+        with pytest.raises(RuntimeError) as excinfo:
             client.upload_chunks("explodes", _chunks())
-        assert excinfo.value.__cause__ is boom
+        assert excinfo.value is boom
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_missing_chunk_is_keyerror_for_every_workers(self, workers):
+        """``download()`` documents ``KeyError`` for a chunk the
+        provider does not hold — whichever scheduler ran the fetch."""
+        client = _client(workers=workers)
+        chunks = _chunks(count=40)
+        client.upload_chunks("holey", chunks)
+        service = client.provider.service
+        victim = next(iter(service._memory_chunks))
+        del service._memory_chunks[victim]
+        with pytest.raises(KeyError):
+            client.download("holey")
 
     def test_uploader_is_single_use(self):
         client = _client(workers=2)
@@ -174,18 +210,7 @@ class TestFallbackAndErrors:
     def test_no_pipeline_threads_survive_an_upload(self):
         client = _client(workers=4)
         client.upload_chunks("clean", _chunks(count=200))
-        lingering = [
-            t
-            for t in threading.enumerate()
-            if t.name.startswith("ted-pipeline")
-        ]
-        for thread in lingering:
-            thread.join(timeout=5.0)
-        assert not any(
-            t.is_alive()
-            for t in threading.enumerate()
-            if t.name.startswith("ted-pipeline")
-        )
+        assert _pipeline_thread_names() == []  # run() joins them all
 
 
 class TestFingerprintCacheRace:

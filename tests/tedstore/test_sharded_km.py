@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.ted import TedKeyManager
 from repro.crypto.murmur3 import short_hashes
+from repro.tedstore.keymanager import KeygenStream
 from repro.tedstore.messages import BatchedKeyGenRequest, KeyGenRequest
 from repro.tedstore.ratelimit import KeyGenRateLimiter, RateLimitExceeded
 from repro.tedstore.ring import HashRing
@@ -93,19 +94,29 @@ def test_fted_tune_propagates_to_all_shards():
 def test_batched_sequence_regression_rejected():
     sharded = ShardedKeyManager(_front("mle"), HashRing.build(2))
     vectors = _vectors(10)
+    stream = KeygenStream()
     sharded.handle_keygen_batched(
-        BatchedKeyGenRequest(sequence=2, hash_vectors=vectors), "c1"
+        BatchedKeyGenRequest(sequence=2, hash_vectors=vectors),
+        "host",
+        stream=stream,
     )
     with pytest.raises(ValueError, match="stale keygen batch"):
         sharded.handle_keygen_batched(
-            BatchedKeyGenRequest(sequence=1, hash_vectors=vectors), "c1"
+            BatchedKeyGenRequest(sequence=1, hash_vectors=vectors),
+            "host",
+            stream=stream,
         )
-    # Same-sequence retry and other clients are fine.
+    # Same-sequence retry is fine, and so is another stream from the
+    # same client id (a second client behind the same host).
     sharded.handle_keygen_batched(
-        BatchedKeyGenRequest(sequence=2, hash_vectors=vectors), "c1"
+        BatchedKeyGenRequest(sequence=2, hash_vectors=vectors),
+        "host",
+        stream=stream,
     )
     sharded.handle_keygen_batched(
-        BatchedKeyGenRequest(sequence=1, hash_vectors=vectors), "c2"
+        BatchedKeyGenRequest(sequence=1, hash_vectors=vectors),
+        "host",
+        stream=KeygenStream(),
     )
 
 
@@ -121,13 +132,14 @@ def test_rate_limiter_enforced():
 
 
 def test_durable_restore_resumes_stream(tmp_path):
-    """Close and reopen: t, requests, and sequence floors all survive."""
+    """Close and reopen: t, requests, and the logged sequences survive."""
     vectors = _vectors(300)
     first = ShardedKeyManager(
         _front("fted", batch_size=64),
         HashRing.build(3, seed=2),
         state_root=tmp_path,
     )
+    stream = KeygenStream()
     for index, start in enumerate(range(0, 200, 100)):
         first.handle_keygen_batched(
             BatchedKeyGenRequest(
@@ -135,6 +147,7 @@ def test_durable_restore_resumes_stream(tmp_path):
                 hash_vectors=vectors[start : start + 100],
             ),
             "client-a",
+            stream=stream,
         )
     saved_t = first.key_manager.t
     saved_requests = first.key_manager.stats.requests
@@ -154,12 +167,10 @@ def test_durable_restore_resumes_stream(tmp_path):
     assert second.key_manager.t == saved_t
     assert second.key_manager.stats.requests == saved_requests
     assert second.key_manager.stats.batches_tuned == saved_tunes
-    # The stream's sequence floor survives the restart.
-    with pytest.raises(ValueError, match="stale keygen batch"):
-        second.handle_keygen_batched(
-            BatchedKeyGenRequest(sequence=1, hash_vectors=vectors[:10]),
-            "client-a",
-        )
+    # The last logged sequence per client id is part of the durable
+    # record; the ordering floor itself is per connection and no
+    # connection outlives a restart.
+    assert second.restore_report.last_sequence == {"client-a": 2}
     # Continuing the stream reproduces the uninterrupted run's *durable*
     # state: summed sketch counters, t, tune count, request count. (Seed
     # draws are not durable — the selection RNG restarts, exactly as in
@@ -167,6 +178,7 @@ def test_durable_restore_resumes_stream(tmp_path):
     second.handle_keygen_batched(
         BatchedKeyGenRequest(sequence=3, hash_vectors=vectors[200:300]),
         "client-a",
+        stream=KeygenStream(),
     )
     twin_resp = twin.handle_keygen(
         KeyGenRequest(hash_vectors=vectors[200:300])

@@ -158,6 +158,88 @@ class TestBatchedParity:
             assert reply.sequence == 0
 
 
+class TestStreamsAreIndependent:
+    """Two clients behind one host must not trip each other's floor.
+
+    The floor used to be keyed by client id — the peer *host* over TCP,
+    ``"local"`` in process — so a second uploader on the same machine
+    was rejected ("stale keygen batch: sequence 1 after 4") as soon as
+    either upload needed a second batch.
+    """
+
+    def _upload_concurrently(self, transports):
+        """One uploader thread per key-manager transport, started together."""
+        from repro.crypto.cipher import SHACTR
+        from repro.tedstore.client import TedStoreClient
+        from repro.tedstore.inprocess import LocalProvider
+        from repro.tedstore.provider import ProviderService
+
+        provider = ProviderService(in_memory=True)
+        errors = []
+        barrier = threading.Barrier(len(transports))
+
+        def uploader(worker, transport):
+            client = TedStoreClient(
+                transport,
+                LocalProvider(provider),
+                profile=SHACTR,
+                sketch_width=_W,
+                workers=2,
+                batch_size=64,
+            )
+            rng = random.Random(worker)
+            chunks = [rng.randbytes(64) for _ in range(768)]
+            try:
+                barrier.wait()
+                client.upload_chunks(f"file-{worker}", chunks)
+                assert client.download(f"file-{worker}") == b"".join(chunks)
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=uploader, args=item)
+            for item in enumerate(transports)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors, errors
+
+    def test_two_tcp_clients_from_one_host(self):
+        handle = serve_key_manager(_service())
+        transports = [RemoteKeyManager(handle.address) for _ in range(2)]
+        try:
+            self._upload_concurrently(transports)
+        finally:
+            for transport in transports:
+                transport.close()
+            handle.stop()
+
+    def test_two_in_process_transports_over_one_service(self):
+        service = _service()
+        self._upload_concurrently(
+            [LocalKeyManager(service), LocalKeyManager(service)]
+        )
+
+    def test_closed_connection_leaves_no_stream_state(self):
+        service = _service()
+        handle = serve_key_manager(service)
+        try:
+            for _ in range(3):
+                remote = RemoteKeyManager(handle.address)
+                remote.keygen_batched(
+                    BatchedKeyGenRequest(
+                        sequence=4, hash_vectors=_vectors(3, 1)
+                    )
+                )
+                remote.close()
+            # Per host, not per connection: one durable-record entry.
+            assert list(service._last_sequence) == ["127.0.0.1"]
+        finally:
+            handle.stop()
+
+
 class TestLocalSerialization:
     def test_local_transport_serializes_concurrent_batches(self):
         """The in-process transport must match one-TCP-connection
