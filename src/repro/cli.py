@@ -121,15 +121,6 @@ def _make_client(args: argparse.Namespace) -> TedStoreClient:
             tenant=getattr(args, "tenant", "") or "default",
             auth_token=auth_token,
         )
-        shards = getattr(args, "shards", 1)
-        if shards > 1:
-            from repro.tedstore.ring import HashRing
-            from repro.tedstore.sharding import ShardRoutingProvider
-
-            provider = ShardRoutingProvider(
-                provider,
-                HashRing.build(shards, seed=getattr(args, "ring_seed", 0)),
-            )
     return TedStoreClient(
         RemoteKeyManager(_address(args.km)),
         provider,
@@ -845,22 +836,11 @@ def build_parser() -> argparse.ArgumentParser:
                  "presented to the provider for --tenant",
         )
         p.add_argument(
-            "--shards", type=int, default=1,
-            help="provider shard count; >1 routes PutChunks/GetChunks "
-                 "sub-batches by the consistent-hash ring (must match "
-                 "the provider's --shards)",
-        )
-        p.add_argument(
-            "--ring-seed", type=int, default=0,
-            help="seed for the consistent-hash ring (must match the "
-                 "servers')",
-        )
-        p.add_argument(
             "--ring-file", default=None, metavar="FILE",
             help="fleet ring.json with per-shard endpoints: route "
                  "chunk/recipe traffic to the serve-shard provider "
                  "processes it names, one circuit breaker per shard "
-                 "(DESIGN.md §17); overrides --provider/--shards",
+                 "(DESIGN.md §17); overrides --provider",
         )
         p.add_argument(
             "--heartbeat-interval", type=float, default=0.0,

@@ -176,6 +176,33 @@ class _TenantCatalog:
             return len(self._names)
 
 
+def _build_client(
+    profile: WorkloadProfile, tenant: str, worker: int, km, provider
+) -> TedStoreClient:
+    """One worker's client for ``tenant`` over the given transports."""
+    if profile.faults.enabled():
+        # Distinct seed per (worker, tenant) so schedules differ per
+        # transport but replay identically run to run.
+        # zlib.crc32, not hash(): PYTHONHASHSEED randomizes str hashes
+        # per process, which would silently break replayability.
+        fault_seed = (
+            profile.seed * 1_000_003
+            + worker * 8191
+            + zlib.crc32(tenant.encode()) % 8191
+        )
+        km = FaultyKeyManager(km, profile.faults.plan(fault_seed))
+        provider = FaultyProvider(
+            provider, profile.faults.plan(fault_seed + 1)
+        )
+    return TedStoreClient(
+        km,
+        provider,
+        master_key=_tenant_master_key(tenant),
+        profile=get_profile("shactr"),
+        batch_size=4096,
+    )
+
+
 class InProcessDeployment:
     """Shared KM + provider services, fresh local transports per client.
 
@@ -227,27 +254,7 @@ class InProcessDeployment:
             self.key_manager, client_id=f"loadgen-{worker}"
         )
         provider = LocalProvider(self.provider, tenant=tenant)
-        if profile.faults.enabled():
-            # Distinct seed per (worker, tenant) so schedules differ per
-            # transport but replay identically run to run.
-            # zlib.crc32, not hash(): PYTHONHASHSEED randomizes str hashes
-            # per process, which would silently break replayability.
-            fault_seed = (
-                profile.seed * 1_000_003
-                + worker * 8191
-                + zlib.crc32(tenant.encode()) % 8191
-            )
-            km = FaultyKeyManager(km, profile.faults.plan(fault_seed))
-            provider = FaultyProvider(
-                provider, profile.faults.plan(fault_seed + 1)
-            )
-        return TedStoreClient(
-            km,
-            provider,
-            master_key=_tenant_master_key(tenant),
-            profile=get_profile("shactr"),
-            batch_size=4096,
-        )
+        return _build_client(profile, tenant, worker, km, provider)
 
     def close(self) -> None:
         self.provider.close()
@@ -287,25 +294,7 @@ class TcpDeployment:
         )
         with self._lock:
             self._transports.extend((km, provider))
-        if profile.faults.enabled():
-            # zlib.crc32, not hash(): PYTHONHASHSEED randomizes str hashes
-            # per process, which would silently break replayability.
-            fault_seed = (
-                profile.seed * 1_000_003
-                + worker * 8191
-                + zlib.crc32(tenant.encode()) % 8191
-            )
-            km = FaultyKeyManager(km, profile.faults.plan(fault_seed))
-            provider = FaultyProvider(
-                provider, profile.faults.plan(fault_seed + 1)
-            )
-        return TedStoreClient(
-            km,
-            provider,
-            master_key=_tenant_master_key(tenant),
-            profile=get_profile("shactr"),
-            batch_size=4096,
-        )
+        return _build_client(profile, tenant, worker, km, provider)
 
     def close(self) -> None:
         with self._lock:
@@ -315,88 +304,6 @@ class TcpDeployment:
                 transport.close()
             except Exception:
                 pass  # teardown after a faulted run; nothing to salvage
-
-
-class FleetDeployment:
-    """Connects each worker to a multi-process shard fleet (DESIGN.md §17).
-
-    The provider side routes over the ring's endpoint map — one
-    :class:`~repro.tedstore.fleet.MultiShardProvider` per worker, so
-    every client carries its own per-shard breakers and sees the fleet's
-    degraded-mode semantics (fail-fast typed errors on an open breaker)
-    instead of hanging. The KM side connects to the front's TCP address,
-    exactly like :class:`TcpDeployment`.
-
-    This is how the chaos harness and the ``chaos-smoke`` CI job measure
-    *degraded-mode throughput*: run a load profile against a fleet while
-    a shard is down and the breaker/retry tuning below decides the
-    worst-case stall per op.
-    """
-
-    def __init__(
-        self,
-        ring_path,
-        km_address: Tuple[str, int],
-        auth_token: bytes = b"",
-        heartbeat_interval: float = 0.0,
-        breaker_failures: int = 3,
-        breaker_reset: float = 5.0,
-        io_timeout: float = 60.0,
-        connect_timeout: float = 10.0,
-    ) -> None:
-        from repro.tedstore.ring import load_ring
-
-        self.ring = load_ring(ring_path)
-        if not self.ring.endpoints:
-            raise ValueError(
-                f"{ring_path} publishes no shard endpoints; a fleet "
-                "deployment needs a per-shard endpoint map"
-            )
-        self.km_address = km_address
-        self.auth_token = auth_token
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.breaker_failures = int(breaker_failures)
-        self.breaker_reset = float(breaker_reset)
-        self.io_timeout = float(io_timeout)
-        self.connect_timeout = float(connect_timeout)
-        self._transports: List[object] = []
-        self._lock = threading.Lock()
-
-    def client(
-        self, profile: WorkloadProfile, tenant: str, worker: int
-    ) -> TedStoreClient:
-        from repro.tedstore.fleet import MultiShardProvider
-        from repro.tedstore.network import RemoteKeyManager
-
-        km = RemoteKeyManager(self.km_address)
-        provider = MultiShardProvider(
-            self.ring,
-            tenant=tenant,
-            auth_token=self.auth_token,
-            heartbeat_interval=self.heartbeat_interval,
-            breaker_failures=self.breaker_failures,
-            breaker_reset=self.breaker_reset,
-            io_timeout=self.io_timeout,
-            connect_timeout=self.connect_timeout,
-        )
-        with self._lock:
-            self._transports.extend((km, provider))
-        return TedStoreClient(
-            km,
-            provider,
-            master_key=_tenant_master_key(tenant),
-            profile=get_profile("shactr"),
-            batch_size=4096,
-        )
-
-    def close(self) -> None:
-        with self._lock:
-            transports, self._transports = self._transports, []
-        for transport in transports:
-            try:
-                transport.close()
-            except Exception:
-                pass  # teardown after a degraded run; nothing to salvage
 
 
 def _tenant_master_key(tenant: str) -> bytes:
@@ -704,7 +611,6 @@ class LoadRunner:
 
 
 __all__ = [
-    "FleetDeployment",
     "InProcessDeployment",
     "LoadRunner",
     "PayloadForge",

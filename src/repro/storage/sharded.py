@@ -26,7 +26,7 @@ free of ``repro.tedstore`` dependencies; anything with
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.storage.dedup import (
@@ -56,17 +56,62 @@ _IMBALANCE = _REGISTRY.gauge(
 )
 
 
-class ShardRouteMeter:
-    """Shared routed-batch accounting for both sides of the deployment.
+class ShardFanout:
+    """The ring fan-out, written once for every router in the deployment.
 
-    Tracks cumulative per-shard key counts and keeps the
-    ``ted_shard_imbalance`` gauge current; one instance per router
-    (KM front or provider engine), labelled by ``side``.
+    One instance per router (provider engine, fleet client, KM front),
+    labelled by ``side``; it also carries the routed-batch accounting —
+    cumulative per-shard key counts and ``ted_shard_imbalance``.
     """
 
     def __init__(self, side: str, shard_ids: Sequence[int]) -> None:
         self._side = side
         self._counts: Dict[int, int] = {int(s): 0 for s in shard_ids}
+
+    def run(
+        self,
+        owners: Sequence[int],
+        items: Sequence,
+        call: Callable[[int, list], object],
+        admit: Optional[Callable[[int], None]] = None,
+    ) -> List[Tuple[List[int], object]]:
+        """Route one batch: shard ``owners[i]`` owns ``items[i]``.
+
+        Groups the batch per shard, then runs ``admit(shard)`` for
+        **every** target shard before anything is sent — a batch that
+        cannot fully land (``admit`` raises) reaches no shard at all,
+        so fail-fast never manufactures partial cross-shard state.
+        Then calls ``call(shard, sub_items)`` in shard-id order;
+        ``sub_items`` keeps arrival order, which is all a shard's
+        determinism (container look-ahead, Count-Min update order)
+        needs. Returns ``(positions, result)`` per visited shard for
+        the caller to sum or :meth:`scatter`.
+        """
+        groups: Dict[int, List[int]] = {}
+        for position, owner in enumerate(owners):
+            groups.setdefault(owner, []).append(position)
+        visit = sorted(groups)
+        if admit is not None:
+            for shard in visit:
+                admit(shard)
+        routed = []
+        for shard in visit:
+            positions = groups[shard]
+            self.record(shard, len(positions))
+            result = call(shard, [items[p] for p in positions])
+            routed.append((positions, result))
+        return routed
+
+    @staticmethod
+    def scatter(
+        routed: Iterable[Tuple[List[int], Sequence]], size: int
+    ) -> list:
+        """Per-shard result sequences back into request order."""
+        results: list = [None] * size
+        for positions, values in routed:
+            for position, value in zip(positions, values):
+                results[position] = value
+        return results
 
     def record(self, shard: int, keys: int) -> None:
         self._counts[shard] = self._counts.get(shard, 0) + keys
@@ -81,6 +126,10 @@ class ShardRouteMeter:
     @property
     def counts(self) -> Dict[int, int]:
         return dict(self._counts)
+
+
+#: The accounting half's original name (``record`` / ``counts``).
+ShardRouteMeter = ShardFanout
 
 
 class ShardedDedupEngine:
@@ -129,7 +178,7 @@ class ShardedDedupEngine:
                 if concurrent
                 else leaf
             )
-        self._meter = ShardRouteMeter("provider", ring.shards)
+        self._fanout = ShardFanout("provider", ring.shards)
 
     # -- topology ----------------------------------------------------------
 
@@ -153,7 +202,7 @@ class ShardedDedupEngine:
 
     def store(self, fingerprint: bytes, chunk: bytes) -> bool:
         shard = self.ring.shard_for_key(fingerprint)
-        self._meter.record(shard, 1)
+        self._fanout.record(shard, 1)
         return self._routes[shard].store(fingerprint, chunk)
 
     def contains(self, fingerprint: bytes) -> bool:
@@ -176,21 +225,14 @@ class ShardedDedupEngine:
         each shard's container look-ahead sees the same access pattern
         a single engine would for those fingerprints.
         """
-        groups: Dict[int, List[int]] = {}
-        for position, fingerprint in enumerate(fingerprints):
-            shard = self.ring.shard_for_key(fingerprint)
-            groups.setdefault(shard, []).append(position)
-        results: List[bytes] = [b""] * len(fingerprints)
-        for shard in sorted(groups):
-            positions = groups[shard]
-            self._meter.record(shard, len(positions))
-            chunks = self._routes[shard].load_many(
-                [fingerprints[p] for p in positions],
-                lookahead_window=lookahead_window,
-            )
-            for position, chunk in zip(positions, chunks):
-                results[position] = chunk
-        return results
+        routed = self._fanout.run(
+            [self.ring.shard_for_key(f) for f in fingerprints],
+            fingerprints,
+            lambda shard, sub: self._routes[shard].load_many(
+                sub, lookahead_window=lookahead_window
+            ),
+        )
+        return ShardFanout.scatter(routed, len(fingerprints))
 
     def flush(self) -> None:
         for shard in self.ring.shards:
@@ -226,7 +268,7 @@ class ShardedDedupEngine:
 
     def routed_counts(self) -> Dict[int, int]:
         """Cumulative keys routed per shard (imbalance diagnostics)."""
-        return self._meter.counts
+        return self._fanout.counts
 
 
 def shard_directories(directory) -> List[Tuple[int, Path]]:
@@ -243,6 +285,7 @@ def shard_directories(directory) -> List[Tuple[int, Path]]:
 
 __all__ = [
     "SHARDS_DIRNAME",
+    "ShardFanout",
     "ShardRouteMeter",
     "ShardedDedupEngine",
     "shard_directories",

@@ -38,7 +38,7 @@ from repro.tedstore.retry import (
     retry_call,
 )
 from repro.tedstore.ring import HashRing, load_ring, store_ring
-from repro.tedstore.sharding import ShardedKeyManager, ShardRoutingProvider
+from repro.tedstore.sharding import ShardedKeyManager
 
 __all__ = [
     "QuorumClient",
@@ -71,7 +71,6 @@ __all__ = [
     "load_ring",
     "store_ring",
     "ShardedKeyManager",
-    "ShardRoutingProvider",
     "ReshardError",
     "reshard_km",
     "reshard_provider",

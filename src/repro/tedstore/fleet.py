@@ -3,36 +3,46 @@
 DESIGN.md §17. A fleet is N ``repro serve-shard`` processes — provider
 leaves over ``<root>/shards/<k>/`` and KM sketch observers over
 ``<km_root>/shards/<k>/`` — named by the ring's endpoint map. This
-module is the client side: every shard gets its own **route**, a lazy
-per-shard transport wrapped in a :class:`~repro.tedstore.health.\
-CircuitBreaker` and fed by a heartbeat monitor, so one dead shard is
-one open breaker, not a hung pipeline.
+module is the client side. Every shard gets its own **route**
+(:class:`ShardRoute`: a lazy per-shard transport under a
+:class:`~repro.tedstore.health.CircuitBreaker`), all of a client's
+routes live in one :class:`ShardRouteSet` (construction, admission,
+guarded call, heartbeat probe with its ring-epoch check, health,
+teardown), and the two fleet clients — :class:`MultiShardProvider` and
+:class:`RemoteKmShardPool` — hold one each and route their batches
+through the shared :class:`~repro.storage.sharded.ShardFanout`. One
+dead shard is one open breaker, not a hung pipeline.
 
 Semantics under failure (graceful degradation):
 
 * Operations touching only healthy shards proceed normally.
 * An operation routed at an open breaker fails **fast** with
   :class:`~repro.tedstore.health.ShardUnavailableError` — for
-  multi-shard batches the admission check runs for *every* target
-  shard before any bytes are sent, so a batch that cannot fully land
-  does not scatter sub-batches at healthy shards first.
+  multi-shard batches (chunks and keygen alike) the fan-out admits
+  *every* target shard before any bytes are sent, so a batch that
+  cannot fully land does not scatter sub-batches at healthy shards
+  first.
 * A mid-flight failure (breaker was closed, shard died under the
   call) surfaces the same typed error after the per-shard retry
   policy is exhausted. Per-shard acks keep such a batch shard-local:
   the sub-batches that did land are idempotent puts a retry replays
   byte-identically (the provider dedups, the observer's durable log
   replays by batch id), which the differential chaos gate pins.
+* Only wire failures count against a breaker: a shard that *answers* —
+  with a result, a typed miss or a served error — is healthy.
 * A restarted shard recovers its state through the §12 crash-recovery
-  path and rejoins on the first successful probe (or trial call).
+  path and rejoins on the first successful probe (or answered trial
+  call); a shard serving an older ring epoch fails its probes.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.storage.dedup import RingEpochRegressionError
-from repro.storage.sharded import ShardRouteMeter
+from repro.storage.sharded import ShardFanout
 from repro.tedstore import messages as m
 from repro.tedstore.health import (
     CircuitBreaker,
@@ -49,9 +59,10 @@ from repro.tedstore.provider import DEFAULT_TENANT
 from repro.tedstore.retry import RetryPolicy
 from repro.tedstore.ring import HashRing
 
-#: Wire failures that count against a shard's breaker. RuntimeError
-#: (a served MSG_ERROR) and KeyError/FileNotFoundError (typed misses)
-#: do NOT: the shard answered, so it is healthy — wrong is not down.
+#: Wire failures that count against a shard's breaker. Anything else a
+#: call raises — RuntimeError (a served MSG_ERROR), KeyError or
+#: FileNotFoundError (typed misses; the latter is an OSError by
+#: inheritance only) — means the shard answered: wrong is not down.
 _ROUTE_FAILURES = (ConnectionError, TimeoutError, OSError, m.ProtocolError)
 
 
@@ -98,105 +109,159 @@ class ShardRoute:
             except Exception:
                 pass  # already broken; nothing to salvage
 
-    def admit(self) -> None:
-        """Fail fast if this shard's breaker is open.
-
-        Non-consuming: batch pre-admission must not claim the half-open
-        trial slot, or the slot would be wedged and the sub-batch that
-        follows (whose :meth:`call` admits for real) would fail fast —
-        locking a recovering shard out of exactly the traffic that
-        would close its breaker.
-        """
-        self.breaker.check()
-
     def call(self, fn: Callable[[object], object]):
         """Run ``fn(transport)`` under the breaker.
 
-        Wire failures (after the transport's own retry policy) open
-        the path toward the breaker threshold and re-raise as
-        :class:`ShardUnavailableError`; served errors pass through
-        untouched (an answering shard is a healthy shard).
+        Wire failures (after the transport's own retry policy) count
+        toward the breaker threshold and re-raise as
+        :class:`ShardUnavailableError`. Any other outcome — a result or
+        a served error — is an answer, and an answering shard is a
+        healthy shard: success is recorded (releasing the half-open
+        trial slot ``admit`` claimed) before a served error passes on.
         """
         self.breaker.admit()
         try:
             result = fn(self._get_transport())
-        except _ROUTE_FAILURES as exc:
-            self.breaker.record_failure()
+        except Exception as exc:
+            if isinstance(exc, FileNotFoundError) or not isinstance(
+                exc, _ROUTE_FAILURES
+            ):
+                self.breaker.record_success()
+                raise
+            reason = f"{type(exc).__name__}: {exc}"
+            self.breaker.record_failure(reason)
             self._drop_transport()
             raise ShardUnavailableError(
-                self.side, self.shard_id, f"{type(exc).__name__}: {exc}"
+                self.side, self.shard_id, reason
             ) from exc
         self.breaker.record_success()
         return result
 
     def probe(self) -> m.Pong:
-        """Heartbeat probe on a dedicated short-lived socket."""
+        """One PING on a dedicated short-lived socket."""
         return probe_endpoint(self.address, timeout=self._probe_timeout)
 
     def close(self) -> None:
         self._drop_transport()
 
 
-def build_routes(
-    side: str,
-    ring: HashRing,
-    factory: Callable[[Tuple[str, int]], object],
-    *,
-    breaker_failures: int = 3,
-    breaker_reset: float = 5.0,
-    probe_timeout: float = 2.0,
-    clock=None,
-) -> Dict[int, ShardRoute]:
-    """A guarded route per ring shard; requires a full endpoint map."""
-    missing = [s for s in ring.shards if ring.endpoint_for(s) is None]
-    if missing:
-        raise ValueError(
-            f"ring publishes no endpoint for shards {missing}; a "
-            "multi-process deployment needs every shard mapped"
-        )
-    routes: Dict[int, ShardRoute] = {}
-    for shard_id in ring.shards:
-        kwargs = {}
-        if clock is not None:
-            kwargs["clock"] = clock
-        breaker = CircuitBreaker(
-            side,
-            shard_id,
-            failure_threshold=breaker_failures,
-            reset_timeout=breaker_reset,
-            **kwargs,
-        )
-        routes[shard_id] = ShardRoute(
-            side,
-            shard_id,
-            ring.endpoint_for(shard_id),
-            factory,
-            breaker,
-            probe_timeout=probe_timeout,
-        )
-    return routes
+class ShardRouteSet:
+    """A guarded :class:`ShardRoute` per ring shard, plus their heartbeat.
+
+    What :class:`MultiShardProvider` and :class:`RemoteKmShardPool`
+    both hold. ``factory`` maps ``(host, port)`` to one shard's
+    transport; the ring must publish an endpoint for every shard.
+    ``heartbeat_interval <= 0`` starts no monitor thread (breakers
+    still learn from calls; tests drive probes by hand).
+    """
+
+    def __init__(
+        self,
+        side: str,
+        ring: HashRing,
+        factory: Callable[[Tuple[str, int]], object],
+        *,
+        breaker_failures: int = 3,
+        breaker_reset: float = 5.0,
+        probe_timeout: float = 2.0,
+        heartbeat_interval: float = 0.0,
+        clock=None,
+    ) -> None:
+        missing = [s for s in ring.shards if ring.endpoint_for(s) is None]
+        if missing:
+            raise ValueError(
+                f"ring publishes no endpoint for shards {missing}; a "
+                "multi-process deployment needs every shard mapped"
+            )
+        self.ring = ring
+        clock_kwargs = {} if clock is None else {"clock": clock}
+        self._routes: Dict[int, ShardRoute] = {
+            shard_id: ShardRoute(
+                side,
+                shard_id,
+                ring.endpoint_for(shard_id),
+                factory,
+                CircuitBreaker(
+                    side,
+                    shard_id,
+                    failure_threshold=breaker_failures,
+                    reset_timeout=breaker_reset,
+                    **clock_kwargs,
+                ),
+                probe_timeout=probe_timeout,
+            )
+            for shard_id in ring.shards
+        }
+        self._monitor: Optional[ShardHealthMonitor] = None
+        if heartbeat_interval > 0:
+            self._monitor = ShardHealthMonitor(
+                probes={
+                    s: functools.partial(self.probe, s) for s in self._routes
+                },
+                breakers={s: r.breaker for s, r in self._routes.items()},
+                interval=heartbeat_interval,
+            ).start()
+
+    def admit(self, shard_id: int) -> None:
+        """Batch pre-admission: fail fast if the shard's breaker is open.
+
+        Non-consuming (:meth:`CircuitBreaker.check`): the sub-batch that
+        follows admits for real in :meth:`call`, and claiming the
+        half-open trial slot here would lock a recovering shard out of
+        exactly the traffic that closes its breaker.
+        """
+        self._routes[shard_id].breaker.check()
+
+    def call(self, shard_id: int, fn: Callable[[object], object]):
+        return self._routes[shard_id].call(fn)
+
+    def check_epoch(self, pong: m.Pong) -> None:
+        """Reject a PONG from a shard serving an older ring than ours.
+
+        Raises :class:`~repro.storage.dedup.RingEpochRegressionError`
+        — typed, and deliberately *not* a cache invalidation: the
+        stale peer is wrong, not this client's view.
+        """
+        if pong.epoch < self.ring.epoch:
+            raise RingEpochRegressionError(pong.epoch, self.ring.epoch)
+
+    def probe(self, shard_id: int) -> m.Pong:
+        """The heartbeat probe: PING, then check the PONG's ring epoch.
+
+        A shard serving an older ring would place keys differently, so
+        a stale PONG is a *failed* probe whose error — the breaker's
+        recorded reason — is the typed ring-epoch regression.
+        """
+        pong = self._routes[shard_id].probe()
+        self.check_epoch(pong)
+        return pong
+
+    def shard_health(self) -> Dict[int, str]:
+        """``shard id -> breaker state`` for status surfaces."""
+        return {
+            shard: route.breaker.state
+            for shard, route in sorted(self._routes.items())
+        }
+
+    def routes(self) -> Dict[int, ShardRoute]:
+        return dict(self._routes)
+
+    def close(self) -> None:
+        if self._monitor is not None:
+            self._monitor.stop()
+        for route in self._routes.values():
+            route.close()
 
 
-def start_monitor(
-    routes: Dict[int, ShardRoute], interval: float
-) -> Optional[ShardHealthMonitor]:
-    """Start a heartbeat monitor over ``routes`` (``interval <= 0`` = off)."""
-    if interval <= 0:
-        return None
-    monitor = ShardHealthMonitor(
-        probes={s: r.probe for s, r in routes.items()},
-        breakers={s: r.breaker for s, r in routes.items()},
-        interval=interval,
-    )
-    return monitor.start()
+#: Building the routes is constructing the set (no monitor by default).
+build_routes = ShardRouteSet
 
 
 class MultiShardProvider:
     """Provider transport over per-shard processes (DESIGN.md §17).
 
-    Drop-in for :class:`~repro.tedstore.network.RemoteProvider` /
-    :class:`~repro.tedstore.sharding.ShardRoutingProvider` from the
-    client pipeline's point of view: same ``put_chunks`` /
+    Drop-in for :class:`~repro.tedstore.network.RemoteProvider` from
+    the client pipeline's point of view: same ``put_chunks`` /
     ``get_chunks`` / recipe / ``ring_epoch`` surface. Chunks route by
     cipher-fingerprint ring placement to the shard's own provider
     process; recipes route by file name over the same ring, so a
@@ -251,17 +316,17 @@ class MultiShardProvider:
                 io_timeout=io_timeout,
             )
 
-        self._routes = build_routes(
+        self._routes = ShardRouteSet(
             "provider",
             ring,
             transport_factory or factory,
             breaker_failures=breaker_failures,
             breaker_reset=breaker_reset,
             probe_timeout=probe_timeout,
+            heartbeat_interval=heartbeat_interval,
             clock=clock,
         )
-        self._meter = ShardRouteMeter("client", ring.shards)
-        self._monitor = start_monitor(self._routes, heartbeat_interval)
+        self._fanout = ShardFanout("client", ring.shards)
 
     # -- placement helpers -------------------------------------------------
 
@@ -275,72 +340,60 @@ class MultiShardProvider:
         return self.ring.epoch
 
     def check_peer_epoch(self, pong: m.Pong) -> None:
-        """Reject a shard serving an older ring than this client's.
-
-        Raises :class:`~repro.storage.dedup.RingEpochRegressionError`
-        — typed, and deliberately *not* a cache invalidation: the
-        stale peer is wrong, not this client's view.
-        """
-        if pong.epoch < self.ring.epoch:
-            raise RingEpochRegressionError(pong.epoch, self.ring.epoch)
+        """:meth:`ShardRouteSet.check_epoch` for a :meth:`ping_all` PONG
+        (heartbeat probes apply it themselves)."""
+        self._routes.check_epoch(pong)
 
     # -- provider surface --------------------------------------------------
 
+    def _route_batch(self, fingerprints, items, op):
+        """One fan-out: ``op(transport, sub_items)`` per owning shard."""
+        return self._fanout.run(
+            [self.ring.shard_for_key(fp) for fp in fingerprints],
+            items,
+            lambda shard, sub: self._routes.call(shard, lambda t: op(t, sub)),
+            admit=self._routes.admit,
+        )
+
     def put_chunks(self, request: m.PutChunks) -> m.PutChunksResponse:
-        groups: Dict[int, List[Tuple[bytes, bytes]]] = {}
-        for fingerprint, data in request.chunks:
-            shard = self.ring.shard_for_key(fingerprint)
-            groups.setdefault(shard, []).append((fingerprint, data))
-        # Admission first, sends second: a batch that cannot fully land
-        # (any target breaker open) fails before ANY sub-batch is sent,
-        # so fail-fast never manufactures partial cross-shard state.
-        for shard in sorted(groups):
-            self._routes[shard].admit()
-        stored = duplicates = 0
-        for shard in sorted(groups):
-            sub = groups[shard]
-            self._meter.record(shard, len(sub))
-            response = self._routes[shard].call(
-                lambda t, sub=sub: t.put_chunks(m.PutChunks(chunks=sub))
-            )
-            stored += response.stored
-            duplicates += response.duplicates
-        return m.PutChunksResponse(stored=stored, duplicates=duplicates)
+        routed = self._route_batch(
+            [fp for fp, _ in request.chunks],
+            request.chunks,
+            lambda t, sub: t.put_chunks(m.PutChunks(chunks=sub)),
+        )
+        return m.PutChunksResponse(
+            stored=sum(response.stored for _, response in routed),
+            duplicates=sum(response.duplicates for _, response in routed),
+        )
 
     def get_chunks(self, request: m.GetChunks) -> m.Chunks:
-        groups: Dict[int, List[int]] = {}
-        for position, fingerprint in enumerate(request.fingerprints):
-            shard = self.ring.shard_for_key(fingerprint)
-            groups.setdefault(shard, []).append(position)
-        for shard in sorted(groups):
-            self._routes[shard].admit()
-        results: List[bytes] = [b""] * len(request.fingerprints)
-        for shard in sorted(groups):
-            positions = groups[shard]
-            self._meter.record(shard, len(positions))
-            response = self._routes[shard].call(
-                lambda t, fps=[
-                    request.fingerprints[p] for p in positions
-                ]: t.get_chunks(m.GetChunks(fingerprints=fps))
-            )
-            for position, chunk in zip(positions, response.chunks):
-                results[position] = chunk
-        return m.Chunks(chunks=results)
+        fingerprints = request.fingerprints
+        routed = self._route_batch(
+            fingerprints,
+            fingerprints,
+            lambda t, sub: t.get_chunks(m.GetChunks(fingerprints=sub)).chunks,
+        )
+        return m.Chunks(
+            chunks=ShardFanout.scatter(routed, len(fingerprints))
+        )
 
     def put_recipes(self, request: m.PutRecipes) -> None:
         shard = self._recipe_shard(request.file_name)
-        self._routes[shard].call(lambda t: t.put_recipes(request))
+        self._routes.call(shard, lambda t: t.put_recipes(request))
 
     def get_recipes(self, request: m.GetRecipes) -> m.PutRecipes:
         shard = self._recipe_shard(request.file_name)
-        return self._routes[shard].call(lambda t: t.get_recipes(request))
+        return self._routes.call(shard, lambda t: t.get_recipes(request))
 
     # -- health / reporting ------------------------------------------------
 
     def ping_all(self) -> Dict[int, m.Pong]:
-        """Probe every shard once; raises nothing, skips the dead."""
+        """PING every shard once; raises nothing, skips the dead.
+
+        A raw diagnostic: stale epochs included, breakers untouched.
+        """
         pongs: Dict[int, m.Pong] = {}
-        for shard, route in sorted(self._routes.items()):
+        for shard, route in sorted(self._routes.routes().items()):
             try:
                 pongs[shard] = route.probe()
             except Exception:
@@ -348,26 +401,21 @@ class MultiShardProvider:
         return pongs
 
     def shard_health(self) -> Dict[int, str]:
-        """``shard id -> breaker state`` for status surfaces."""
-        return {
-            shard: route.breaker.state
-            for shard, route in sorted(self._routes.items())
-        }
+        return self._routes.shard_health()
 
     def routes(self) -> Dict[int, ShardRoute]:
-        return dict(self._routes)
+        return self._routes.routes()
 
     def routed_counts(self) -> Dict[int, int]:
-        return self._meter.counts
+        return self._fanout.counts
 
     def stats(self) -> List[Tuple[str, int]]:
         """Summed numeric stats over reachable shards, plus health."""
         totals: Dict[str, float] = {}
         reachable = 0
-        for shard in sorted(self._routes):
-            route = self._routes[shard]
+        for shard in self.ring.shards:
             try:
-                pairs = route.call(lambda t: t.stats())
+                pairs = self._routes.call(shard, lambda t: t.stats())
             except ShardUnavailableError:
                 continue
             reachable += 1
@@ -378,13 +426,13 @@ class MultiShardProvider:
             (name, int(v) if float(v).is_integer() else v)
             for name, v in sorted(totals.items())
         ]
-        pairs.append(("fleet_shards", len(self._routes)))
+        pairs.append(("fleet_shards", len(self.ring.shards)))
         pairs.append(("fleet_shards_reachable", reachable))
         return pairs
 
     def wire_stats(self) -> Dict[str, int]:
         totals: Dict[str, int] = {}
-        for route in self._routes.values():
+        for route in self._routes.routes().values():
             transport = route._transport
             if transport is None:
                 continue
@@ -395,21 +443,19 @@ class MultiShardProvider:
         return totals
 
     def close(self) -> None:
-        if self._monitor is not None:
-            self._monitor.stop()
-            self._monitor = None
-        for route in self._routes.values():
-            route.close()
+        self._routes.close()
 
 
 class RemoteKmShardPool:
     """Guarded routes to KM sketch-observer processes (front side).
 
-    Built by :class:`~repro.tedstore.sharding.ShardedKeyManager` when
-    its ring publishes endpoints. ``observe`` is the only hot call;
-    failures surface as :class:`ShardUnavailableError` so a keygen
-    batch over a dead observer fails loudly at the front instead of
-    hanging the client pipeline.
+    The multi-process observer pool of
+    :class:`~repro.tedstore.sharding.ShardedKeyManager`, built when its
+    ring publishes endpoints; ``LocalKmShardPool`` there is the
+    in-process counterpart with the same surface. ``observe`` is the
+    only hot call; failures surface as :class:`ShardUnavailableError`
+    so a keygen batch over a dead observer fails loudly at the front
+    instead of hanging the client pipeline.
     """
 
     def __init__(
@@ -437,16 +483,22 @@ class RemoteKmShardPool:
             )
 
         self.ring = ring
-        self._routes = build_routes(
+        # No observer lives in this process: nothing for the front to
+        # mirror its tracking map into or recover its state from.
+        self.observers: Dict[int, object] = {}
+        self._routes = ShardRouteSet(
             "km",
             ring,
             transport_factory or factory,
             breaker_failures=breaker_failures,
             breaker_reset=breaker_reset,
             probe_timeout=probe_timeout,
+            heartbeat_interval=heartbeat_interval,
             clock=clock,
         )
-        self._monitor = start_monitor(self._routes, heartbeat_interval)
+
+    def admit(self, shard_id: int) -> None:
+        self._routes.admit(shard_id)
 
     def observe(
         self,
@@ -460,9 +512,7 @@ class RemoteKmShardPool:
             sequence=sequence,
             hash_vectors=hash_vectors,
         )
-        response = self._routes[shard_id].call(
-            lambda t: t.observe(request)
-        )
+        response = self._routes.call(shard_id, lambda t: t.observe(request))
         if len(response.estimates) != len(hash_vectors):
             raise m.ProtocolError(
                 f"observer shard {shard_id} returned "
@@ -471,30 +521,17 @@ class RemoteKmShardPool:
             )
         return response.estimates
 
-    def shard_stats(self, shard_id: int) -> List[Tuple[str, int]]:
-        return self._routes[shard_id].call(lambda t: t.stats())
-
     def shard_health(self) -> Dict[int, str]:
-        return {
-            shard: route.breaker.state
-            for shard, route in sorted(self._routes.items())
-        }
-
-    def routes(self) -> Dict[int, ShardRoute]:
-        return dict(self._routes)
+        return self._routes.shard_health()
 
     def close(self) -> None:
-        if self._monitor is not None:
-            self._monitor.stop()
-            self._monitor = None
-        for route in self._routes.values():
-            route.close()
+        self._routes.close()
 
 
 __all__ = [
     "MultiShardProvider",
     "RemoteKmShardPool",
     "ShardRoute",
+    "ShardRouteSet",
     "build_routes",
-    "start_monitor",
 ]

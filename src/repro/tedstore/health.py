@@ -118,6 +118,7 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._opened_at = 0.0
         self._trial_inflight = False
+        self._last_failure = ""
         self._publish(CLOSED)
 
     # -- state -------------------------------------------------------------
@@ -171,7 +172,8 @@ class CircuitBreaker:
                 0.0,
                 self.reset_timeout - (self._clock() - self._opened_at),
             )
-            return f"circuit breaker open (retry in {retry_in:.2f}s)"
+            cause = f": {self._last_failure}" if self._last_failure else ""
+            return f"circuit breaker open (retry in {retry_in:.2f}s){cause}"
         return "circuit breaker half-open (trial in flight)"
 
     def check(self) -> None:
@@ -205,11 +207,16 @@ class CircuitBreaker:
                 side=self.side, shard=str(self.shard), event="rejoin"
             ).inc()
 
-    def record_failure(self) -> None:
-        """A call (or probe) failed after its own retries."""
+    def record_failure(self, reason: str = "") -> None:
+        """A call (or probe) failed after its own retries.
+
+        ``reason`` is quoted by the fail-fast error while the breaker
+        stays open, so an operator sees *why* the shard left service.
+        """
         with self._lock:
             state = self._peek_locked()
             self._consecutive_failures += 1
+            self._last_failure = reason
             opened = False
             if state == HALF_OPEN or (
                 state == CLOSED
@@ -277,8 +284,8 @@ class ShardHealthMonitor:
             # requires consecutive failures).
             try:
                 self._probes[shard]()
-            except Exception:
-                breaker.record_failure()
+            except Exception as exc:
+                breaker.record_failure(f"{type(exc).__name__}: {exc}")
                 results[shard] = False
             else:
                 breaker.record_success()

@@ -1,4 +1,4 @@
-"""Sharded key-manager front and client-side shard routing.
+"""Sharded key-manager front over pooled sketch-observer shards.
 
 The KM half of ROADMAP item 2 (DESIGN.md §15). A
 :class:`ShardedKeyManager` presents exactly the
@@ -24,30 +24,28 @@ The design splits TED's keygen into its two halves:
   arrival order after the shards return estimates. That is why a
   sharded deployment derives bit-identical seeds to a single KM.
 
-Each shard gets its own durable ``km_state.py`` state directory under
-``<state_root>/shards/<k>`` (log-before-ack, snapshot+delta). The
-front's own durable needs are tiny — the tune trajectory — recorded in
-``front.log``; everything else recovers from the shard states (requests
-= sum of shard requests, tracking map = union of shard maps).
+Every shard is a :class:`ShardObserverService` — an observer key
+manager plus its durable ``km_state.py`` store under
+``<state_root>/shards/<k>`` (log-before-ack, snapshot+delta) — and the
+front reaches its observers only through a **pool**:
+``observe(shard_id, client_id, sequence, hash_vectors)`` behind one
+:class:`~repro.storage.sharded.ShardFanout` call per keygen batch. Two
+pools exist. :class:`LocalKmShardPool` holds the observers in this
+process and calls ``handle_observe`` directly;
+:class:`~repro.tedstore.fleet.RemoteKmShardPool` (picked when the ring
+publishes a per-shard endpoint map, DESIGN.md §17) reaches ``repro
+serve-shard --role km`` processes over guarded routes, so each shard
+is an independent failure domain. Selection never differs — the front
+owns the RNG, ``t``, the tuner and the tracking map either way — so
+seeds stay bit-identical, and the ``shards/<k>`` directories are the
+same in both shapes.
 
-**Multi-process mode (DESIGN.md §17).** When the ring publishes a
-per-shard endpoint map, the front's observers are *processes*: each
-``repro serve-shard --role km`` child runs a
-:class:`ShardObserverService` over its own ``shards/<k>`` store, and
-the front fans sub-batches over guarded
-:class:`~repro.tedstore.fleet.RemoteKmShardPool` routes. Selection is
-untouched — the front still owns the RNG, ``t``, the tuner, and the
-tracking map — so seeds stay bit-identical while each shard becomes
-an independent failure domain. The front's restore path then replays
-``front.log`` alone (tune trajectory + request floor); observer
-sketches recover in their own processes.
-
-:class:`ShardRoutingProvider` is the provider-side client hook: a
-transport wrapper that splits chunk batches by ring placement so a
-client can talk to per-shard provider processes (or just meter
-placement against one process). Order within each shard's sub-batch
-preserves arrival order, which is all the dedup engine's determinism
-needs.
+The front's own durable needs are tiny — the tune trajectory and the
+request floor logged with each tune — recorded in ``front.log``. Where
+the observers live in-process the front additionally recovers the
+exact state from them (requests = sum of shard requests, tracking map
+= union of shard maps) and keeps their ``t`` / tracking maps mirroring
+its own across tunes; remote observers recover in their own processes.
 """
 
 from __future__ import annotations
@@ -58,19 +56,15 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.ted import TedKeyManager
 from repro.obs import tracing
-from repro.storage.sharded import ShardRouteMeter
+from repro.storage.sharded import SHARDS_DIRNAME, ShardFanout
 from repro.storage.wal import OP_PUT, WriteAheadLog
 from repro.tedstore.keymanager import KeygenStream
 from repro.tedstore.km_state import KeyManagerStateStore, RestoreReport
 from repro.tedstore.messages import (
     BatchedKeyGenRequest,
     BatchedKeyGenResponse,
-    Chunks,
-    GetChunks,
     KeyGenRequest,
     KeyGenResponse,
-    PutChunks,
-    PutChunksResponse,
     ShardObserveRequest,
     ShardObserveResponse,
 )
@@ -79,7 +73,6 @@ from repro.utils.varint import decode_uvarint, encode_uvarint
 
 RING_FILENAME = "ring.json"
 FRONT_LOG_FILENAME = "front.log"
-SHARDS_DIRNAME = "shards"
 
 
 def make_shard_observer(front: TedKeyManager) -> TedKeyManager:
@@ -105,32 +98,18 @@ def make_shard_observer(front: TedKeyManager) -> TedKeyManager:
     return observer
 
 
-class _KmShard:
-    """One shard: an observer key manager plus its durable store."""
-
-    def __init__(
-        self,
-        shard_id: int,
-        key_manager: TedKeyManager,
-        store: Optional[KeyManagerStateStore],
-    ) -> None:
-        self.shard_id = shard_id
-        self.key_manager = key_manager
-        self.store = store
-
-
 class ShardObserverService:
-    """One KM sketch-observer shard served as its own process.
+    """One KM sketch-observer shard, in-process or as its own process.
 
-    The ``repro serve-shard --role km`` payload (DESIGN.md §17): owns
-    a single observer key manager plus its durable ``km_state`` store
-    (the same ``shards/<k>`` directory an in-process front would use,
-    so a deployment can move between in-process and fleet serving
-    without migrating state). Answers ``MSG_SHARD_OBSERVE`` by
-    updating the sketch and logging the sub-batch *before* the
-    estimates are released — the log-before-ack contract that makes a
-    front's replay of a retried batch idempotent after this process
-    is killed and restarted.
+    Owns a single observer key manager plus its durable ``km_state``
+    store under ``shards/<k>``. Held by a :class:`LocalKmShardPool`
+    inside the front, or served by ``repro serve-shard --role km``
+    (DESIGN.md §17) — the same class over the same directory, so a
+    deployment moves between the two without migrating state.
+    ``handle_observe`` updates the sketch and logs the sub-batch
+    *before* the estimates are released — the log-before-ack contract
+    that makes a front's replay of a retried batch idempotent after
+    the observer is killed and restarted.
 
     Args:
         shard_id: this shard's id in the deployment ring.
@@ -209,6 +188,47 @@ class ShardObserverService:
                 self._store = None
 
 
+class LocalKmShardPool:
+    """The front's observers, in this process.
+
+    In-process counterpart of :class:`~repro.tedstore.fleet.\
+RemoteKmShardPool`: the same ``admit`` / ``observe`` / ``shard_health``
+    / ``close`` surface, with ``handle_observe`` called directly — no
+    transport, so no breaker and nothing to refuse admission.
+    ``observers`` exposes the services themselves: the front recovers
+    its exact state from them and keeps their ``t`` / tracking maps
+    mirroring its own.
+    """
+
+    def __init__(self, observers: Dict[int, ShardObserverService]) -> None:
+        self.observers = observers
+
+    def admit(self, shard_id: int) -> None:
+        pass
+
+    def observe(
+        self,
+        shard_id: int,
+        client_id: str,
+        sequence: int,
+        hash_vectors: List[List[int]],
+    ) -> List[int]:
+        return self.observers[shard_id].handle_observe(
+            ShardObserveRequest(
+                client_id=client_id,
+                sequence=sequence,
+                hash_vectors=hash_vectors,
+            )
+        ).estimates
+
+    def shard_health(self) -> Dict[int, str]:
+        return {shard_id: "closed" for shard_id in sorted(self.observers)}
+
+    def close(self) -> None:
+        for observer in self.observers.values():
+            observer.close()
+
+
 class ShardedKeyManager:
     """Ring-routed key-manager front, wire-compatible with the single KM.
 
@@ -226,13 +246,14 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
         rate_limiter: optional, same contract as the single service.
         state_root: directory for durable state (``ring.json``,
             ``front.log``, ``shards/<k>/``); ``None`` = in-memory.
-        shard_pool: a :class:`~repro.tedstore.fleet.RemoteKmShardPool`
-            (or duck-type) for multi-process mode. When ``None`` and
-            the ring publishes endpoints, one is built automatically
-            from ``fleet_options`` — endpoints in the ring mean the
-            observers live in their own processes (DESIGN.md §17).
-        fleet_options: kwargs for the auto-built pool (retry policy,
-            breaker tuning, heartbeat interval, timeouts).
+        shard_pool: the observer pool (duck-typed). When ``None``, a
+            ring that publishes endpoints gets a
+            :class:`~repro.tedstore.fleet.RemoteKmShardPool` built from
+            ``fleet_options`` — endpoints in the ring mean the observers
+            live in their own processes (DESIGN.md §17) — and any other
+            ring a :class:`LocalKmShardPool` over ``shards/<k>``.
+        fleet_options: kwargs for the auto-built remote pool (retry
+            policy, breaker tuning, heartbeat interval, timeouts).
 
     Example:
         >>> front = TedKeyManager(secret=b"kappa", t=5)
@@ -255,7 +276,6 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
         self.key_manager = key_manager
         self.rate_limiter = rate_limiter
         self._lock = threading.Lock()
-        self._last_sequence: Dict[str, int] = {}
         self._state_root = Path(state_root) if state_root else None
         self._front_log: Optional[WriteAheadLog] = None
 
@@ -285,49 +305,80 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
             raise ValueError("a HashRing (or persisted ring.json) is required")
         self.ring = ring
 
-        self._shards: Dict[int, _KmShard] = {}
-        self._pool = shard_pool
-        if self._pool is None and ring.endpoints:
-            from repro.tedstore.fleet import RemoteKmShardPool
+        if shard_pool is None:
+            if ring.endpoints:
+                from repro.tedstore.fleet import RemoteKmShardPool
 
-            self._pool = RemoteKmShardPool(ring, **(fleet_options or {}))
-        self._meter = ShardRouteMeter("km", ring.shards)
-        if self._pool is not None:
-            self.restore_report = self._restore_remote()
-        else:
-            for shard_id in ring.shards:
-                store = None
-                if self._state_root is not None:
-                    store = KeyManagerStateStore(
-                        self._state_root / SHARDS_DIRNAME / str(shard_id),
-                        snapshot_every=snapshot_every,
-                        sync_every=sync_every,
-                    )
-                self._shards[shard_id] = _KmShard(
-                    shard_id, make_shard_observer(key_manager), store
+                shard_pool = RemoteKmShardPool(ring, **(fleet_options or {}))
+            else:
+                shard_pool = LocalKmShardPool(
+                    {
+                        shard_id: self._local_observer(
+                            shard_id, snapshot_every, sync_every
+                        )
+                        for shard_id in ring.shards
+                    }
                 )
-            self.restore_report = self._restore()
+        self._pool = shard_pool
+        self._fanout = ShardFanout("km", ring.shards)
+        self.restore_report = self._restore()
+
+    def _local_observer(
+        self, shard_id: int, snapshot_every: int, sync_every: int
+    ) -> ShardObserverService:
+        state_dir = None
+        if self._state_root is not None:
+            state_dir = self._state_root / SHARDS_DIRNAME / str(shard_id)
+        return ShardObserverService(
+            shard_id,
+            make_shard_observer(self.key_manager),
+            state_dir=state_dir,
+            ring_epoch=self.ring.epoch,
+            snapshot_every=snapshot_every,
+            sync_every=sync_every,
+        )
 
     # -- recovery ----------------------------------------------------------
 
     def _restore(self) -> RestoreReport:
-        """Rebuild front + shard state from the per-shard stores.
+        """Rebuild the front's state from ``front.log`` and the pool.
 
-        Shard stores recover independently (snapshot + delta replay);
-        the front re-derives its global state from them: requests = sum
-        of shard requests, position-in-batch = requests mod batch size
-        (tunes land exactly on batch boundaries), tracking map = union
-        of shard maps (an identity lives on exactly one shard). ``t``
-        and the tune count replay from ``front.log`` — the only state
-        that is the front's alone.
+        ``front.log`` holds what is the front's alone: ``t``, the tune
+        count, and the request floor logged with each tune (tunes land
+        exactly on batch boundaries, so the floor restores the
+        position-in-batch too). Observers recover their own stores
+        (snapshot + delta replay) wherever they live; the ones living
+        in this process then make the recovery exact — requests = sum
+        of shard requests, tracking map = union of shard maps (an
+        identity lives on exactly one shard). Without them the map
+        restarts empty: identities seen before the restart rejoin it as
+        they recur, which can only *under*-count one tune window's
+        frequencies (the next window converges; DESIGN.md §15).
         """
         report = RestoreReport()
         front = self.key_manager
-        for shard_id in self.ring.shards:
-            shard = self._shards[shard_id]
-            if shard.store is None:
-                continue
-            sub = shard.store.restore_into(shard.key_manager)
+        requests = 0
+        if self._state_root is not None:
+            front_log_path = self._state_root / FRONT_LOG_FILENAME
+            if front_log_path.exists():
+                last_t = None
+                tunes = 0
+                for _, key, value in WriteAheadLog.replay(front_log_path):
+                    if key == b"tune":
+                        last_t, offset = decode_uvarint(value, 0)
+                        requests, _ = decode_uvarint(value, offset)
+                        tunes += 1
+                if last_t is not None and front.is_fted:
+                    front.t = last_t
+                    front.stats.batches_tuned = tunes
+                report.deltas_replayed = tunes
+            self._front_log = WriteAheadLog(front_log_path, scope="km.front")
+
+        observers = self._pool.observers
+        tracked: Dict[Tuple[int, ...], int] = {}
+        for shard_id in sorted(observers):
+            observer = observers[shard_id]
+            sub = observer.restore_report
             report.snapshot_loaded = report.snapshot_loaded or (
                 sub.snapshot_loaded
             )
@@ -335,80 +386,18 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
             for client_id, sequence in sub.last_sequence.items():
                 if sequence > report.last_sequence.get(client_id, -1):
                     report.last_sequence[client_id] = sequence
-        self._last_sequence.update(report.last_sequence)
-
-        if self._state_root is not None:
-            front_log_path = self._state_root / FRONT_LOG_FILENAME
-            if front.is_fted and front_log_path.exists():
-                last_t = None
-                tunes = 0
-                for _, key, value in WriteAheadLog.replay(front_log_path):
-                    if key == b"tune":
-                        last_t, _ = decode_uvarint(value, 0)
-                        tunes += 1
-                if last_t is not None:
-                    front.t = last_t
-                    front.stats.batches_tuned = tunes
-            self._front_log = WriteAheadLog(front_log_path, scope="km.front")
-
-        total_requests = sum(
-            self._shards[s].key_manager.stats.requests
-            for s in self.ring.shards
+            tracked.update(observer.key_manager._freq_by_identity)
+            observer.key_manager.t = front.t
+        requests = max(
+            requests,
+            sum(o.key_manager.stats.requests for o in observers.values()),
         )
-        if total_requests:
-            front.stats.requests = total_requests
+        if requests:
+            front.stats.requests = requests
             if front.batch_size is not None:
-                front._requests_in_batch = total_requests % front.batch_size
-        if front.is_fted:
-            merged: Dict[Tuple[int, ...], int] = {}
-            for shard_id in self.ring.shards:
-                merged.update(
-                    self._shards[shard_id].key_manager._freq_by_identity
-                )
-            if merged:
-                front._freq_by_identity = merged
-        for shard_id in self.ring.shards:
-            self._shards[shard_id].key_manager.t = front.t
-        return report
-
-    def _restore_remote(self) -> RestoreReport:
-        """Front-only restore for multi-process mode.
-
-        Observer sketches recover inside their own processes (the §12
-        km_state path); the front replays just ``front.log``: ``t``,
-        the tune count, and the request floor logged with each tune.
-        Tunes land exactly on batch boundaries, so the floor restores
-        the position-in-batch too. The FTED tracking map restarts
-        empty — identities observed before the restart rejoin the map
-        as they recur, which can only *under*-count one tune window's
-        frequencies relative to a never-restarted front (the next
-        window converges); the acceptable degradation is documented
-        in DESIGN.md §17.
-        """
-        report = RestoreReport()
-        front = self.key_manager
-        if self._state_root is not None:
-            front_log_path = self._state_root / FRONT_LOG_FILENAME
-            if front_log_path.exists():
-                last_t = None
-                last_requests = 0
-                tunes = 0
-                for _, key, value in WriteAheadLog.replay(front_log_path):
-                    if key == b"tune":
-                        last_t, offset = decode_uvarint(value, 0)
-                        last_requests, _ = decode_uvarint(value, offset)
-                        tunes += 1
-                if last_t is not None and front.is_fted:
-                    front.t = last_t
-                    front.stats.batches_tuned = tunes
-                if last_requests:
-                    front.stats.requests = last_requests
-                    if front.batch_size is not None:
-                        front._requests_in_batch = (
-                            last_requests % front.batch_size
-                        )
-                report.deltas_replayed = tunes
-            self._front_log = WriteAheadLog(front_log_path, scope="km.front")
+                front._requests_in_batch = requests % front.batch_size
+        if front.is_fted and tracked:
+            front._freq_by_identity = tracked
         return report
 
     # -- service interface -------------------------------------------------
@@ -459,8 +448,6 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
         §10) is untouched by sharding.
         """
         stream.admit(request.sequence)
-        with self._lock:
-            self._last_sequence[client_id] = request.sequence
         response = self.handle_keygen(
             KeyGenRequest(hash_vectors=request.hash_vectors),
             client_id=client_id,
@@ -486,41 +473,26 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
         Sub-batches preserve arrival order, and every occurrence of an
         identity goes to the same shard, so per-identity update order —
         the only order a Count-Min sketch is sensitive to — matches the
-        single-sketch run exactly. Durable shards log before the
-        response is released (the km_state ack contract).
+        single-sketch run exactly. Every observer updates and logs its
+        durable sketch before replying (the km_state ack contract).
+
+        Every target observer is admitted before any is called, so a
+        batch aimed at an open breaker raises ShardUnavailableError
+        without touching the healthy shards' sketches. An observer
+        dying *mid*-batch still leaves the earlier sub-batches counted;
+        the client's retried batch re-observes them — over-counting,
+        the fail-safe direction, and the same stance as retried wire
+        batches (DESIGN.md §8).
         """
-        groups: Dict[int, List[int]] = {}
-        for position, owner in enumerate(owners):
-            groups.setdefault(owner, []).append(position)
-        estimates = [0] * len(vectors)
-        for shard_id in sorted(groups):
-            positions = groups[shard_id]
-            sub_batch = [vectors[p] for p in positions]
-            self._meter.record(shard_id, len(positions))
-            if self._pool is not None:
-                # Multi-process: the observer process updates + logs its
-                # durable sketch before replying (same ack contract). A
-                # dead observer raises ShardUnavailableError here; the
-                # client's retried batch re-observes at the healthy
-                # shards — over-counting, the fail-safe direction, and
-                # the same stance as retried wire batches (DESIGN.md §8).
-                sub_estimates = self._pool.observe(
-                    shard_id, client_id, sequence, sub_batch
-                )
-            else:
-                shard = self._shards[shard_id]
-                sub_estimates = shard.key_manager.estimate_batch(sub_batch)
-                if shard.store is not None:
-                    shard.store.log_batch(
-                        client_id,
-                        sequence,
-                        sub_batch,
-                        key_manager=shard.key_manager,
-                        last_sequence=self._last_sequence,
-                    )
-            for position, estimate in zip(positions, sub_estimates):
-                estimates[position] = estimate
-        return estimates
+        routed = self._fanout.run(
+            owners,
+            vectors,
+            lambda shard_id, sub: self._pool.observe(
+                shard_id, client_id, sequence, sub
+            ),
+            admit=self._pool.admit,
+        )
+        return ShardFanout.scatter(routed, len(vectors))
 
     def _select(
         self,
@@ -538,9 +510,10 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
         seeds: List[bytes] = []
         tuned = False
         # Selections since the last tune: a mid-batch retune clears the
-        # shard maps (they mirror the front map at rest), so identities
-        # selected after the boundary are re-tracked into their owners
-        # below, restoring front-map == union-of-shard-maps.
+        # in-process observers' maps (they mirror the front map at
+        # rest), so identities selected after the boundary are
+        # re-tracked into their owners below, restoring
+        # front-map == union-of-shard-maps.
         since_tune: List[Tuple[int, Tuple[int, ...], int]] = []
         for vector, owner, frequency in zip(vectors, owners, estimates):
             identity = tuple(vector)
@@ -556,10 +529,11 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
                     front._requests_in_batch = 0
                     tuned = True
                     since_tune = []
-        if tuned and self._pool is None:
+        mirrors = self._pool.observers
+        if tuned and mirrors:
             if front.is_fted:
                 for owner, identity, frequency in since_tune:
-                    self._shards[owner].key_manager._freq_by_identity[
+                    mirrors[owner].key_manager._freq_by_identity[
                         identity
                     ] = frequency
             self._snapshot_shards()
@@ -587,40 +561,34 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
             )
             self._front_log.sync()
         # Remote observers never see t (estimates don't use it) and own
-        # their tracking maps; only in-process shard mirrors need sync.
-        for shard_id in self.ring.shards if self._pool is None else ():
-            shard = self._shards[shard_id]
-            shard.key_manager.t = front.t
-            shard.key_manager._freq_by_identity.clear()
+        # their tracking maps; only in-process mirrors need sync.
+        for observer in self._pool.observers.values():
+            observer.key_manager.t = front.t
+            observer.key_manager._freq_by_identity.clear()
 
     def _snapshot_shards(self) -> None:
-        for shard_id in self.ring.shards:
-            shard = self._shards[shard_id]
-            if shard.store is not None:
-                shard.store.snapshot(shard.key_manager, self._last_sequence)
+        for observer in self._pool.observers.values():
+            observer.flush()
 
     # -- reporting / lifecycle ---------------------------------------------
 
     def shard_key_managers(self) -> Dict[int, TedKeyManager]:
-        """The shard observers, keyed by shard id (tests, parity gate)."""
-        if self._pool is not None:
-            raise RuntimeError(
-                "shard observers live in their own processes; query them "
-                "over the wire (stats / PING)"
-            )
+        """The in-process observers' key managers, keyed by shard id.
+
+        Empty when the observers live in their own processes — query
+        those over the wire (stats / PING).
+        """
         return {
-            shard_id: self._shards[shard_id].key_manager
-            for shard_id in self.ring.shards
+            shard_id: observer.key_manager
+            for shard_id, observer in sorted(self._pool.observers.items())
         }
 
     def shard_health(self) -> Dict[int, str]:
-        """Breaker state per shard (multi-process mode; else all closed)."""
-        if self._pool is not None:
-            return self._pool.shard_health()
-        return {shard_id: "closed" for shard_id in self.ring.shards}
+        """Breaker state per shard (in-process observers: all closed)."""
+        return self._pool.shard_health()
 
     def routed_counts(self) -> Dict[int, int]:
-        return self._meter.counts
+        return self._fanout.counts
 
     def stats(self) -> List[Tuple[str, int]]:
         km = self.key_manager
@@ -630,96 +598,25 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
             ("current_t", km.t),
             ("shards", len(self.ring)),
         ]
-        if self._pool is not None:
-            for shard_id, state in sorted(self.shard_health().items()):
-                pairs.append(
-                    (f"shard_{shard_id}_healthy", int(state == "closed"))
-                )
+        for shard_id, state in sorted(self.shard_health().items()):
+            pairs.append(
+                (f"shard_{shard_id}_healthy", int(state == "closed"))
+            )
         return pairs
 
     def close(self) -> None:
         with self._lock:
-            if self._pool is not None:
-                self._pool.close()
-            for shard_id in self.ring.shards:
-                shard = self._shards.get(shard_id)
-                if shard is not None and shard.store is not None:
-                    shard.store.snapshot(
-                        shard.key_manager, self._last_sequence
-                    )
-                    shard.store.close()
+            self._pool.close()
             if self._front_log is not None:
                 self._front_log.close()
                 self._front_log = None
 
 
-class ShardRoutingProvider:
-    """Client-side transport wrapper routing chunk batches by ring.
-
-    Wraps any provider transport (:class:`~repro.tedstore.inprocess.\
-LocalProvider`, :class:`~repro.tedstore.network.RemoteProvider`) and
-    splits ``put_chunks``/``get_chunks`` into per-shard sub-batches in
-    shard-id order, each preserving arrival order; ``get_chunks``
-    results are scattered back into request order. Everything else
-    (recipes, stats, close) passes through.
-    """
-
-    def __init__(self, transport, ring: HashRing) -> None:
-        self._transport = transport
-        self.ring = ring
-        self._meter = ShardRouteMeter("client", ring.shards)
-
-    def ring_epoch(self) -> int:
-        return self.ring.epoch
-
-    def put_chunks(self, request: PutChunks) -> PutChunksResponse:
-        groups: Dict[int, List[Tuple[bytes, bytes]]] = {}
-        for fingerprint, data in request.chunks:
-            shard = self.ring.shard_for_key(fingerprint)
-            groups.setdefault(shard, []).append((fingerprint, data))
-        stored = duplicates = 0
-        for shard in sorted(groups):
-            self._meter.record(shard, len(groups[shard]))
-            response = self._transport.put_chunks(
-                PutChunks(chunks=groups[shard])
-            )
-            stored += response.stored
-            duplicates += response.duplicates
-        return PutChunksResponse(stored=stored, duplicates=duplicates)
-
-    def get_chunks(self, request: GetChunks) -> Chunks:
-        groups: Dict[int, List[int]] = {}
-        for position, fingerprint in enumerate(request.fingerprints):
-            shard = self.ring.shard_for_key(fingerprint)
-            groups.setdefault(shard, []).append(position)
-        results: List[bytes] = [b""] * len(request.fingerprints)
-        for shard in sorted(groups):
-            positions = groups[shard]
-            self._meter.record(shard, len(positions))
-            response = self._transport.get_chunks(
-                GetChunks(
-                    fingerprints=[
-                        request.fingerprints[p] for p in positions
-                    ]
-                )
-            )
-            for position, chunk in zip(positions, response.chunks):
-                results[position] = chunk
-        return Chunks(chunks=results)
-
-    def routed_counts(self) -> Dict[int, int]:
-        return self._meter.counts
-
-    def __getattr__(self, name: str):
-        return getattr(self._transport, name)
-
-
 __all__ = [
     "FRONT_LOG_FILENAME",
     "RING_FILENAME",
-    "SHARDS_DIRNAME",
+    "LocalKmShardPool",
     "ShardObserverService",
-    "ShardRoutingProvider",
     "ShardedKeyManager",
     "make_shard_observer",
 ]

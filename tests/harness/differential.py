@@ -396,13 +396,13 @@ def union_sketch_state(deployment: Deployment) -> Dict[str, object]:
     estimates exact. ``t``/requests/tracked map read from the front,
     which owns them.
     """
-    shards = getattr(deployment.key_service, "_shards", None)
-    if shards is None:
+    observers = getattr(deployment.key_service, "shard_key_managers", None)
+    if observers is None:
         return sketch_state(deployment)
     summed = None
     total = 0
-    for shard_id in sorted(shards):
-        shard_sketch = shards[shard_id].key_manager.sketch
+    for observer in observers().values():
+        shard_sketch = observer.sketch
         total += shard_sketch.total
         if summed is None:
             summed = shard_sketch._counters.copy()

@@ -1,5 +1,7 @@
 """Fleet routing: per-shard breakers, fail-fast degradation, no partial state."""
 
+import time
+
 import pytest
 
 from repro.storage.dedup import RingEpochRegressionError
@@ -212,6 +214,43 @@ class TestDegradedMode:
         assert stats["unique_chunks"] == len(fakes[1].chunks)
 
 
+    @pytest.mark.parametrize(
+        "served",
+        [
+            KeyError("unknown fingerprint"),
+            FileNotFoundError("no such file"),
+            RuntimeError("remote error: quota exceeded"),
+        ],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_served_error_on_the_trial_call_releases_the_slot(self, served):
+        """A restarted shard that answers its half-open trial with a miss
+        (it lost an unsealed chunk) answered — it must rejoin, not stay
+        locked out behind a trial slot nobody will ever release."""
+        clock = FakeClock()
+        provider, fakes = _fleet(
+            shards=1, clock=clock, breaker_failures=1, breaker_reset=5.0
+        )
+        fakes[0].fail = True
+        with pytest.raises(ShardUnavailableError):
+            provider.put_chunks(_batch(4))
+        assert provider.shard_health()[0] == OPEN
+        fakes[0].fail = False
+        clock.now = 5.0  # half-open: the next call is the trial
+
+        def answer_with_error(request):
+            raise served
+
+        fakes[0].get_recipes = answer_with_error
+        with pytest.raises(type(served)) as excinfo:
+            provider.get_recipes(m.GetRecipes(file_name="lost"))
+        assert excinfo.value is served  # passed through untouched
+        assert provider.shard_health()[0] == "closed"
+        assert provider.put_chunks(_batch(4)).stored == 4
+        clock.now = 605.0  # and it stays usable
+        assert provider.put_chunks(_batch(4)).duplicates == 4
+
+
 class TestEpochGuard:
     def test_lower_peer_epoch_is_a_typed_error(self):
         ring = HashRing(
@@ -225,6 +264,45 @@ class TestEpochGuard:
         assert (excinfo.value.reported, excinfo.value.current) == (1, 3)
         provider.check_peer_epoch(m.Pong(role="provider", epoch=3))
         provider.check_peer_epoch(m.Pong(role="provider", epoch=9))
+
+    def test_heartbeat_probe_fails_a_stale_peer(self, monkeypatch):
+        """The PONG's epoch is checked where it arrives: a shard serving
+        an older ring fails the probe, and the breaker says why."""
+        probed = []
+
+        def fake_probe(address, timeout):
+            probed.append(address)
+            # Shard 0 still serves the pre-reshard ring; shard 1 is current.
+            return m.Pong(
+                role="provider",
+                shard=address[1] - 7000,
+                epoch=1 if address[1] == 7000 else 3,
+            )
+
+        monkeypatch.setattr("repro.tedstore.fleet.probe_endpoint", fake_probe)
+        ring = HashRing(
+            [0, 1],
+            epoch=3,
+            endpoints={0: "127.0.0.1:7000", 1: "127.0.0.1:7001"},
+        )
+        provider = MultiShardProvider(
+            ring,
+            transport_factory=lambda address: FakeShardTransport(),
+            breaker_failures=1,
+            heartbeat_interval=0.005,
+        )
+        try:
+            deadline = time.monotonic() + 5.0
+            while (
+                provider.shard_health()[0] != OPEN or len(probed) < 4
+            ) and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert provider.shard_health() == {0: OPEN, 1: "closed"}
+            with pytest.raises(ShardUnavailableError) as excinfo:
+                provider.routes()[0].call(lambda t: t.stats())
+            assert str(RingEpochRegressionError(1, 3)) in excinfo.value.reason
+        finally:
+            provider.close()
 
 
 class TestRouteBuilding:

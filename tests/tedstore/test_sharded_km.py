@@ -5,7 +5,8 @@ deployment equivalence; these tests pin the service-level contracts in
 isolation: seed-for-seed equality with the single key manager, the
 sequenced-stream ordering check, FTED tune propagation to every shard
 observer, durable restore from per-shard stores plus the front log,
-ring persistence/mismatch handling, and rate-limiter pass-through.
+ring persistence/mismatch handling, rate-limiter pass-through, and
+parity between the in-process and the remote observer pool.
 """
 
 from __future__ import annotations
@@ -19,8 +20,13 @@ from repro.crypto.murmur3 import short_hashes
 from repro.tedstore.keymanager import KeygenStream
 from repro.tedstore.messages import BatchedKeyGenRequest, KeyGenRequest
 from repro.tedstore.ratelimit import KeyGenRateLimiter, RateLimitExceeded
+from repro.tedstore.fleet import RemoteKmShardPool
 from repro.tedstore.ring import HashRing
-from repro.tedstore.sharding import ShardedKeyManager
+from repro.tedstore.sharding import (
+    ShardObserverService,
+    ShardedKeyManager,
+    make_shard_observer,
+)
 
 _WIDTH = 2**12
 _ROWS = 4
@@ -87,8 +93,8 @@ def test_fted_tune_propagates_to_all_shards():
     front = sharded.key_manager
     assert front.stats.batches_tuned >= 1
     assert response.current_t == front.t
-    for shard in sharded._shards.values():
-        assert shard.key_manager.t == front.t
+    for observer in sharded.shard_key_managers().values():
+        assert observer.t == front.t
 
 
 def test_batched_sequence_regression_rejected():
@@ -186,8 +192,8 @@ def test_durable_restore_resumes_stream(tmp_path):
 
     def summed_counters(service):
         total = None
-        for shard in service._shards.values():
-            matrix = shard.key_manager.sketch._counters
+        for observer in service.shard_key_managers().values():
+            matrix = observer.sketch._counters
             total = matrix.copy() if total is None else total + matrix
         return total
 
@@ -230,3 +236,112 @@ def test_stats_expose_shard_count():
     stats = dict(sharded.stats())
     assert stats["shards"] == 4
     assert stats["requests"] == 50
+
+
+class _ObserverTransport:
+    """What a RemoteKmShardPool route talks to, minus the socket."""
+
+    def __init__(self, service: ShardObserverService) -> None:
+        self.service = service
+
+    def observe(self, request):
+        return self.service.handle_observe(request)
+
+    def close(self) -> None:
+        pass
+
+
+def _observer_state(directory, mode):
+    """A ``shards/<k>`` directory restored into a fresh observer."""
+    service = ShardObserverService(
+        0, make_shard_observer(_front(mode)), state_dir=directory
+    )
+    km = service.key_manager
+    state = (
+        km.sketch._counters.tobytes(),
+        km.sketch.total,
+        km.stats.requests,
+        service.restore_report.last_sequence,
+    )
+    service.close()
+    return state
+
+
+@pytest.mark.parametrize("mode", ["mle", "bted", "fted"])
+def test_local_and_remote_observer_pools_agree(tmp_path, mode):
+    """One front, two pools: same seeds, same front state, same
+    ``shards/<k>`` contents. (An FTED observer's tracking map is the
+    one thing that differs — only in-process mirrors follow the front's
+    tunes — and no front state is derived from a remote one.)"""
+    ring = HashRing.build(3, seed=4)
+    local = ShardedKeyManager(
+        _front(mode, batch_size=64), ring, state_root=tmp_path / "local"
+    )
+    assert sorted(local.shard_key_managers()) == [0, 1, 2]
+
+    fleet_ring = ring.with_endpoints(
+        {k: f"127.0.0.1:{7200 + k}" for k in ring.shards}
+    )
+    services = {
+        k: ShardObserverService(
+            k,
+            make_shard_observer(_front(mode, batch_size=64)),
+            state_dir=tmp_path / "remote" / "shards" / str(k),
+            ring_epoch=fleet_ring.epoch,
+        )
+        for k in ring.shards
+    }
+    remote = ShardedKeyManager(
+        _front(mode, batch_size=64),
+        fleet_ring,
+        state_root=tmp_path / "remote",
+        shard_pool=RemoteKmShardPool(
+            fleet_ring,
+            transport_factory=lambda address: _ObserverTransport(
+                services[address[1] - 7200]
+            ),
+        ),
+    )
+    assert remote.shard_key_managers() == {}
+
+    vectors = _vectors(300)
+    local_stream, remote_stream = KeygenStream(), KeygenStream()
+    for index, start in enumerate(range(0, 300, 100)):
+        request = BatchedKeyGenRequest(
+            sequence=index + 1, hash_vectors=vectors[start : start + 100]
+        )
+        got_local = local.handle_keygen_batched(
+            request, "client-a", stream=local_stream
+        )
+        got_remote = remote.handle_keygen_batched(
+            request, "client-a", stream=remote_stream
+        )
+        assert got_local == got_remote
+
+    assert local.key_manager.t == remote.key_manager.t
+    assert (
+        local.key_manager.stats.requests
+        == remote.key_manager.stats.requests
+        == 300
+    )
+    assert (
+        local.key_manager.stats.batches_tuned
+        == remote.key_manager.stats.batches_tuned
+    )
+    assert local.routed_counts() == remote.routed_counts()
+    assert dict(local.stats()) == dict(remote.stats())
+    local_sum = sum(
+        km.sketch._counters for km in local.shard_key_managers().values()
+    )
+    remote_sum = sum(s.key_manager.sketch._counters for s in services.values())
+    assert (local_sum == remote_sum).all()
+
+    local.close()
+    remote.close()
+    for service in services.values():
+        service.close()
+    for k in ring.shards:
+        shard = f"shards/{k}"
+        assert _observer_state(
+            tmp_path / "local" / shard, mode
+        ) == _observer_state(tmp_path / "remote" / shard, mode)
