@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from statistics import NormalDist
 from typing import Iterable, Sequence
 
-from scipy.stats import norm
+_STANDARD_NORMAL = NormalDist()
 
 
 def kld_from_frequencies(frequencies: Sequence[int]) -> float:
@@ -65,7 +66,9 @@ def attack_success_probability(num_samples: int, kld: float) -> float:
         raise ValueError("num_samples must be non-negative")
     if kld < 0:
         raise ValueError("KLD cannot be negative")
-    return float(1.0 - norm.cdf(-math.sqrt(2.0 * num_samples * kld) / 2.0))
+    return 1.0 - _STANDARD_NORMAL.cdf(
+        -math.sqrt(2.0 * num_samples * kld) / 2.0
+    )
 
 
 def samples_for_success(target_probability: float, kld: float) -> float:
@@ -81,7 +84,7 @@ def samples_for_success(target_probability: float, kld: float) -> float:
         raise ValueError("target probability must be in (0.5, 1)")
     if kld <= 0:
         raise ValueError("KLD must be positive for a finite sample count")
-    z = float(norm.ppf(1.0 - target_probability))
+    z = _STANDARD_NORMAL.inv_cdf(1.0 - target_probability)
     return (2.0 * z) ** 2 / (2.0 * kld)
 
 

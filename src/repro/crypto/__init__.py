@@ -12,7 +12,6 @@ Submodules:
     rsa       — RSA keygen + Chaum blind signatures (DupLESS baseline).
     ec        — NIST P-256 group arithmetic + hash-to-curve.
     blindsig  — blind-RSA and blind-BLS key-generation protocols.
-    shamir    — Shamir secret sharing (quorum key-management substrate).
 """
 
 from repro.crypto.cipher import FAST, SECURE, SHACTR, CipherProfile, get_profile

@@ -39,7 +39,6 @@ from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.obs import metrics as obs_metrics
-from repro.obs.tracing import Span
 
 ROTATED_SUFFIX = ".1"
 
@@ -166,15 +165,6 @@ class FlightRecorder:
         self._last_counters = current
         if delta:
             self.emit("metrics", delta=delta)
-
-    def emit_span(self, span: Span) -> None:
-        self.emit(
-            "span",
-            name=span.name,
-            trace=span.trace_id.hex(),
-            seconds=round(span.duration or 0.0, 6),
-            status=span.status,
-        )
 
 
 def iter_flight(path: os.PathLike) -> Iterator[dict]:

@@ -87,11 +87,24 @@ class CountMinSketch:
 
     # -- core API on pre-computed short hashes ---------------------------
 
+    def _range_error(self) -> ValueError:
+        return ValueError(
+            f"short hash out of range [0, {self.width}) for this sketch"
+        )
+
     def _check_indices(self, indices: Sequence[int]) -> None:
+        """Reject a malformed index vector before any counter moves.
+
+        Short hashes come from clients; an index past ``width`` would
+        otherwise fault halfway through an update, and a negative one
+        would silently wrap to another counter.
+        """
         if len(indices) != self.rows:
             raise ValueError(
                 f"expected {self.rows} short hashes, got {len(indices)}"
             )
+        if min(indices) < 0 or max(indices) >= self.width:
+            raise self._range_error()
 
     def update(self, indices: Sequence[int]) -> int:
         """Record one occurrence; returns the post-update estimate.
@@ -146,15 +159,22 @@ class CountMinSketch:
         """
         if not batch:
             return []
-        if self.conservative:
-            return [self.update(indices) for indices in batch]
         start = time.perf_counter()
-        idx = np.asarray(batch, dtype=np.int64)
+        try:
+            idx = np.asarray(batch, dtype=np.int64)
+        except OverflowError:
+            raise self._range_error() from None
         if idx.ndim != 2 or idx.shape[1] != self.rows:
             raise ValueError(
                 f"expected {self.rows} short hashes per item, got "
                 f"shape {idx.shape}"
             )
+        # The whole batch is validated before any counter moves, so a
+        # rejected batch leaves the sketch exactly as it was.
+        if idx.min() < 0 or idx.max() >= self.width:
+            raise self._range_error()
+        if self.conservative:
+            return [self.update(indices) for indices in batch]
         n = idx.shape[0]
         counters = self._counters
         rows_idx = np.broadcast_to(

@@ -1,7 +1,6 @@
 """Deduplicated-storage substrate: LSM index, containers, recipes, dedup."""
 
 from repro.storage.bloom import BloomFilter
-from repro.storage.gc import GCReport, RefcountedStore
 from repro.storage.metadedup import (
     MetaDedupStore,
     pack_metadata_chunks,
@@ -22,8 +21,6 @@ from repro.storage.wal import WriteAheadLog
 
 __all__ = [
     "BloomFilter",
-    "GCReport",
-    "RefcountedStore",
     "MetaDedupStore",
     "pack_metadata_chunks",
     "unpack_metadata_chunks",

@@ -128,10 +128,6 @@ class ShardFanout:
         return dict(self._counts)
 
 
-#: The accounting half's original name (``record`` / ``counts``).
-ShardRouteMeter = ShardFanout
-
-
 class ShardedDedupEngine:
     """N ring-routed dedup engines presenting the single-engine API.
 
@@ -286,7 +282,6 @@ def shard_directories(directory) -> List[Tuple[int, Path]]:
 __all__ = [
     "SHARDS_DIRNAME",
     "ShardFanout",
-    "ShardRouteMeter",
     "ShardedDedupEngine",
     "shard_directories",
 ]

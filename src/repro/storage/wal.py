@@ -27,7 +27,7 @@ import struct
 import time
 import zlib
 from pathlib import Path
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.storage import crash
@@ -157,17 +157,3 @@ class WriteAheadLog:
                 return  # structurally malformed despite matching CRC
             yield op, key, value
             offset = end
-
-
-def replay_into(
-    path: Path, apply_put, apply_delete
-) -> Optional[int]:
-    """Replay a WAL into callbacks; returns the number of records applied."""
-    count = 0
-    for op, key, value in WriteAheadLog.replay(path):
-        if op == OP_PUT:
-            apply_put(key, value)
-        else:
-            apply_delete(key)
-        count += 1
-    return count

@@ -5,7 +5,6 @@ from repro.tedstore.faults import (
     FaultPlan,
     FaultyKeyManager,
     FaultyProvider,
-    FaultyQuorumServer,
     InjectedFault,
 )
 from repro.tedstore.inprocess import LocalKeyManager, LocalProvider
@@ -19,11 +18,6 @@ from repro.tedstore.network import (
     serve_provider,
 )
 from repro.tedstore.provider import ProviderService
-from repro.tedstore.quorum import (
-    QuorumClient,
-    QuorumKeyServer,
-    deal_quorum,
-)
 from repro.tedstore.ratelimit import KeyGenRateLimiter, RateLimitExceeded
 from repro.tedstore.reshard import (
     ReshardError,
@@ -41,9 +35,6 @@ from repro.tedstore.ring import HashRing, load_ring, store_ring
 from repro.tedstore.sharding import ShardedKeyManager
 
 __all__ = [
-    "QuorumClient",
-    "QuorumKeyServer",
-    "deal_quorum",
     "KeyGenRateLimiter",
     "RateLimitExceeded",
     "TedStoreClient",
@@ -61,7 +52,6 @@ __all__ = [
     "FaultPlan",
     "FaultyKeyManager",
     "FaultyProvider",
-    "FaultyQuorumServer",
     "InjectedFault",
     "DeadlineExceeded",
     "RetriesExhausted",

@@ -1,7 +1,7 @@
 """Deterministic fault injection for TEDStore transports.
 
-Wraps any key-manager, provider, or quorum-replica stub and injects the
-four failure modes a real deployment sees on the wire:
+Wraps any key-manager or provider stub and injects the four failure
+modes a real deployment sees on the wire:
 
 * **drop** — the request is lost before delivery (``InjectedFault``).
 * **close** — the request is delivered but the reply is lost, modelling a
@@ -37,7 +37,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.tedstore import messages as m
 
@@ -311,33 +311,3 @@ class FaultyProvider(_FaultControls):
         close = getattr(self._inner, "close", None)
         if close is not None:
             close()
-
-
-class FaultyQuorumServer(_FaultControls):
-    """Fault-injecting wrapper around a quorum key-manager replica.
-
-    ``QuorumClient.derive_key`` treats :class:`InjectedFault` like any
-    transport failure: the replica is skipped and the quorum proceeds with
-    the remaining ones, which is exactly the degraded-mode behaviour the
-    (k, n)-threshold design promises.
-    """
-
-    def __init__(
-        self, inner, plan: FaultPlan, seed: Optional[int] = None
-    ) -> None:
-        self._inner = inner
-        if seed is None:
-            # Distinct default schedule per replica: a shared seed would
-            # make every replica fail on exactly the same requests, which
-            # defeats the quorum.
-            seed = plan.seed * 1_000_003 + inner.server_id
-        self._injector = _Injector(plan.with_seed(seed))
-
-    @property
-    def server_id(self) -> int:
-        return self._inner.server_id
-
-    def sign_blinded(self, blinded_point):
-        self._injector.before("sign_blinded")
-        result = self._inner.sign_blinded(blinded_point)
-        return self._injector.after("sign_blinded", result)

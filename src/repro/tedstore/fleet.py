@@ -253,10 +253,6 @@ class ShardRouteSet:
             route.close()
 
 
-#: Building the routes is constructing the set (no monitor by default).
-build_routes = ShardRouteSet
-
-
 class MultiShardProvider:
     """Provider transport over per-shard processes (DESIGN.md §17).
 
@@ -297,7 +293,6 @@ class MultiShardProvider:
         probe_timeout: float = 2.0,
         io_timeout: float = 60.0,
         connect_timeout: float = 10.0,
-        propagate_trace: bool = True,
         transport_factory: Optional[Callable] = None,
         clock=None,
     ) -> None:
@@ -308,7 +303,6 @@ class MultiShardProvider:
             return RemoteProvider(
                 address,
                 retry_policy=retry_policy,
-                propagate_trace=propagate_trace,
                 data_connections=data_connections,
                 tenant=self.tenant,
                 auth_token=auth_token,
@@ -469,7 +463,6 @@ class RemoteKmShardPool:
         probe_timeout: float = 2.0,
         io_timeout: float = 60.0,
         connect_timeout: float = 10.0,
-        propagate_trace: bool = True,
         transport_factory: Optional[Callable] = None,
         clock=None,
     ) -> None:
@@ -477,7 +470,6 @@ class RemoteKmShardPool:
             return RemoteShardObserver(
                 address,
                 retry_policy=retry_policy,
-                propagate_trace=propagate_trace,
                 connect_timeout=connect_timeout,
                 io_timeout=io_timeout,
             )
@@ -533,5 +525,4 @@ __all__ = [
     "RemoteKmShardPool",
     "ShardRoute",
     "ShardRouteSet",
-    "build_routes",
 ]

@@ -10,7 +10,7 @@ what makes TED's frequencies *global* across the organization's users.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.ted import TedKeyManager
 
@@ -103,16 +103,9 @@ class KeyManagerService:
         self.rate_limiter = rate_limiter
         self.state_store = state_store
         self._lock = threading.Lock()
-        # Last sequence number logged per client id — part of the
-        # durable state record (km_state); ordering is enforced per
-        # stream (KeygenStream), not from this map.
-        self._last_sequence: Dict[str, int] = {}
+        self.restore_report = None
         if state_store is not None:
-            report = state_store.restore_into(self.key_manager)
-            self._last_sequence.update(report.last_sequence)
-            self.restore_report = report
-        else:
-            self.restore_report = None
+            self.restore_report = state_store.restore_into(self.key_manager)
 
     def handle_keygen(
         self,
@@ -145,7 +138,6 @@ class KeyManagerService:
                     sequence,
                     request.hash_vectors,
                     key_manager=self.key_manager,
-                    last_sequence=self._last_sequence,
                 )
             return KeyGenResponse(seeds=seeds, current_t=self.key_manager.t)
 
@@ -167,8 +159,6 @@ class KeyManagerService:
             RateLimitExceeded: per :meth:`handle_keygen`.
         """
         stream.admit(request.sequence)
-        with self._lock:
-            self._last_sequence[client_id] = request.sequence
         inner = self.handle_keygen(
             KeyGenRequest(hash_vectors=request.hash_vectors),
             client_id=client_id,
@@ -193,7 +183,5 @@ class KeyManagerService:
         """Snapshot pending state (if durable) and release file handles."""
         if self.state_store is not None:
             with self._lock:
-                self.state_store.snapshot(
-                    self.key_manager, self._last_sequence
-                )
+                self.state_store.snapshot(self.key_manager)
             self.state_store.close()

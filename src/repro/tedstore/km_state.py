@@ -9,9 +9,10 @@ storage blowup with no error anywhere). This module makes that state
 crash-durable with the classic snapshot + log pair:
 
 * a **snapshot** — the full sketch counters (zlib-compressed; they are
-  mostly zeros), the FTED frequency map, ``t``, the batch-position
-  counters, and the per-client sequence map — published atomically via
-  the durable-write shim (crash scope ``km.snapshot``);
+  mostly zeros), the FTED frequency map, ``t`` and the batch-position
+  counters (a trailing per-client slot is reserved and written empty) —
+  published atomically via the durable-write shim (crash scope
+  ``km.snapshot``);
 * an append-only **delta log** — one CRC-protected record per acked
   key-generation batch, holding the batch's hash vectors (crash scope
   ``km.delta``). The record is durable *before* the response leaves the
@@ -35,9 +36,9 @@ frequencies can only make chunks *more* deduplicable, never leak more.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +75,6 @@ class RestoreReport:
 
     snapshot_loaded: bool = False
     deltas_replayed: int = 0
-    last_sequence: Dict[str, int] = field(default_factory=dict)
 
 
 def _encode_batch(
@@ -170,7 +170,6 @@ class KeyManagerStateStore:
         sequence: int,
         hash_vectors: Sequence[Sequence[int]],
         key_manager: TedKeyManager,
-        last_sequence: Dict[str, int],
     ) -> None:
         """Durably record one acked batch; snapshot on cadence.
 
@@ -190,11 +189,9 @@ class KeyManagerStateStore:
             self._batches_since_sync = 0
         self._batches_since_snapshot += 1
         if self._batches_since_snapshot >= self.snapshot_every:
-            self.snapshot(key_manager, last_sequence)
+            self.snapshot(key_manager)
 
-    def snapshot(
-        self, key_manager: TedKeyManager, last_sequence: Dict[str, int]
-    ) -> None:
+    def snapshot(self, key_manager: TedKeyManager) -> None:
         """Publish a full-state snapshot and truncate the delta log.
 
         Ordering is the recovery invariant: the snapshot is durable
@@ -202,7 +199,7 @@ class KeyManagerStateStore:
         deltas the snapshot already contains — the batch-id high-water
         mark in the snapshot makes that replay a no-op.
         """
-        blob = self._encode_snapshot(key_manager, last_sequence)
+        blob = self._encode_snapshot(key_manager)
         crash.atomic_write_bytes(
             self.snapshot_path, blob, scope="km.snapshot"
         )
@@ -233,26 +230,20 @@ class KeyManagerStateStore:
         if self.snapshot_path.exists():
             blob = self.snapshot_path.read_bytes()
         if blob is not None and self._snapshot_intact(blob):
-            snapshot_high = self._decode_snapshot_into(
-                blob, key_manager, report.last_sequence
-            )
+            snapshot_high = self._decode_snapshot_into(blob, key_manager)
             report.snapshot_loaded = True
             _RECOVERY_SNAPSHOTS.inc()
         for op, key, value in WriteAheadLog.replay(self._delta.path):
             if op != OP_PUT or key != b"batch":
                 continue
             try:
-                batch_id, client_id, sequence, vectors = _decode_batch(
-                    value
-                )
+                batch_id, _, _, vectors = _decode_batch(value)
             except (ValueError, IndexError):
                 break  # torn/garbled tail record that passed the CRC
             self._batch_id = max(self._batch_id, batch_id)
             if batch_id <= snapshot_high:
                 continue  # already folded into the snapshot
             key_manager.observe_batch(vectors)
-            if sequence > report.last_sequence.get(client_id, -1):
-                report.last_sequence[client_id] = sequence
             report.deltas_replayed += 1
             _RECOVERY_DELTAS.inc()
         self._batch_id = max(self._batch_id, snapshot_high)
@@ -267,9 +258,7 @@ class KeyManagerStateStore:
         crc = int.from_bytes(blob[len(_MAGIC) : len(_MAGIC) + 4], "little")
         return zlib.crc32(blob[len(_MAGIC) + 4 :]) == crc
 
-    def _encode_snapshot(
-        self, key_manager: TedKeyManager, last_sequence: Dict[str, int]
-    ) -> bytes:
+    def _encode_snapshot(self, key_manager: TedKeyManager) -> bytes:
         sketch = key_manager.sketch
         counters = zlib.compress(sketch._counters.tobytes())
         payload = bytearray()
@@ -293,22 +282,22 @@ class KeyManagerStateStore:
             for short_hash in identity:
                 payload.extend(encode_uvarint(short_hash))
             payload.extend(encode_uvarint(frequency))
-        payload.extend(encode_uvarint(len(last_sequence)))
-        for client_id, sequence in last_sequence.items():
-            cid = client_id.encode("utf-8")
-            payload.extend(encode_uvarint(len(cid)))
-            payload.extend(cid)
-            payload.extend(encode_uvarint(sequence))
+        # Reserved slot: older snapshots carry a per-client sequence map
+        # here; it is written empty so the layout stays one format.
+        payload.extend(encode_uvarint(0))
         body = bytes(payload)
         return _MAGIC + zlib.crc32(body).to_bytes(4, "little") + body
 
     def _decode_snapshot_into(
-        self,
-        blob: bytes,
-        key_manager: TedKeyManager,
-        last_sequence: Dict[str, int],
+        self, blob: bytes, key_manager: TedKeyManager
     ) -> int:
-        """Apply a verified snapshot; returns its batch-id high water."""
+        """Apply a verified snapshot; returns its batch-id high water.
+
+        The frequency map is the tuner's input, so only an FTED key
+        manager takes it; a fixed-``t`` one (a served shard observer
+        included) tracks nothing and leaves it — and the reserved
+        per-client slot after it — unread.
+        """
         payload = blob[len(_MAGIC) + 4 :]
         pos = 0
         values = []
@@ -342,8 +331,10 @@ class KeyManagerStateStore:
         key_manager._requests_in_batch = requests_in_batch
         key_manager.stats.requests = stat_requests
         key_manager.stats.batches_tuned = batches_tuned
-        freq_count, pos = decode_uvarint(payload, pos)
         key_manager._freq_by_identity.clear()
+        if not key_manager.is_fted:
+            return batch_high
+        freq_count, pos = decode_uvarint(payload, pos)
         for _ in range(freq_count):
             length, pos = decode_uvarint(payload, pos)
             identity = []
@@ -352,13 +343,6 @@ class KeyManagerStateStore:
                 identity.append(short_hash)
             frequency, pos = decode_uvarint(payload, pos)
             key_manager._freq_by_identity[tuple(identity)] = frequency
-        seq_count, pos = decode_uvarint(payload, pos)
-        for _ in range(seq_count):
-            cid_len, pos = decode_uvarint(payload, pos)
-            client_id = payload[pos : pos + cid_len].decode("utf-8")
-            pos += cid_len
-            sequence, pos = decode_uvarint(payload, pos)
-            last_sequence[client_id] = sequence
         return batch_high
 
     # -- lifecycle ---------------------------------------------------------

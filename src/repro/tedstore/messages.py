@@ -17,10 +17,9 @@ the provider. Presence is signalled by the high bit of the type byte
     [length u32 BE][type u8 | 0x80][ctx_len uvarint][ctx bytes][payload]
 
 The context bytes are opaque here (see :mod:`repro.obs.tracing` for their
-format). Version tolerance: new readers accept unflagged frames from old
-peers unchanged, and a new client talking to an old peer — which rejects
-the flagged type byte with ``MSG_ERROR "unexpected message"`` — downgrades
-to untraced frames on that connection (:mod:`repro.tedstore.network`).
+format). There is one wire version: client connections always send the
+flagged form, and readers also accept unflagged frames (probes, the
+HELLO frame).
 """
 
 from __future__ import annotations
@@ -60,16 +59,13 @@ MSG_KEYGEN_BATCH_REQUEST = 15
 MSG_KEYGEN_BATCH_RESPONSE = 16
 # Tenant handshake (multi-tenant provider, DESIGN.md §13): sent once per
 # connection before any other request; binds the connection to a tenant
-# namespace. Version tolerance works like the trace-context flag: an old
-# server rejects the unknown type with ``MSG_ERROR "unexpected message"``
-# and the client downgrades to the anonymous default-tenant mode, while a
-# connection that never sends HELLO is served as the default tenant.
+# namespace. A peer that rejects it fails the connection; a connection
+# that never sends HELLO is served as the default tenant.
 MSG_HELLO = 17
 MSG_HELLO_OK = 18
 # Typed not-found reply: unknown file names and fingerprints are client
 # errors, not server faults — ``MSG_ERROR`` conflated the two (and leaked
-# ``KeyError`` repr quotes). Old servers still answer with the legacy
-# ``MSG_ERROR "not found: ..."`` form, which new clients keep decoding.
+# ``KeyError`` repr quotes).
 MSG_NOT_FOUND = 19
 # Health heartbeat (DESIGN.md §17). PING carries no payload; PONG names
 # the responder's role and shard and echoes its ring epoch so probes
@@ -163,7 +159,7 @@ def read_frame_ex(recv_exact) -> Tuple[int, bytes, Optional[bytes]]:
     Returns:
         ``(message_type, payload, trace_context)`` — the flag bit is
         stripped from the type and ``trace_context`` is ``None`` on
-        unflagged (old-format) frames.
+        unflagged frames.
 
     Raises:
         ProtocolError: on oversized or truncated frames.

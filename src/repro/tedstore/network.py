@@ -21,10 +21,9 @@ Robustness (DESIGN.md §8):
 * **Observability** (DESIGN.md §9) — both sides count retries, reconnects,
   timeouts, and busy rejections on the metrics registry; the wire ``stats``
   message serves the legacy counter names plus a full registry snapshot.
-  Requests carry an optional trace context (high bit of the type byte), so
-  a client upload is one coherent trace across the key manager and the
-  provider; connections to old peers that reject the flagged type byte
-  downgrade to untraced frames transparently.
+  Requests carry a trace context (high bit of the type byte), so a client
+  upload is one coherent trace across the key manager and the provider;
+  servers also accept unflagged frames (probes, the HELLO frame).
 """
 
 from __future__ import annotations
@@ -59,8 +58,7 @@ _SERVER_REQUEST_SECONDS = _REGISTRY.histogram(
 )
 _CLIENT_WIRE = _REGISTRY.counter(
     "ted_wire_client_events_total",
-    "Client-side wire events (calls, retries, reconnects, timeouts, busy, "
-    "trace downgrades)",
+    "Client-side wire events (calls, retries, reconnects, timeouts, busy)",
     labelnames=("entity", "event"),
 )
 _CLIENT_CALL_SECONDS = _REGISTRY.histogram(
@@ -587,7 +585,6 @@ class _Connection:
         connect_timeout: float = 10.0,
         io_timeout: float = 60.0,
         entity: str = "peer",
-        propagate_trace: bool = True,
         hello: Optional[m.Hello] = None,
     ) -> None:
         self._address = address
@@ -603,13 +600,7 @@ class _Connection:
             "reconnects": 0,
             "timeouts": 0,
             "busy": 0,
-            "trace_downgrades": 0,
-            "hello_downgrades": 0,
         }
-        # Trace propagation is on by default and latches off for the life
-        # of the connection if the peer rejects the flagged type byte (an
-        # old-format peer) — interop beats telemetry.
-        self._trace_peer = propagate_trace
         # Tenant handshake (DESIGN.md §13): sent on every (re)connect so
         # a reconnected socket is re-bound to the same tenant before any
         # retried request reaches the provider.
@@ -646,14 +637,7 @@ class _Connection:
             raise
 
     def _handshake(self, sock: socket.socket) -> None:
-        """Bind the fresh socket to our tenant (runs on every connect).
-
-        Version tolerance mirrors the trace-flag downgrade: an old server
-        answers ``MSG_ERROR "unexpected message"``; a *default-tenant*
-        client then latches the handshake off (the server serves untagged
-        connections as the default tenant anyway), while a named tenant
-        cannot safely proceed and fails loudly.
-        """
+        """Bind the fresh socket to our tenant (runs on every connect)."""
         assert self._hello is not None
         sock.settimeout(self._io_timeout)
         sock.sendall(m.frame(m.MSG_HELLO, self._hello.encode()))
@@ -668,20 +652,9 @@ class _Connection:
                 f"server busy during handshake: {m.decode_error(reply)}"
             )
         if reply_type == m.MSG_ERROR:
-            error = m.decode_error(reply)
-            if error.startswith("unexpected message"):
-                if (self._hello.tenant or DEFAULT_TENANT) == DEFAULT_TENANT:
-                    self._hello = None
-                    self._count("hello_downgrades")
-                    tracing.add_event(
-                        "wire.hello_downgrade", entity=self._entity
-                    )
-                    return
-                raise RuntimeError(
-                    f"peer does not support the tenant handshake; cannot "
-                    f"serve tenant {self._hello.tenant!r}"
-                )
-            raise RuntimeError(f"tenant handshake rejected: {error}")
+            raise RuntimeError(
+                f"tenant handshake rejected: {m.decode_error(reply)}"
+            )
         raise m.ProtocolError(
             f"unexpected handshake reply type {reply_type}"
         )
@@ -727,11 +700,8 @@ class _Connection:
             self._count("calls")
             state = self._policy.start_call()
             while True:
-                traced = self._trace_peer
                 request = m.frame(
-                    message_type,
-                    payload,
-                    trace_context=tracer.inject() if traced else None,
+                    message_type, payload, trace_context=tracer.inject()
                 )
                 try:
                     reply_type, reply = self._exchange(request, state)
@@ -757,17 +727,6 @@ class _Connection:
                     state.pause(state.admit_failure(exc))
                     self._count("retries")
                     continue
-                if traced and reply_type == m.MSG_ERROR:
-                    # An old-format peer rejects the flagged type byte
-                    # before dispatching anything, so resending the same
-                    # request untraced is always safe. Latch traces off for
-                    # this connection and make the downgrade visible.
-                    error = m.decode_error(reply)
-                    if error.startswith("unexpected message"):
-                        self._trace_peer = False
-                        self._count("trace_downgrades")
-                        span.add_event("wire.trace_downgrade", error=error)
-                        continue
                 break
         if reply_type == m.MSG_NOT_FOUND:
             # Typed miss: a client error, never retried — the stream is
@@ -777,12 +736,7 @@ class _Connection:
                 raise FileNotFoundError(message)
             raise KeyError(message)
         if reply_type == m.MSG_ERROR:
-            error = m.decode_error(reply)
-            if error.startswith("not found:"):
-                # Legacy form from old servers (pre-MSG_NOT_FOUND); keep
-                # decoding it so new clients interop with old peers.
-                raise KeyError(error)
-            raise RuntimeError(f"remote error: {error}")
+            raise RuntimeError(f"remote error: {m.decode_error(reply)}")
         return reply_type, reply
 
     def _exchange(
@@ -831,13 +785,11 @@ class RemoteKeyManager:
         self,
         address: Tuple[str, int],
         retry_policy: Optional[RetryPolicy] = None,
-        propagate_trace: bool = True,
     ) -> None:
         self._conn = _Connection(
             address,
             retry_policy=retry_policy,
             entity="key_manager",
-            propagate_trace=propagate_trace,
         )
 
     def keygen(self, request: m.KeyGenRequest) -> m.KeyGenResponse:
@@ -896,8 +848,8 @@ class RemoteProvider:
             uploader (or prefetcher) thread keeps strict ordering even
             across pool members.
         tenant: tenant namespace this client binds to via the HELLO
-            handshake (DESIGN.md §13). The default tenant skips the
-            handshake entirely, preserving the legacy wire exchange.
+            handshake (DESIGN.md §13). The default tenant without a
+            token sends no HELLO.
         auth_token: shared secret presented in HELLO when the provider
             enforces per-tenant authentication.
     """
@@ -906,7 +858,6 @@ class RemoteProvider:
         self,
         address: Tuple[str, int],
         retry_policy: Optional[RetryPolicy] = None,
-        propagate_trace: bool = True,
         data_connections: int = 0,
         tenant: str = DEFAULT_TENANT,
         auth_token: bytes = b"",
@@ -935,7 +886,6 @@ class RemoteProvider:
                         address,
                         retry_policy=retry_policy,
                         entity="provider",
-                        propagate_trace=propagate_trace,
                         hello=hello,
                         connect_timeout=connect_timeout,
                         io_timeout=io_timeout,
@@ -1026,7 +976,6 @@ class RemoteShardObserver:
         self,
         address: Tuple[str, int],
         retry_policy: Optional[RetryPolicy] = None,
-        propagate_trace: bool = True,
         connect_timeout: float = 10.0,
         io_timeout: float = 60.0,
     ) -> None:
@@ -1035,7 +984,6 @@ class RemoteShardObserver:
             address,
             retry_policy=retry_policy,
             entity="km_shard",
-            propagate_trace=propagate_trace,
             connect_timeout=connect_timeout,
             io_timeout=io_timeout,
         )

@@ -502,7 +502,6 @@ def reshard_km(
         )
         gauge.set(0.0)
         loaded: Dict[Optional[int], TedKeyManager] = {}
-        merged_last_seq: Dict[str, int] = {}
         if geometry is not None:
             rows, width = geometry
             for src_shard, src_path in sources:
@@ -510,14 +509,11 @@ def reshard_km(
                     rows, width, conservative_sketch
                 )
                 store = KeyManagerStateStore(src_path)
-                report = store.restore_into(observer)
-                for client_id, sequence in report.last_sequence.items():
-                    if sequence > merged_last_seq.get(client_id, -1):
-                        merged_last_seq[client_id] = sequence
+                store.restore_into(observer)
                 loaded[src_shard] = observer
                 if "snapshot" not in log.phases:
                     crash.crash_point("reshard.km.snapshot")
-                    store.snapshot(observer, merged_last_seq)
+                    store.snapshot(observer)
                 store.close()
         log.record("snapshot")
         gauge.set(0.3)
@@ -542,7 +538,7 @@ def reshard_km(
                         snapshot_every=snapshot_every,
                         sync_every=sync_every,
                     )
-                    store.snapshot(observer, merged_last_seq)
+                    store.snapshot(observer)
                     store.close()
             else:
                 staging.mkdir(parents=True, exist_ok=True)

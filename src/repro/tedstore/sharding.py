@@ -45,7 +45,8 @@ request floor logged with each tune — recorded in ``front.log``. Where
 the observers live in-process the front additionally recovers the
 exact state from them (requests = sum of shard requests, tracking map
 = union of shard maps) and keeps their ``t`` / tracking maps mirroring
-its own across tunes; remote observers recover in their own processes.
+its own across tunes; remote observers recover in their own processes
+and keep no tracking map at all.
 """
 
 from __future__ import annotations
@@ -75,18 +76,28 @@ RING_FILENAME = "ring.json"
 FRONT_LOG_FILENAME = "front.log"
 
 
-def make_shard_observer(front: TedKeyManager) -> TedKeyManager:
+def make_shard_observer(
+    front: TedKeyManager, tracking: bool = False
+) -> TedKeyManager:
     """A sketch-observer key manager matching ``front``'s geometry.
 
     Observers count frequencies (:meth:`TedKeyManager.estimate_batch`)
     but never select seeds or tune: ``probabilistic=False`` means no
     RNG is ever constructed or consumed, and ``batch_size=None`` means
     no self-retuning — both are the front's exclusive jobs.
+
+    An observer is fixed-``t`` shaped, so it keeps no per-identity
+    frequency map: the front owns the tuner's input, and a map nobody
+    clears would grow with every distinct identity and ride along in
+    every snapshot. ``tracking`` is for the front's in-process observers
+    only — the front clears their maps at each tune and reads them back
+    to recover its own map exactly after a crash.
     """
+    fted = tracking and front.is_fted
     observer = TedKeyManager(
         secret=front.secret,
-        t=None if front.is_fted else front.t,
-        blowup_factor=front.blowup_factor,
+        t=None if fted else front.t,
+        blowup_factor=front.blowup_factor if fted else None,
         batch_size=None,
         sketch_rows=front.sketch.rows,
         sketch_width=front.sketch.width,
@@ -133,7 +144,6 @@ class ShardObserverService:
         self.key_manager = key_manager
         self._epoch = int(ring_epoch)
         self._lock = threading.Lock()
-        self._last_sequence: Dict[str, int] = {}
         self._store: Optional[KeyManagerStateStore] = None
         self.restore_report = RestoreReport()
         if state_dir is not None:
@@ -143,7 +153,6 @@ class ShardObserverService:
                 sync_every=sync_every,
             )
             self.restore_report = self._store.restore_into(key_manager)
-            self._last_sequence.update(self.restore_report.last_sequence)
 
     def ring_epoch(self) -> int:
         return self._epoch
@@ -156,14 +165,12 @@ class ShardObserverService:
             estimates = self.key_manager.estimate_batch(
                 request.hash_vectors
             )
-            self._last_sequence[request.client_id] = request.sequence
             if self._store is not None:
                 self._store.log_batch(
                     request.client_id,
                     request.sequence,
                     request.hash_vectors,
                     key_manager=self.key_manager,
-                    last_sequence=self._last_sequence,
                 )
         return ShardObserveResponse(estimates=estimates)
 
@@ -178,12 +185,12 @@ class ShardObserverService:
     def flush(self) -> None:
         with self._lock:
             if self._store is not None:
-                self._store.snapshot(self.key_manager, self._last_sequence)
+                self._store.snapshot(self.key_manager)
 
     def close(self) -> None:
         with self._lock:
             if self._store is not None:
-                self._store.snapshot(self.key_manager, self._last_sequence)
+                self._store.snapshot(self.key_manager)
                 self._store.close()
                 self._store = None
 
@@ -331,7 +338,7 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
             state_dir = self._state_root / SHARDS_DIRNAME / str(shard_id)
         return ShardObserverService(
             shard_id,
-            make_shard_observer(self.key_manager),
+            make_shard_observer(self.key_manager, tracking=True),
             state_dir=state_dir,
             ring_epoch=self.ring.epoch,
             snapshot_every=snapshot_every,
@@ -383,9 +390,6 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
                 sub.snapshot_loaded
             )
             report.deltas_replayed += sub.deltas_replayed
-            for client_id, sequence in sub.last_sequence.items():
-                if sequence > report.last_sequence.get(client_id, -1):
-                    report.last_sequence[client_id] = sequence
             tracked.update(observer.key_manager._freq_by_identity)
             observer.key_manager.t = front.t
         requests = max(
@@ -560,8 +564,8 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
                 + bytes(encode_uvarint(front.stats.requests)),
             )
             self._front_log.sync()
-        # Remote observers never see t (estimates don't use it) and own
-        # their tracking maps; only in-process mirrors need sync.
+        # Remote observers never see t (estimates don't use it) and
+        # track nothing; only in-process mirrors need sync.
         for observer in self._pool.observers.values():
             observer.key_manager.t = front.t
             observer.key_manager._freq_by_identity.clear()

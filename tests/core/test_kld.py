@@ -104,6 +104,26 @@ class TestAttackSuccess:
         with pytest.raises(ValueError):
             samples_for_success(0.9, 0.0)
 
+    def test_agrees_with_scipy_norm(self):
+        """Eq. 9 runs on ``statistics.NormalDist``; SciPy (a dev-only
+        dependency) is the oracle, tails included."""
+        norm = pytest.importorskip("scipy.stats").norm
+        for samples in (0, 1, 10, 10**3, 10**6, 10**9, 10**12):
+            for kld in (0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.26, 1.72, 5.0, 50.0):
+                expected = 1.0 - norm.cdf(
+                    -math.sqrt(2.0 * samples * kld) / 2.0
+                )
+                assert attack_success_probability(
+                    samples, kld
+                ) == pytest.approx(float(expected), abs=1e-12)
+        for target in (0.5 + 1e-12, 0.500001, 0.51, 0.75, 0.9, 0.99,
+                       1 - 1e-6, 1 - 1e-12, 1 - 1e-15):
+            for kld in (1e-6, 0.26, 1.72):
+                z = float(norm.ppf(1.0 - target))
+                assert samples_for_success(target, kld) == pytest.approx(
+                    (2.0 * z) ** 2 / (2.0 * kld), rel=1e-12
+                )
+
 
 class TestStorageBlowup:
     def test_exact_dedup(self):

@@ -255,7 +255,7 @@ def km_logical_state(root) -> dict:
             probabilistic=False,
         )
         store = KeyManagerStateStore(path)
-        report = store.restore_into(observer)
+        store.restore_into(observer)
         store.close()
         per_shard[str(shard_id)] = {
             "counters": hashlib.sha256(
@@ -267,7 +267,6 @@ def km_logical_state(root) -> dict:
             "frequencies": hashlib.sha256(
                 repr(sorted(observer._freq_by_identity.items())).encode()
             ).hexdigest(),
-            "last_sequence": dict(report.last_sequence),
         }
     return {
         "shards": per_shard,
@@ -334,7 +333,7 @@ def test_km_delta_only_state_refused(tmp_path):
         store = KeyManagerStateStore(
             root / "shards" / shard, snapshot_every=10_000
         )
-        store.log_batch("c1", 1, vectors, km, {"c1": 1})
+        store.log_batch("c1", 1, vectors, km)
         store.close()  # closes the handle; never snapshots
     with pytest.raises(ReshardError, match="no intact snapshot"):
         reshard_km(root, 3)
@@ -350,7 +349,7 @@ def test_km_delta_only_state_refused(tmp_path):
         )
         store = KeyManagerStateStore(root / "shards" / shard)
         store.restore_into(observer)
-        store.snapshot(observer, {"c1": 1})
+        store.snapshot(observer)
         store.close()
     result = reshard_km(root, 3)
     assert result["shards"] == [0, 1, 2]

@@ -3,14 +3,13 @@
 Covers the observability acceptance criteria (DESIGN.md §9): an upload or
 download produces a single trace whose spans appear on every entity it
 touched; wire retries and reconnects surface as span events with their
-counters incremented; and the optional trace-context field degrades
-gracefully against old-format peers in both directions.
+counters incremented; a server accepts frames without the trace-context
+field, and a peer that rejects the flagged type byte is an error.
 """
 
 import random
 import socket
 import struct
-import threading
 
 import pytest
 
@@ -31,6 +30,7 @@ from repro.tedstore.network import (
 from repro.tedstore.provider import ProviderService
 from repro.tedstore.retry import RetryPolicy
 from repro.traces.workload import unique_file
+from tests.harness.rejecting_peer import RejectingPeer
 
 _W = 2**14
 _FAST_RETRY = dict(base_delay=0.01, multiplier=2.0, max_delay=0.1)
@@ -228,38 +228,24 @@ class TestOldPeerInterop:
         assert server_spans
         assert server_spans[0].parent_span_id is None
 
-    def test_new_client_downgrades_against_old_server(self, recorder):
-        """New client → old server: the peer rejects the flagged type byte
-        with an 'unexpected message' error; the client latches traces off,
-        resends untraced, and counts the downgrade."""
-        server = _OldStyleServer()
-        server.start()
-        try:
+    def test_rejected_flagged_frame_not_resent(self):
+        """New client → a peer that rejects the flagged type byte: the
+        caller sees the error after exactly one request; nothing is
+        resent unflagged."""
+        with RejectingPeer() as peer:
             conn = _Connection(
-                server.address,
+                peer.address,
                 retry_policy=RetryPolicy(max_attempts=4, **_FAST_RETRY),
                 entity="provider",
             )
             try:
-                reply_type, payload = conn.call(m.MSG_STATS_REQUEST, b"")
-                assert reply_type == m.MSG_STATS_RESPONSE
-                assert m.decode_stats(payload) == [("old", 1)]
-                assert conn.counters["trace_downgrades"] == 1
-                # The latch holds: the next call goes out unflagged at once.
-                conn.call(m.MSG_STATS_REQUEST, b"")
-                assert conn.counters["trace_downgrades"] == 1
-                assert server.flagged_rejections == 1
+                with pytest.raises(
+                    RuntimeError, match="remote error: unexpected message"
+                ):
+                    conn.call(m.MSG_STATS_REQUEST, b"")
             finally:
                 conn.close()
-        finally:
-            server.stop()
-        downgrade_events = [
-            name
-            for span in recorder.spans()
-            for name in span.event_names()
-            if name == "wire.trace_downgrade"
-        ]
-        assert len(downgrade_events) == 1
+            assert peer.frames == [m.MSG_STATS_REQUEST | m.MSG_FLAG_TRACE]
 
 
 def _recv_exactly(sock: socket.socket, n: int) -> bytes:
@@ -270,64 +256,3 @@ def _recv_exactly(sock: socket.socket, n: int) -> bytes:
             raise ConnectionError("peer closed")
         data += piece
     return data
-
-
-class _OldStyleServer:
-    """Minimal pre-trace-field TEDStore server.
-
-    Implements the original framing only: ``[len u32][type u8][payload]``
-    with no knowledge of ``MSG_FLAG_TRACE``. A flagged type byte is an
-    unknown message type and is rejected exactly the way the old dispatch
-    loop rejects it — with ``MSG_ERROR "unexpected message <type>"``.
-    """
-
-    def __init__(self) -> None:
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(2)
-        self.address = self._listener.getsockname()
-        self.flagged_rejections = 0
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._listener.close()
-        self._thread.join(timeout=5)
-
-    def _serve(self) -> None:
-        try:
-            conn, _ = self._listener.accept()
-        except OSError:
-            return
-        with conn:
-            try:
-                while True:
-                    header = _recv_exactly(conn, 5)
-                    (length,) = struct.unpack(">I", header[:4])
-                    message_type = header[4]
-                    payload = _recv_exactly(conn, length - 1)
-                    if message_type == m.MSG_STATS_REQUEST:
-                        reply = m.frame(
-                            m.MSG_STATS_RESPONSE, m.encode_stats([("old", 1)])
-                        )
-                    else:
-                        # An old server cannot mask the flag bit — the
-                        # flagged byte simply is not a type it knows. Its
-                        # read path also consumed the trace-context bytes
-                        # as payload, which is why the reply must come
-                        # before it tries to parse them: rejection happens
-                        # on the type byte alone.
-                        if message_type & m.MSG_FLAG_TRACE:
-                            self.flagged_rejections += 1
-                        reply = m.frame(
-                            m.MSG_ERROR,
-                            m.encode_error(
-                                f"unexpected message {message_type}"
-                            ),
-                        )
-                    conn.sendall(reply)
-            except (ConnectionError, OSError):
-                return

@@ -46,6 +46,26 @@ class TestBasics:
         with pytest.raises(ValueError):
             sketch.update([1, 2, 3])
 
+    @pytest.mark.parametrize("conservative", [False, True])
+    @pytest.mark.parametrize("bad", [64, 70_000, -1, 2**64])
+    def test_out_of_range_hash_rejected(self, conservative, bad):
+        """Short hashes arrive from clients: a bad index is a typed
+        error and the sketch is exactly as it was — scalar and batched
+        paths, including a batch whose *last* item is the bad one."""
+        sketch = CountMinSketch(rows=4, width=64, conservative=conservative)
+        sketch.update([1, 2, 3, 4])
+        counters = sketch._counters.copy()
+        for attempt in (
+            lambda: sketch.update([5, bad, 6, 7]),
+            lambda: sketch.update_batch([[5, 6, 7, 8], [9, 10, 11, bad]]),
+            lambda: sketch.estimate([bad, 1, 2, 3]),
+        ):
+            with pytest.raises(ValueError, match="short hash out of range"):
+                attempt()
+            assert sketch.total == 1
+            assert (sketch._counters == counters).all()
+        assert sketch.update_batch([[1, 2, 3, 4]]) == [2]
+
     def test_memory_accounting(self):
         sketch = CountMinSketch(rows=4, width=1024)
         assert sketch.memory_bytes() == 4 * 1024 * 4

@@ -18,7 +18,7 @@ import pytest
 from repro.storage.dedup import FingerprintCache
 from repro.storage.sharded import (
     ShardedDedupEngine,
-    ShardRouteMeter,
+    ShardFanout,
     shard_directories,
 )
 from repro.tedstore.ring import HashRing
@@ -100,7 +100,7 @@ def test_shard_directories_layout(engine, tmp_path):
 
 
 def test_route_meter_tracks_imbalance():
-    meter = ShardRouteMeter("test", [0, 1])
+    meter = ShardFanout("test", [0, 1])
     meter.record(0, 30)
     meter.record(1, 10)
     assert meter.counts == {0: 30, 1: 10}

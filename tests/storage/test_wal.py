@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.storage.wal import OP_DELETE, OP_PUT, WriteAheadLog, replay_into
+from repro.storage.wal import OP_DELETE, OP_PUT, WriteAheadLog
 
 
 @pytest.fixture
@@ -95,14 +95,8 @@ class TestWal:
         wal = WriteAheadLog(wal_path)
         wal.append(OP_PUT, b"k", b"v")
         wal.truncate()  # memtable flush persisted k=v elsewhere
-        state = {b"k": b"v"}  # the flushed state
-        count = replay_into(
-            wal_path,
-            lambda k, v: state.__setitem__(k, v),
-            lambda k: state.pop(k, None),
-        )
-        assert count == 0  # nothing re-applied
-        assert state == {b"k": b"v"}
+        # Nothing is left to re-apply over the flushed state.
+        assert list(WriteAheadLog.replay(wal_path)) == []
 
     def test_rejects_unknown_op(self, wal_path):
         wal = WriteAheadLog(wal_path)
@@ -122,12 +116,13 @@ class TestWal:
         wal.append(OP_DELETE, b"a")
         wal.close()
         state = {}
-        count = replay_into(
-            wal_path,
-            lambda k, v: state.__setitem__(k, v),
-            lambda k: state.pop(k, None),
-        )
-        assert count == 2
+        records = list(WriteAheadLog.replay(wal_path))
+        for op, key, value in records:
+            if op == OP_PUT:
+                state[key] = value
+            else:
+                state.pop(key, None)
+        assert len(records) == 2
         assert state == {}
 
     def test_sync_does_not_crash(self, wal_path):

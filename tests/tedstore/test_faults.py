@@ -1,6 +1,4 @@
-"""Fault injection: deterministic schedules, degraded quorums, recovery."""
-
-import random
+"""Fault injection: deterministic schedules and recovery."""
 
 import pytest
 
@@ -11,7 +9,6 @@ from repro.tedstore.faults import (
     FaultPlan,
     FaultyKeyManager,
     FaultyProvider,
-    FaultyQuorumServer,
     InjectedFault,
 )
 from repro.tedstore.inprocess import LocalKeyManager, LocalProvider
@@ -23,7 +20,6 @@ from repro.tedstore.messages import (
     PutChunks,
 )
 from repro.tedstore.provider import ProviderService
-from repro.tedstore.quorum import QuorumClient, deal_quorum
 from repro.traces.workload import unique_file
 
 _W = 2**14
@@ -140,73 +136,6 @@ class TestClientUnderFaults:
             client.upload("f", unique_file(20_000))
 
 
-class TestQuorumUnderFaults:
-    def test_degraded_quorum_derives_identical_keys(self):
-        servers, _ = deal_quorum(3, 5, rng=random.Random(1))
-        healthy_key = QuorumClient(3, rng=random.Random(2)).derive_key(
-            b"fp", servers
-        )
-        plan = FaultPlan(drop_rate=0.25, seed=7)
-        flaky = [FaultyQuorumServer(s, plan) for s in servers]
-        client = QuorumClient(3, rng=random.Random(3))
-        derived = []
-        unavailable = 0
-        for _ in range(40):
-            try:
-                derived.append(client.derive_key(b"fp", flaky))
-            except ValueError:
-                unavailable += 1  # >2 replicas down for this request
-        assert derived  # quorum survived at least some degraded rounds
-        assert set(derived) == {healthy_key}  # determinism across quorums
-        assert client.stats["replica_failures"] > 0
-        assert client.stats["degraded_derivations"] > 0
-
-    def test_seeded_quorum_fault_run_is_deterministic(self):
-        def run():
-            servers, _ = deal_quorum(3, 5, rng=random.Random(1))
-            plan = FaultPlan(drop_rate=0.3, seed=21)
-            flaky = [FaultyQuorumServer(s, plan) for s in servers]
-            client = QuorumClient(3, rng=random.Random(4))
-            trace = []
-            for i in range(30):
-                try:
-                    trace.append(client.derive_key(b"%d" % (i % 3), flaky))
-                except ValueError:
-                    trace.append(None)
-            return trace, dict(client.stats)
-
-        trace_a, stats_a = run()
-        trace_b, stats_b = run()
-        assert trace_a == trace_b
-        assert stats_a == stats_b
-
-    def test_quorum_exhaustion_raises_value_error(self):
-        servers, _ = deal_quorum(3, 5, rng=random.Random(1))
-        dead = [
-            FaultyQuorumServer(s, FaultPlan(drop_rate=1.0, seed=0))
-            for s in servers
-        ]
-        client = QuorumClient(3)
-        with pytest.raises(ValueError, match="degraded below threshold"):
-            client.derive_key(b"fp", dead)
-        assert client.stats["replica_failures"] == 5
-
-    def test_replicas_get_distinct_schedules(self):
-        servers, _ = deal_quorum(3, 5, rng=random.Random(1))
-        plan = FaultPlan(drop_rate=0.5, seed=5)
-        flaky = [FaultyQuorumServer(s, plan) for s in servers]
-        client = QuorumClient(3, rng=random.Random(6))
-        for _ in range(20):
-            try:
-                client.derive_key(b"fp", flaky)
-            except ValueError:
-                pass
-        drops = [f.fault_counters["drops"] for f in flaky]
-        # A shared schedule would drop on identical request indices and
-        # produce identical counts; distinct seeds must diverge.
-        assert len(set(drops)) > 1
-
-
 class TestPauseAndPartition:
     """Stateful whole-process fault kinds for the chaos harness."""
 
@@ -276,11 +205,3 @@ class TestPauseAndPartition:
         thread.join(timeout=5.0)
         assert not thread.is_alive()
         assert len(errors) == 1
-
-    def test_quorum_server_exposes_the_same_toggles(self):
-        servers, _ = deal_quorum(3, 5, rng=random.Random(1))
-        flaky = FaultyQuorumServer(servers[0], FaultPlan())
-        flaky.partition()
-        with pytest.raises(InjectedFault):
-            flaky.sign_blinded(b"point")
-        flaky.heal()

@@ -9,7 +9,7 @@ from repro.tedstore import messages as m
 from repro.tedstore.fleet import (
     MultiShardProvider,
     RemoteKmShardPool,
-    build_routes,
+    ShardRouteSet,
 )
 from repro.tedstore.health import OPEN, ShardUnavailableError
 from repro.tedstore.ring import HashRing
@@ -309,7 +309,7 @@ class TestRouteBuilding:
     def test_missing_endpoints_rejected(self):
         ring = HashRing.build(3).with_endpoints({0: "h:1"})
         with pytest.raises(ValueError, match="no endpoint"):
-            build_routes("provider", ring, lambda address: None)
+            ShardRouteSet("provider", ring, lambda address: None)
 
     def test_close_stops_routes_and_transports(self):
         provider, fakes = _fleet()

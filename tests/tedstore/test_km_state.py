@@ -8,15 +8,18 @@ selection (``probabilistic=False``) makes that comparable seed-for-seed.
 """
 
 import random
+import zlib
 
 import pytest
 
 from repro.core.ted import TedKeyManager
 from repro.storage import crash
 from repro.storage.crash import InjectedCrash
+from repro.tedstore import km_state as km_state_mod
 from repro.tedstore.km_state import KeyManagerStateStore
-from repro.tedstore.keymanager import KeygenStream, KeyManagerService
-from repro.tedstore.messages import BatchedKeyGenRequest, KeyGenRequest
+from repro.tedstore.keymanager import KeyManagerService
+from repro.tedstore.messages import KeyGenRequest
+from repro.utils.varint import encode_uvarint
 
 _WIDTH = 1024
 
@@ -104,31 +107,45 @@ class TestRestoreEquivalence:
         assert restored.restore_report.deltas_replayed == 0
         assert km_state(restored.key_manager) == km_state(baseline)
 
-    def test_last_sequence_survives_restart(self, tmp_path):
+    def test_snapshot_with_a_client_map_still_restores(self, tmp_path):
+        """A snapshot from before the per-client slot was reserved
+        (non-empty map after the frequency map) loads to the same state,
+        and the next snapshot no longer carries the entries."""
+        batches = make_batches(count=3)
+        baseline = make_km()
+        for batch in batches:
+            baseline.generate_seeds(batch)
         service = KeyManagerService(
             make_km(),
-            state_store=KeyManagerStateStore(tmp_path),
+            state_store=KeyManagerStateStore(tmp_path, snapshot_every=100),
         )
-        stream = KeygenStream()
-        for sequence, batch in enumerate(make_batches(count=3)):
-            service.handle_keygen_batched(
-                BatchedKeyGenRequest(sequence=sequence, hash_vectors=batch),
-                client_id="alice",
-                stream=stream,
-            )
+        for batch in batches:
+            service.handle_keygen(KeyGenRequest(hash_vectors=batch))
+        service.close()
+        snapshot = tmp_path / "snapshot.bin"
+        blob = snapshot.read_bytes()
+        header = len(km_state_mod._MAGIC) + 4
+        assert blob[-1] == 0  # the reserved slot, written empty
+        body = bytearray(blob[header:-1])
+        clients = {"alice": 2, "10.0.0.7": 41}
+        body += encode_uvarint(len(clients))
+        for client_id, sequence in clients.items():
+            body += encode_uvarint(len(client_id)) + client_id.encode()
+            body += encode_uvarint(sequence)
+        old_blob = (
+            km_state_mod._MAGIC
+            + zlib.crc32(bytes(body)).to_bytes(4, "little")
+            + bytes(body)
+        )
+        snapshot.write_bytes(old_blob)
+
         restored = KeyManagerService(
             make_km(), state_store=KeyManagerStateStore(tmp_path)
         )
-        # The logged sequence is durable; the ordering floor is not —
-        # it belongs to a connection, and none outlives a restart.
-        assert restored.restore_report.last_sequence == {"alice": 2}
-        restored.handle_keygen_batched(
-            BatchedKeyGenRequest(
-                sequence=1, hash_vectors=make_batches(count=1)[0]
-            ),
-            client_id="alice",
-            stream=KeygenStream(),
-        )
+        assert restored.restore_report.snapshot_loaded
+        assert km_state(restored.key_manager) == km_state(baseline)
+        restored.close()
+        assert len(snapshot.read_bytes()) == len(blob) < len(old_blob)
 
     def test_geometry_mismatch_raises(self, tmp_path):
         store = KeyManagerStateStore(tmp_path)

@@ -4,12 +4,10 @@ Covers the DESIGN.md §13 surface end to end over the real TCP transport:
 concurrent tenants under the per-tenant/striped locks, recipe namespace
 isolation, quota rejection before any storage mutation, per-tenant auth,
 the typed ``MSG_NOT_FOUND`` reply, the corrupt-recipe-blob quarantine,
-re-entrant ``close()``, and the old-server HELLO downgrade.
+re-entrant ``close()``, and a peer that rejects HELLO.
 """
 
 import random
-import socket
-import struct
 import threading
 
 import pytest
@@ -33,6 +31,7 @@ from repro.tedstore.provider import (
 )
 from repro.tedstore.retry import RetryPolicy
 from repro.core.ted import TedKeyManager
+from tests.harness.rejecting_peer import RejectingPeer
 
 _W = 2**14
 _FAST_RETRY = dict(base_delay=0.01, max_delay=0.05, deadline=5.0)
@@ -366,44 +365,20 @@ class TestCloseSemantics:
             )
 
 
-class TestHelloDowngrade:
-    def test_default_tenant_downgrades_against_old_server(self):
-        server = _OldStyleServer()
-        server.start()
-        try:
-            conn = _Connection(
-                server.address,
-                retry_policy=RetryPolicy(max_attempts=4, **_FAST_RETRY),
-                entity="provider",
-                propagate_trace=False,
-                hello=m.Hello(tenant="default", auth_token=b"tok"),
-            )
-            try:
-                # The old server rejected MSG_HELLO; the default-tenant
-                # client latched the handshake off and proceeded.
-                assert conn.counters["hello_downgrades"] == 1
-                assert conn.hello_ok is None
-                reply_type, payload = conn.call(m.MSG_STATS_REQUEST, b"")
-                assert m.decode_stats(payload) == [("old", 1)]
-            finally:
-                conn.close()
-        finally:
-            server.stop()
-
-    def test_named_tenant_refuses_old_server(self):
-        server = _OldStyleServer()
-        server.start()
-        try:
+class TestHelloHandshake:
+    @pytest.mark.parametrize("tenant", ["default", "t-alpha"])
+    def test_rejected_hello_fails(self, tenant):
+        """One wire version: a peer that does not take HELLO is an
+        error the caller sees, for the default tenant too."""
+        with RejectingPeer() as peer:
             with pytest.raises(RuntimeError, match="tenant handshake"):
                 _Connection(
-                    server.address,
+                    peer.address,
                     retry_policy=RetryPolicy(max_attempts=2, **_FAST_RETRY),
                     entity="provider",
-                    propagate_trace=False,
-                    hello=m.Hello(tenant="t-alpha", auth_token=b""),
+                    hello=m.Hello(tenant=tenant, auth_token=b"tok"),
                 )
-        finally:
-            server.stop()
+            assert peer.frames == [m.MSG_HELLO]
 
     def test_new_server_acks_hello(self):
         service = ProviderService(in_memory=True)
@@ -418,73 +393,8 @@ class TestHelloDowngrade:
                 assert conn.hello_ok is not None
                 assert conn.hello_ok.tenant == "t-alpha"
                 assert conn.hello_ok.cross_user_dedup is True
-                assert conn.counters["hello_downgrades"] == 0
             finally:
                 conn.close()
         finally:
             handle.stop()
             service.close()
-
-
-def _recv_exactly(sock: socket.socket, n: int) -> bytes:
-    data = b""
-    while len(data) < n:
-        piece = sock.recv(n - len(data))
-        if not piece:
-            raise ConnectionError("peer closed")
-        data += piece
-    return data
-
-
-class _OldStyleServer:
-    """Minimal pre-HELLO TEDStore server (original framing only).
-
-    ``MSG_HELLO`` is an unknown type to it and is rejected exactly the
-    way the old dispatch loop rejects one — ``MSG_ERROR "unexpected
-    message <type>"`` — which is what drives the client's downgrade
-    latch (mirror of the trace-flag version-tolerance pattern).
-    """
-
-    def __init__(self) -> None:
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(2)
-        self.address = self._listener.getsockname()
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._listener.close()
-        self._thread.join(timeout=5)
-
-    def _serve(self) -> None:
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            with conn:
-                try:
-                    while True:
-                        header = _recv_exactly(conn, 5)
-                        (length,) = struct.unpack(">I", header[:4])
-                        message_type = header[4]
-                        _recv_exactly(conn, length - 1)
-                        if message_type == m.MSG_STATS_REQUEST:
-                            reply = m.frame(
-                                m.MSG_STATS_RESPONSE,
-                                m.encode_stats([("old", 1)]),
-                            )
-                        else:
-                            reply = m.frame(
-                                m.MSG_ERROR,
-                                m.encode_error(
-                                    f"unexpected message {message_type}"
-                                ),
-                            )
-                        conn.sendall(reply)
-                except (ConnectionError, OSError):
-                    continue

@@ -9,7 +9,11 @@ from repro.core.ted import TedKeyManager
 from repro.crypto.cipher import SHACTR
 from repro.tedstore.client import TedStoreClient
 from repro.tedstore.keymanager import KeyManagerService
-from repro.tedstore.messages import GetChunks, KeyGenRequest
+from repro.tedstore.messages import (
+    BatchedKeyGenRequest,
+    GetChunks,
+    KeyGenRequest,
+)
 from repro.tedstore.network import (
     RemoteKeyManager,
     RemoteProvider,
@@ -72,6 +76,33 @@ class TestTcpRoundTrip:
             KeyGenRequest(hash_vectors=[[1, 2, 3, 4]])
         )
         assert len(response.seeds) == 1
+
+    def test_out_of_range_short_hash_is_an_error_reply(self):
+        """A keygen batch indexing past the sketch is refused whole: an
+        error reply, the sketch untouched, the connection still good."""
+        service = KeyManagerService(
+            TedKeyManager(secret=b"net-secret", t=5, sketch_width=_W)
+        )
+        handle = serve_key_manager(service)
+        remote = RemoteKeyManager(handle.address)
+        try:
+            with pytest.raises(RuntimeError, match="short hash out of range"):
+                remote.keygen_batched(
+                    BatchedKeyGenRequest(
+                        sequence=1,
+                        hash_vectors=[[1, 2, 3, 4], [_W, 1, 2, 3]],
+                    )
+                )
+            assert service.key_manager.sketch.total == 0
+            response = remote.keygen_batched(
+                BatchedKeyGenRequest(sequence=2, hash_vectors=[[1, 2, 3, 4]])
+            )
+            assert len(response.seeds) == 1
+            assert service.key_manager.sketch.total == 1
+            assert remote.wire_stats()["client_reconnects"] == 0
+        finally:
+            remote.close()
+            handle.stop()
 
     def test_stats_over_tcp(self, stack):
         client = stack()

@@ -12,13 +12,18 @@ parity between the in-process and the remote observer pool.
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
 from repro.core.ted import TedKeyManager
 from repro.crypto.murmur3 import short_hashes
 from repro.tedstore.keymanager import KeygenStream
-from repro.tedstore.messages import BatchedKeyGenRequest, KeyGenRequest
+from repro.tedstore.messages import (
+    BatchedKeyGenRequest,
+    KeyGenRequest,
+    ShardObserveRequest,
+)
 from repro.tedstore.ratelimit import KeyGenRateLimiter, RateLimitExceeded
 from repro.tedstore.fleet import RemoteKmShardPool
 from repro.tedstore.ring import HashRing
@@ -138,7 +143,7 @@ def test_rate_limiter_enforced():
 
 
 def test_durable_restore_resumes_stream(tmp_path):
-    """Close and reopen: t, requests, and the logged sequences survive."""
+    """Close and reopen: t, requests and the tune count survive."""
     vectors = _vectors(300)
     first = ShardedKeyManager(
         _front("fted", batch_size=64),
@@ -173,10 +178,6 @@ def test_durable_restore_resumes_stream(tmp_path):
     assert second.key_manager.t == saved_t
     assert second.key_manager.stats.requests == saved_requests
     assert second.key_manager.stats.batches_tuned == saved_tunes
-    # The last logged sequence per client id is part of the durable
-    # record; the ordering floor itself is per connection and no
-    # connection outlives a restart.
-    assert second.restore_report.last_sequence == {"client-a": 2}
     # Continuing the stream reproduces the uninterrupted run's *durable*
     # state: summed sketch counters, t, tune count, request count. (Seed
     # draws are not durable — the selection RNG restarts, exactly as in
@@ -261,7 +262,6 @@ def _observer_state(directory, mode):
         km.sketch._counters.tobytes(),
         km.sketch.total,
         km.stats.requests,
-        service.restore_report.last_sequence,
     )
     service.close()
     return state
@@ -271,8 +271,9 @@ def _observer_state(directory, mode):
 def test_local_and_remote_observer_pools_agree(tmp_path, mode):
     """One front, two pools: same seeds, same front state, same
     ``shards/<k>`` contents. (An FTED observer's tracking map is the
-    one thing that differs — only in-process mirrors follow the front's
-    tunes — and no front state is derived from a remote one.)"""
+    one thing that differs — only in-process mirrors keep one, following
+    the front's tunes — and no front state is derived from a remote
+    one.)"""
     ring = HashRing.build(3, seed=4)
     local = ShardedKeyManager(
         _front(mode, batch_size=64), ring, state_root=tmp_path / "local"
@@ -345,3 +346,71 @@ def test_local_and_remote_observer_pools_agree(tmp_path, mode):
         assert _observer_state(
             tmp_path / "local" / shard, mode
         ) == _observer_state(tmp_path / "remote" / shard, mode)
+
+
+def test_served_observer_tracks_nothing(tmp_path):
+    """`make_shard_observer(front)` — what `serve-shard --role km` runs —
+    keeps no per-identity map (only the front's in-process observers
+    do, and the front clears theirs), so its snapshots stay flat however
+    many distinct identities pass through."""
+    rng = random.Random(9)
+    service = ShardObserverService(
+        0,
+        make_shard_observer(_front("fted", batch_size=8192)),
+        state_dir=tmp_path,
+    )
+    overheads = []
+    for round_index in range(3):
+        for sub_batch in range(16):
+            service.handle_observe(
+                ShardObserveRequest(
+                    client_id="front",
+                    sequence=round_index * 16 + sub_batch,
+                    hash_vectors=[
+                        [rng.randrange(_WIDTH) for _ in range(_ROWS)]
+                        for _ in range(64)
+                    ],
+                )
+            )
+        service.flush()
+        assert len(service.key_manager._freq_by_identity) == 0
+        counters = service.key_manager.sketch._counters.tobytes()
+        overheads.append(
+            (tmp_path / "snapshot.bin").stat().st_size
+            - len(zlib.compress(counters))
+        )
+    # A snapshot is the compressed counters plus a fixed few bytes;
+    # 1,024 tracked identities a round used to add over 5 KiB each time.
+    assert max(overheads) < 64
+    assert service.key_manager.stats.requests == 3 * 16 * 64
+    service.close()
+
+
+def test_served_observer_drops_a_restored_tracking_map(tmp_path):
+    """A ``shards/<k>`` written by an in-process (tracking) observer —
+    or by an older served one — loads into a served observer with the
+    same sketch and request count and no map, and stays that way."""
+    front = _front("fted", batch_size=8192)
+    writer = ShardObserverService(
+        0, make_shard_observer(front, tracking=True), state_dir=tmp_path
+    )
+    request = ShardObserveRequest(
+        client_id="front", sequence=1, hash_vectors=_vectors(200, distinct=50)
+    )
+    writer.handle_observe(request)
+    assert len(writer.key_manager._freq_by_identity) == 50
+    writer.close()
+    old_size = (tmp_path / "snapshot.bin").stat().st_size
+
+    served = ShardObserverService(
+        0, make_shard_observer(front), state_dir=tmp_path
+    )
+    assert served.restore_report.snapshot_loaded
+    assert served.key_manager._freq_by_identity == {}
+    assert (
+        served.key_manager.sketch._counters
+        == writer.key_manager.sketch._counters
+    ).all()
+    assert served.key_manager.stats.requests == 200
+    served.close()
+    assert (tmp_path / "snapshot.bin").stat().st_size < old_size

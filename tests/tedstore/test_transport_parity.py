@@ -19,9 +19,11 @@ import pytest
 
 from repro.core.ted import TedKeyManager
 from repro.crypto.murmur3 import short_hashes
+from repro.storage.wal import WriteAheadLog
 from repro.tedstore import messages as m
 from repro.tedstore.inprocess import LocalKeyManager
 from repro.tedstore.keymanager import KeyManagerService
+from repro.tedstore.km_state import KeyManagerStateStore, _decode_batch
 from repro.tedstore.messages import (
     BatchedKeyGenRequest,
     BatchedKeyGenResponse,
@@ -32,7 +34,7 @@ from repro.tedstore.network import RemoteKeyManager, serve_key_manager
 _W = 2**14
 
 
-def _service():
+def _service(state_store=None):
     return KeyManagerService(
         TedKeyManager(
             secret=b"parity",
@@ -40,7 +42,8 @@ def _service():
             batch_size=200,
             sketch_width=_W,
             rng=random.Random(11),
-        )
+        ),
+        state_store=state_store,
     )
 
 
@@ -222,8 +225,8 @@ class TestStreamsAreIndependent:
             [LocalKeyManager(service), LocalKeyManager(service)]
         )
 
-    def test_closed_connection_leaves_no_stream_state(self):
-        service = _service()
+    def test_closed_connection_leaves_no_stream_state(self, tmp_path):
+        service = _service(KeyManagerStateStore(tmp_path))
         handle = serve_key_manager(service)
         try:
             for _ in range(3):
@@ -234,8 +237,12 @@ class TestStreamsAreIndependent:
                     )
                 )
                 remote.close()
-            # Per host, not per connection: one durable-record entry.
-            assert list(service._last_sequence) == ["127.0.0.1"]
+            # The durable log is keyed by peer host, not by connection.
+            logged = [
+                _decode_batch(value)[1]
+                for _, _, value in WriteAheadLog.replay(tmp_path / "delta.log")
+            ]
+            assert logged == ["127.0.0.1"] * 3
         finally:
             handle.stop()
 

@@ -9,8 +9,8 @@ Runs the two doc tools exactly as CI does:
   default doc set must resolve.
 
 Both tools import the full ``repro`` tree, which needs numpy (the
-Count-Min sketch) and scipy (the KLD solver); environments without them
-skip rather than fail tier-1.
+Count-Min sketch); environments without it skip rather than fail
+tier-1.
 """
 
 import subprocess
@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("numpy")
-pytest.importorskip("scipy")
 
 ROOT = Path(__file__).resolve().parent.parent
 
