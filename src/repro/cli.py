@@ -46,7 +46,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.analysis.tradeoff import make_fted
 from repro.core.schemes import MLEScheme, MinHashScheme, SKEScheme
@@ -58,6 +58,7 @@ from repro.tedstore.keymanager import KeyManagerService
 from repro.tedstore.network import (
     RemoteKeyManager,
     RemoteProvider,
+    parse_endpoint,
     serve_key_manager,
     serve_provider,
 )
@@ -65,11 +66,6 @@ from repro.tedstore.pipeline import stage_threads
 from repro.tedstore.provider import ProviderService
 from repro.traces.format import read_snapshot, write_dataset
 from repro.traces.synthetic import generate_fsl_like, generate_ms_like
-
-
-def _address(value: str) -> Tuple[str, int]:
-    host, _, port = value.rpartition(":")
-    return host or "127.0.0.1", int(port)
 
 
 def _master_key(path: Optional[str]) -> bytes:
@@ -116,13 +112,13 @@ def _make_client(args: argparse.Namespace) -> TedStoreClient:
         )
     else:
         provider = RemoteProvider(
-            _address(args.provider),
+            args.provider,
             data_connections=data_connections,
             tenant=getattr(args, "tenant", "") or "default",
             auth_token=auth_token,
         )
     return TedStoreClient(
-        RemoteKeyManager(_address(args.km)),
+        RemoteKeyManager(args.km),
         provider,
         master_key=_master_key(args.master_key),
         profile=get_profile(args.profile),
@@ -271,7 +267,7 @@ def cmd_serve_provider(args: argparse.Namespace) -> int:
 
 def cmd_serve_shard(args: argparse.Namespace) -> int:
     """Run one shard of a fleet as its own process (DESIGN.md §17)."""
-    from repro.tedstore.network import parse_endpoint, serve_shard_observer
+    from repro.tedstore.network import serve_shard_observer
     from repro.tedstore.ring import load_ring
 
     root = Path(args.root)
@@ -506,13 +502,13 @@ def _print_stats(sections: dict, fmt: str) -> None:
 def cmd_stats(args: argparse.Namespace) -> int:
     sections = {}
     if args.km:
-        km = RemoteKeyManager(_address(args.km))
+        km = RemoteKeyManager(args.km)
         try:
             sections["key_manager"] = dict(km.stats())
         finally:
             km.close()
     if args.provider:
-        provider = RemoteProvider(_address(args.provider))
+        provider = RemoteProvider(args.provider)
         try:
             sections["provider"] = dict(provider.stats())
         finally:
@@ -605,7 +601,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         if args.auth_token:
             auth_token = Path(args.auth_token).read_bytes().strip()
         deployment = TcpDeployment(
-            _address(args.km), _address(args.provider), auth_token
+            args.km, args.provider, auth_token
         )
 
     flight = None
@@ -797,8 +793,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common_client(p):
-        p.add_argument("--km", default="127.0.0.1:9401")
-        p.add_argument("--provider", default="127.0.0.1:9402")
+        p.add_argument("--km", default="127.0.0.1:9401", type=parse_endpoint)
+        p.add_argument(
+            "--provider", default="127.0.0.1:9402", type=parse_endpoint
+        )
         p.add_argument("--master-key", default=None,
                        help="file hashed into the 32-byte master key")
         p.add_argument("--profile", default="shactr",
@@ -1052,9 +1050,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("stats", help="query running servers for metrics")
-    p.add_argument("--km", default=None,
+    p.add_argument("--km", default=None, type=parse_endpoint,
                    help="key manager address (host:port)")
-    p.add_argument("--provider", default=None,
+    p.add_argument("--provider", default=None, type=parse_endpoint,
                    help="provider address (host:port)")
     p.add_argument("--format", choices=["table", "json", "prom"],
                    default="table")
@@ -1093,10 +1091,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="scale clients/rate/inflight/duration together "
              "(CI smoke uses 0.15)",
     )
-    p.add_argument("--km", default=None,
+    p.add_argument("--km", default=None, type=parse_endpoint,
                    help="key manager address; with --provider, drive a "
                         "TCP deployment instead of in-process services")
-    p.add_argument("--provider", default=None,
+    p.add_argument("--provider", default=None, type=parse_endpoint,
                    help="provider address (host:port)")
     p.add_argument("--auth-token", default=None, metavar="FILE",
                    help="file with the shared tenant auth secret")

@@ -165,109 +165,74 @@ class TedKeyManager:
                 self._requests_in_batch = 0
         return seed
 
-    def _batch_runs(self, total: int):
-        """Split ``total`` requests into runs that never cross a retune.
+    def _apply_batch(
+        self,
+        batch: Sequence[Sequence[int]],
+        frequencies: Sequence[int],
+        select: bool,
+    ) -> List[bytes]:
+        """The batched rule (§3.5): :meth:`generate_seed` per request.
 
-        In sequential :meth:`generate_seed` order, FTED retunes ``t``
-        the moment ``_requests_in_batch`` reaches ``batch_size`` — and
-        every later request in the same call sees the *new* ``t``. The
-        batched paths therefore slice their input at those exact
-        boundaries: each run is processed with one sketch batch update
-        under one constant ``t``, and the retune fires between runs,
-        reproducing the sequential seed decisions bit-for-bit.
+        For each request in order: FTED tracking, Eq. 3 selection under
+        the current ``t`` (when ``select``), request counting, and the
+        batch-boundary retune — so requests after a boundary in the same
+        call see the new ``t``, bit-for-bit as the scalar path. The
+        sketch is not touched here: ``frequencies`` are the caller's
+        sequential estimates (:meth:`CountMinSketch.update_batch`).
         """
-        done = 0
-        while done < total:
+        seeds: List[bytes] = []
+        pick = self._seeder.select_seed
+        tracked = self._freq_by_identity if self.is_fted else None
+        for hashes, frequency in zip(batch, frequencies):
+            if tracked is not None:
+                tracked[tuple(hashes)] = frequency
+            if select:
+                seeds.append(pick(hashes, frequency, self.t))
             if self.batch_size is not None:
-                take = min(
-                    total - done, self.batch_size - self._requests_in_batch
-                )
-            else:
-                take = total - done
-            yield done, done + take
-            done += take
+                self._requests_in_batch += 1
+                if self._requests_in_batch >= self.batch_size:
+                    self._retune_from_tracked()
+                    self._requests_in_batch = 0
+        self.stats.requests += len(batch)
+        if select:
+            _KEYGEN_REQUESTS.inc(len(batch))
+        return seeds
 
     def generate_seeds(
         self, batch: Sequence[Sequence[int]]
     ) -> List[bytes]:
         """Handle a batch of requests (one TEDStore round trip).
 
-        Each retune-free run of the batch goes through
-        :meth:`CountMinSketch.update_batch` — one pass over the
-        counter array instead of per-request scalar indexing — while
-        seed selection, FTED frequency tracking, and batch-boundary
-        retuning keep their exact sequential order and semantics.
+        One :meth:`CountMinSketch.update_batch` pass counts the whole
+        batch, then :meth:`select_seeds` applies the per-request rule.
         """
-        seeds: List[bytes] = []
-        for lo, hi in self._batch_runs(len(batch)):
-            run = batch[lo:hi]
-            frequencies = self.sketch.update_batch(run)
-            select = self._seeder.select_seed
-            t = self.t
-            if self.is_fted:
-                tracked = self._freq_by_identity
-                for hashes, frequency in zip(run, frequencies):
-                    tracked[tuple(hashes)] = frequency
-                    seeds.append(select(hashes, frequency, t))
-            else:
-                for hashes, frequency in zip(run, frequencies):
-                    seeds.append(select(hashes, frequency, t))
-            self.stats.requests += len(run)
-            _KEYGEN_REQUESTS.inc(len(run))
-            if self.batch_size is not None:
-                self._requests_in_batch += len(run)
-                if self._requests_in_batch >= self.batch_size:
-                    self._retune_from_tracked()
-                    self._requests_in_batch = 0
-        return seeds
+        return self.select_seeds(batch, self.sketch.update_batch(batch))
 
-    def estimate_batch(
-        self, batch: Sequence[Sequence[int]]
-    ) -> List[int]:
-        """Observe a batch and return its per-chunk frequency estimates.
+    def select_seeds(
+        self, batch: Sequence[Sequence[int]], frequencies: Sequence[int]
+    ) -> List[bytes]:
+        """Select seeds for ``batch`` from frequencies counted elsewhere.
 
-        The sharded key manager's observer path (DESIGN.md §15): shard
-        key managers own the sketches but never select seeds — the
-        sharded front collects these estimates and runs Eq. 3 selection
-        itself so a single RNG stream and a single ``t`` govern the
-        whole deployment, exactly as with one key manager. Performs the
-        same per-request state mutations as :meth:`generate_seed`
-        (sketch update, FTED frequency tracking, request counting)
-        minus seed selection; batch-boundary retuning is the front's
-        job, so observers are built with ``batch_size=None``.
+        The sharded front's entry (DESIGN.md §15): its observers count,
+        and this key manager tracks, selects, counts and retunes.
+        """
+        return self._apply_batch(batch, frequencies, select=True)
+
+    def observe_batch(self, batch: Sequence[Sequence[int]]) -> List[int]:
+        """Apply a batch's frequency effects without selecting seeds.
+
+        The crash-recovery replay path (km_state) and, as
+        :meth:`estimate_batch`, the observer-shard path (DESIGN.md §15):
+        the state mutations of :meth:`generate_seeds` minus seed draws
+        (which touch only the selection RNG) and the served-seed
+        counter. Observers are built with ``batch_size=None``, so they
+        never retune. Returns the per-request frequency estimates.
         """
         estimates = self.sketch.update_batch(batch)
-        if self.is_fted:
-            tracked = self._freq_by_identity
-            for short_hashes, frequency in zip(batch, estimates):
-                tracked[tuple(short_hashes)] = frequency
-        self.stats.requests += len(batch)
-        _KEYGEN_REQUESTS.inc(len(batch))
+        self._apply_batch(batch, estimates, select=False)
         return estimates
 
-    def observe_batch(self, batch: Sequence[Sequence[int]]) -> None:
-        """Re-apply a batch's frequency effects without selecting seeds.
-
-        This is the crash-recovery replay path (km_state): it performs
-        exactly the state mutations of :meth:`generate_seed` — sketch
-        update, FTED frequency tracking, request counting, batch-boundary
-        retuning — but produces no seeds and counts no request metrics,
-        so replaying every acked batch reconstructs the frequency state
-        (and hence every future seed decision) bit-for-bit.
-        """
-        for lo, hi in self._batch_runs(len(batch)):
-            run = batch[lo:hi]
-            frequencies = self.sketch.update_batch(run)
-            if self.is_fted:
-                tracked = self._freq_by_identity
-                for short_hashes, frequency in zip(run, frequencies):
-                    tracked[tuple(short_hashes)] = frequency
-            self.stats.requests += len(run)
-            if self.batch_size is not None:
-                self._requests_in_batch += len(run)
-                if self._requests_in_batch >= self.batch_size:
-                    self._retune_from_tracked()
-                    self._requests_in_batch = 0
+    estimate_batch = observe_batch
 
     # -- tuning ------------------------------------------------------------
 

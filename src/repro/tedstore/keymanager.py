@@ -10,7 +10,7 @@ what makes TED's frequencies *global* across the organization's users.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.ted import TedKeyManager
 
@@ -131,15 +131,24 @@ class KeyManagerService:
         with tracing.get_tracer().span(
             "keymanager.keygen", attributes={"batch": batch}
         ), _BATCH_SECONDS.time(), self._lock:
-            seeds = self.key_manager.generate_seeds(request.hash_vectors)
-            if self.state_store is not None:
-                self.state_store.log_batch(
-                    client_id,
-                    sequence,
-                    request.hash_vectors,
-                    key_manager=self.key_manager,
-                )
+            seeds = self._seeds_for_batch(
+                request.hash_vectors, client_id, sequence
+            )
             return KeyGenResponse(seeds=seeds, current_t=self.key_manager.t)
+
+    def _seeds_for_batch(
+        self, vectors: List[List[int]], client_id: str, sequence: int
+    ) -> List[bytes]:
+        """Turn one batch into seeds, durable before return (lock held).
+
+        The one step a sharded front overrides (DESIGN.md §15).
+        """
+        seeds = self.key_manager.generate_seeds(vectors)
+        if self.state_store is not None:
+            self.state_store.log_batch(
+                client_id, sequence, vectors, key_manager=self.key_manager
+            )
+        return seeds
 
     def handle_keygen_batched(
         self,

@@ -211,6 +211,15 @@ class _Writer:
     def text(self, value: str) -> "_Writer":
         return self.blob(value.encode("utf-8"))
 
+    def vectors(self, vectors: Sequence[Sequence[int]]) -> "_Writer":
+        """A counted list of counted short-hash vectors."""
+        self.varint(len(vectors))
+        for vector in vectors:
+            self.varint(len(vector))
+            for h in vector:
+                self.varint(h)
+        return self
+
     def done(self) -> bytes:
         return bytes(self._out)
 
@@ -250,6 +259,13 @@ class _Reader:
     def text(self) -> str:
         return self.blob().decode("utf-8")
 
+    def vectors(self) -> List[List[int]]:
+        """Inverse of :meth:`_Writer.vectors`."""
+        return [
+            [self.varint() for _ in range(self.varint())]
+            for _ in range(self.varint())
+        ]
+
     def expect_end(self) -> None:
         if self._pos != len(self._data):
             raise ProtocolError("trailing bytes in payload")
@@ -265,21 +281,12 @@ class KeyGenRequest:
     hash_vectors: List[List[int]] = field(default_factory=list)
 
     def encode(self) -> bytes:
-        w = _Writer().varint(len(self.hash_vectors))
-        for vector in self.hash_vectors:
-            w.varint(len(vector))
-            for h in vector:
-                w.varint(h)
-        return w.done()
+        return _Writer().vectors(self.hash_vectors).done()
 
     @classmethod
     def decode(cls, payload: bytes) -> "KeyGenRequest":
         r = _Reader(payload)
-        count = r.varint()
-        vectors = []
-        for _ in range(count):
-            rows = r.varint()
-            vectors.append([r.varint() for _ in range(rows)])
+        vectors = r.vectors()
         r.expect_end()
         return cls(hash_vectors=vectors)
 
@@ -326,22 +333,13 @@ class BatchedKeyGenRequest:
 
     def encode(self) -> bytes:
         w = _Writer().varint(self.sequence)
-        w.varint(len(self.hash_vectors))
-        for vector in self.hash_vectors:
-            w.varint(len(vector))
-            for h in vector:
-                w.varint(h)
-        return w.done()
+        return w.vectors(self.hash_vectors).done()
 
     @classmethod
     def decode(cls, payload: bytes) -> "BatchedKeyGenRequest":
         r = _Reader(payload)
         sequence = r.varint()
-        count = r.varint()
-        vectors = []
-        for _ in range(count):
-            rows = r.varint()
-            vectors.append([r.varint() for _ in range(rows)])
+        vectors = r.vectors()
         r.expect_end()
         return cls(sequence=sequence, hash_vectors=vectors)
 
@@ -614,24 +612,20 @@ class ShardObserveRequest:
     hash_vectors: List[List[int]] = field(default_factory=list)
 
     def encode(self) -> bytes:
-        w = _Writer().text(self.client_id).varint(self.sequence)
-        w.varint(len(self.hash_vectors))
-        for vector in self.hash_vectors:
-            w.varint(len(vector))
-            for h in vector:
-                w.varint(h)
-        return w.done()
+        return (
+            _Writer()
+            .text(self.client_id)
+            .varint(self.sequence)
+            .vectors(self.hash_vectors)
+            .done()
+        )
 
     @classmethod
     def decode(cls, payload: bytes) -> "ShardObserveRequest":
         r = _Reader(payload)
         client_id = r.text()
         sequence = r.varint()
-        count = r.varint()
-        vectors = []
-        for _ in range(count):
-            rows = r.varint()
-            vectors.append([r.varint() for _ in range(rows)])
+        vectors = r.vectors()
         r.expect_end()
         return cls(
             client_id=client_id, sequence=sequence, hash_vectors=vectors

@@ -1,11 +1,11 @@
 """Sharded key-manager front over pooled sketch-observer shards.
 
 The KM half of ROADMAP item 2 (DESIGN.md §15). A
-:class:`ShardedKeyManager` presents exactly the
-:class:`~repro.tedstore.keymanager.KeyManagerService` interface — the
-wire layer, the in-process transport, and the client pipeline cannot
-tell them apart — but splits frequency counting across N Count-Min
-sketch shards selected by the consistent-hash ring.
+:class:`ShardedKeyManager` is a
+:class:`~repro.tedstore.keymanager.KeyManagerService` — the wire
+layer, the in-process transport, and the client pipeline cannot tell
+them apart — that splits frequency counting across N Count-Min sketch
+shards selected by the consistent-hash ring.
 
 The design splits TED's keygen into its two halves:
 
@@ -56,19 +56,11 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.ted import TedKeyManager
-from repro.obs import tracing
 from repro.storage.sharded import SHARDS_DIRNAME, ShardFanout
 from repro.storage.wal import OP_PUT, WriteAheadLog
-from repro.tedstore.keymanager import KeygenStream
+from repro.tedstore.keymanager import KeyManagerService
 from repro.tedstore.km_state import KeyManagerStateStore, RestoreReport
-from repro.tedstore.messages import (
-    BatchedKeyGenRequest,
-    BatchedKeyGenResponse,
-    KeyGenRequest,
-    KeyGenResponse,
-    ShardObserveRequest,
-    ShardObserveResponse,
-)
+from repro.tedstore.messages import ShardObserveRequest, ShardObserveResponse
 from repro.tedstore.ring import HashRing, load_ring, store_ring
 from repro.utils.varint import decode_uvarint, encode_uvarint
 
@@ -236,13 +228,13 @@ RemoteKmShardPool`: the same ``admit`` / ``observe`` / ``shard_health``
             observer.close()
 
 
-class ShardedKeyManager:
+class ShardedKeyManager(KeyManagerService):
     """Ring-routed key-manager front, wire-compatible with the single KM.
 
-    Drop-in for :class:`~repro.tedstore.keymanager.KeyManagerService`:
-    ``serve_key_manager`` and :class:`~repro.tedstore.inprocess.\
-LocalKeyManager` duck-type against ``handle_keygen`` /
-    ``handle_keygen_batched`` / ``stats`` / ``close``.
+    A :class:`~repro.tedstore.keymanager.KeyManagerService` whose seed
+    step fans the batch out to the observer pool and then applies the
+    front's rule (:meth:`TedKeyManager.select_seeds`); request handling,
+    the sequence check, rate limiting and the lock are inherited.
 
     Args:
         key_manager: the front key manager — owns the seeder/RNG,
@@ -280,9 +272,7 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
         shard_pool=None,
         fleet_options: Optional[Dict] = None,
     ) -> None:
-        self.key_manager = key_manager
-        self.rate_limiter = rate_limiter
-        self._lock = threading.Lock()
+        super().__init__(key_manager, rate_limiter)
         self._state_root = Path(state_root) if state_root else None
         self._front_log: Optional[WriteAheadLog] = None
 
@@ -351,15 +341,14 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
         """Rebuild the front's state from ``front.log`` and the pool.
 
         ``front.log`` holds what is the front's alone: ``t``, the tune
-        count, and the request floor logged with each tune (tunes land
-        exactly on batch boundaries, so the floor restores the
-        position-in-batch too). Observers recover their own stores
+        count, and the request count at each tune — the position as of
+        the last tune, not since. Observers recover their own stores
         (snapshot + delta replay) wherever they live; the ones living
         in this process then make the recovery exact — requests = sum
-        of shard requests, tracking map = union of shard maps (an
-        identity lives on exactly one shard). Without them the map
-        restarts empty: identities seen before the restart rejoin it as
-        they recur, which can only *under*-count one tune window's
+        of shard requests (so the position-in-batch too), tracking map
+        = union of shard maps (an identity lives on exactly one shard).
+        Without them the position restarts at the last tune and the map
+        empty, which can only *under*-count one tune window's
         frequencies (the next window converges; DESIGN.md §15).
         """
         report = RestoreReport()
@@ -410,58 +399,19 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
         """The deployment ring epoch (echoed in PONG heartbeats)."""
         return self.ring.epoch
 
-    def handle_keygen(
-        self,
-        request: KeyGenRequest,
-        client_id: str = "local",
-        sequence: int = 0,
-    ) -> KeyGenResponse:
-        if self.rate_limiter is not None:
-            self.rate_limiter.check(client_id, len(request.hash_vectors))
-        with tracing.get_tracer().span(
-            "km.sharded_keygen",
-            attributes={
-                "batch": len(request.hash_vectors),
-                "shards": len(self.ring),
-            },
-        ):
-            with self._lock:
-                vectors = request.hash_vectors
-                owners = [
-                    self.ring.shard_for_hashes(vector) for vector in vectors
-                ]
-                estimates = self._observe(client_id, sequence, vectors, owners)
-                seeds = self._select(vectors, owners, estimates)
-                return KeyGenResponse(
-                    seeds=seeds, current_t=self.key_manager.t
-                )
+    def _seeds_for_batch(
+        self, vectors: List[List[int]], client_id: str, sequence: int
+    ) -> List[bytes]:
+        """Observe on the owning shards, then select at the front.
 
-    def handle_keygen_batched(
-        self,
-        request: BatchedKeyGenRequest,
-        client_id: str = "local",
-        *,
-        stream: KeygenStream,
-    ) -> BatchedKeyGenResponse:
-        """Sequenced batches, same ordering contract as the single KM.
-
-        The stream's sequence check happens once at the front —
-        sub-batches fan out to shards only after the stream position is
-        validated, and the reply reassembles every shard's estimates
-        back into arrival order, so the client's contract (DESIGN.md
+        The inherited ``handle_keygen_batched`` checks the stream's
+        sequence once, before any sub-batch fans out, and the estimates
+        come back in arrival order, so the client's contract (DESIGN.md
         §10) is untouched by sharding.
         """
-        stream.admit(request.sequence)
-        response = self.handle_keygen(
-            KeyGenRequest(hash_vectors=request.hash_vectors),
-            client_id=client_id,
-            sequence=request.sequence,
-        )
-        return BatchedKeyGenResponse(
-            sequence=request.sequence,
-            seeds=response.seeds,
-            current_t=response.current_t,
-        )
+        owners = [self.ring.shard_for_hashes(vector) for vector in vectors]
+        estimates = self._observe(client_id, sequence, vectors, owners)
+        return self._select(vectors, owners, estimates)
 
     # -- the two phases ----------------------------------------------------
 
@@ -506,73 +456,52 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
     ) -> List[bytes]:
         """Eq. 3 selection over the whole batch, in arrival order.
 
-        Single RNG stream, single ``t``, single tracking map — the
-        exact per-request interleaving of a single key manager,
-        including FTED retunes landing mid-batch.
+        :meth:`TedKeyManager.select_seeds` — single RNG stream, single
+        ``t``, single tracking map, FTED retunes landing mid-batch —
+        then, only if the call crossed tunes, their durable trace: one
+        ``front.log`` record per tune (``t`` and the request count at
+        its boundary), logged before the shard maps reset. A crash
+        between the two replays stale map entries into the next tune —
+        frequency over-counting, the fail-safe direction (same stance
+        as km_state replay of retried batches).
         """
         front = self.key_manager
-        seeds: List[bytes] = []
-        tuned = False
-        # Selections since the last tune: a mid-batch retune clears the
-        # in-process observers' maps (they mirror the front map at
-        # rest), so identities selected after the boundary are
-        # re-tracked into their owners below, restoring
-        # front-map == union-of-shard-maps.
-        since_tune: List[Tuple[int, Tuple[int, ...], int]] = []
-        for vector, owner, frequency in zip(vectors, owners, estimates):
-            identity = tuple(vector)
-            if front.is_fted:
-                front._freq_by_identity[identity] = frequency
-            seeds.append(front._seeder.select_seed(vector, frequency, front.t))
-            front.stats.requests += 1
-            since_tune.append((owner, identity, frequency))
-            if front.batch_size is not None:
-                front._requests_in_batch += 1
-                if front._requests_in_batch >= front.batch_size:
-                    self._tune_locked()
-                    front._requests_in_batch = 0
-                    tuned = True
-                    since_tune = []
-        mirrors = self._pool.observers
-        if tuned and mirrors:
-            if front.is_fted:
-                for owner, identity, frequency in since_tune:
-                    mirrors[owner].key_manager._freq_by_identity[
-                        identity
-                    ] = frequency
-            self._snapshot_shards()
-        return seeds
-
-    def _tune_locked(self) -> None:
-        """FTED batch-boundary retune, mirroring ``_retune_from_tracked``.
-
-        The new ``t`` is logged to ``front.log`` before the shard maps
-        clear; a crash between the two replays stale map entries into
-        the next tune — frequency over-counting, the fail-safe
-        direction (same stance as km_state replay of retried batches).
-        """
-        front = self.key_manager
-        frequencies = list(front._freq_by_identity.values())
-        if frequencies:
-            front.tune_from_frequencies(frequencies)
-        front._freq_by_identity.clear()
+        requests, in_batch = front.stats.requests, front._requests_in_batch
+        tunes = front.stats.batches_tuned
+        seeds = front.select_seeds(vectors, estimates)
+        tunes = front.stats.batches_tuned - tunes
+        if not tunes:
+            return seeds
+        # Boundary i falls ``first + i * batch_size`` requests into the call.
+        first, size = front.batch_size - in_batch, front.batch_size
         if self._front_log is not None:
-            self._front_log.append(
-                OP_PUT,
-                b"tune",
-                bytes(encode_uvarint(front.t))
-                + bytes(encode_uvarint(front.stats.requests)),
-            )
-            self._front_log.sync()
-        # Remote observers never see t (estimates don't use it) and
-        # track nothing; only in-process mirrors need sync.
-        for observer in self._pool.observers.values():
+            for i, t in enumerate(front.stats.t_history[-tunes:]):
+                count = requests + first + i * size
+                self._front_log.append(
+                    OP_PUT,
+                    b"tune",
+                    bytes(encode_uvarint(t)) + bytes(encode_uvarint(count)),
+                )
+                self._front_log.sync()
+        # In-process mirrors keep the front's t, and at rest the union
+        # of their maps is the front's: the identities selected after
+        # the last boundary. Remote observers never see t (estimates
+        # don't use it) and track nothing.
+        mirrors = self._pool.observers
+        if not mirrors:
+            return seeds
+        for observer in mirrors.values():
             observer.key_manager.t = front.t
             observer.key_manager._freq_by_identity.clear()
-
-    def _snapshot_shards(self) -> None:
-        for observer in self._pool.observers.values():
+        tail = first + (tunes - 1) * size
+        for vector, owner in zip(vectors[tail:], owners[tail:]):
+            identity = tuple(vector)
+            mirrors[owner].key_manager._freq_by_identity[identity] = (
+                front._freq_by_identity[identity]
+            )
+        for observer in mirrors.values():
             observer.flush()
+        return seeds
 
     # -- reporting / lifecycle ---------------------------------------------
 
@@ -595,13 +524,7 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
         return self._fanout.counts
 
     def stats(self) -> List[Tuple[str, int]]:
-        km = self.key_manager
-        pairs = [
-            ("requests", km.stats.requests),
-            ("batches_tuned", km.stats.batches_tuned),
-            ("current_t", km.t),
-            ("shards", len(self.ring)),
-        ]
+        pairs = super().stats() + [("shards", len(self.ring))]
         for shard_id, state in sorted(self.shard_health().items()):
             pairs.append(
                 (f"shard_{shard_id}_healthy", int(state == "closed"))

@@ -10,8 +10,18 @@ the sequential path, so ``t`` and every seed decision match bit-for-bit.
 
 import random
 
+import pytest
+
 from repro.core.ted import TedKeyManager
 from repro.sketch.countmin import CountMinSketch
+from repro.tedstore.fleet import RemoteKmShardPool
+from repro.tedstore.messages import KeyGenRequest
+from repro.tedstore.ring import HashRing
+from repro.tedstore.sharding import (
+    ShardObserverService,
+    ShardedKeyManager,
+    make_shard_observer,
+)
 
 
 def _collision_heavy_batch(rng, n, rows=4, width=64, distinct=12):
@@ -61,34 +71,100 @@ def _key_manager(**kwargs):
     return TedKeyManager(secret=b"kappa", rng=random.Random(99), **kwargs)
 
 
-def _assert_same_tuning_state(km_fast, km_ref):
+def _assert_same_tuning_state(km_fast, km_ref, counters=None):
+    """``counters``: the sketch that counted for ``km_fast`` when it is
+    not its own (a sharded front's summed shard sketches)."""
+    if counters is None:
+        counters = km_fast.sketch._counters
     assert km_fast.t == km_ref.t
     assert km_fast.stats.requests == km_ref.stats.requests
     assert km_fast.stats.t_history == km_ref.stats.t_history
-    assert (km_fast.sketch._counters == km_ref.sketch._counters).all()
+    assert (counters == km_ref.sketch._counters).all()
     assert km_fast._freq_by_identity == km_ref._freq_by_identity
     assert km_fast._requests_in_batch == km_ref._requests_in_batch
 
 
-def test_generate_seeds_parity_bted_and_fted():
-    rng = random.Random(31)
+def _boundary_batches():
     # Batch sizes straddle the FTED retune boundary (37): mid-call
-    # retunes, exact-boundary calls, and empty calls all must agree
-    # with one scalar ``generate_seed`` call per request.
-    batches = [
+    # retunes (the 100-key call crosses two), exact-boundary calls, and
+    # empty calls all must agree with one scalar ``generate_seed`` call
+    # per request.
+    rng = random.Random(31)
+    return [
         _collision_heavy_batch(rng, n, width=512, distinct=40)
         for n in (1, 36, 38, 0, 100, 37)
     ]
-    for kwargs in (
-        dict(t=4),
-        dict(blowup_factor=1.5, batch_size=37),
-    ):
+
+
+_MODES = {"bted": dict(t=4), "fted": dict(blowup_factor=1.5, batch_size=37)}
+
+
+def test_generate_seeds_parity_bted_and_fted():
+    for kwargs in _MODES.values():
         km_fast, km_ref = _key_manager(**kwargs), _key_manager(**kwargs)
-        for batch in batches:
+        for batch in _boundary_batches():
             assert km_fast.generate_seeds(batch) == [
                 km_ref.generate_seed(hashes) for hashes in batch
             ]
         _assert_same_tuning_state(km_fast, km_ref)
+
+
+class _ObserverTransport:
+    """A ``RemoteKmShardPool`` route's peer, minus the socket."""
+
+    def __init__(self, service):
+        self.service = service
+
+    def observe(self, request):
+        return self.service.handle_observe(request)
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("pool", ["local", "remote"])
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_sharded_front_parity(mode, pool):
+    """The sharded front — observers count, the front selects — applies
+    the same rule as the scalar reference, over either observer pool."""
+    kwargs = dict(_MODES[mode], sketch_width=512)
+    ring = HashRing.build(3, seed=1)
+    if pool == "local":
+        front = ShardedKeyManager(_key_manager(**kwargs), ring)
+        observers = list(front.shard_key_managers().values())
+    else:
+        ring = ring.with_endpoints(
+            {k: f"127.0.0.1:{7200 + k}" for k in ring.shards}
+        )
+        services = {
+            k: ShardObserverService(
+                k, make_shard_observer(_key_manager(**kwargs))
+            )
+            for k in ring.shards
+        }
+        front = ShardedKeyManager(
+            _key_manager(**kwargs),
+            ring,
+            shard_pool=RemoteKmShardPool(
+                ring,
+                transport_factory=lambda address: _ObserverTransport(
+                    services[address[1] - 7200]
+                ),
+            ),
+        )
+        observers = [service.key_manager for service in services.values()]
+    km_ref = _key_manager(**kwargs)
+    for batch in _boundary_batches():
+        reply = front.handle_keygen(KeyGenRequest(hash_vectors=batch))
+        assert reply.seeds == [km_ref.generate_seed(h) for h in batch]
+        assert reply.current_t == km_ref.t
+    if mode == "fted":
+        assert len(km_ref.stats.t_history) >= 4
+    _assert_same_tuning_state(
+        front.key_manager,
+        km_ref,
+        counters=sum(km.sketch._counters for km in observers),
+    )
 
 
 def test_observe_batch_parity_replays_retunes():

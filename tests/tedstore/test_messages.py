@@ -96,6 +96,33 @@ class TestKeyGenMessages:
         with pytest.raises((m.ProtocolError, ValueError)):
             m.KeyGenResponse.decode(payload[:-3])
 
+    # Wire bytes pinned for fixed inputs, so the shared hash-vector
+    # codec cannot drift: an empty vector, multi-byte varints and a
+    # 2**21 - 1 short hash.
+    _VECTORS = [[1, 2, 300, 2**21 - 1], [], [0, 127, 128, 16384]]
+    _VECTOR_BYTES = "03040102ac02ffff7f0004007f8001808001"
+
+    @pytest.mark.parametrize(
+        "message, golden",
+        [
+            (m.KeyGenRequest(hash_vectors=_VECTORS), _VECTOR_BYTES),
+            (m.KeyGenRequest(hash_vectors=[]), "00"),
+            (
+                m.BatchedKeyGenRequest(sequence=7, hash_vectors=_VECTORS),
+                "07" + _VECTOR_BYTES,
+            ),
+            (
+                m.ShardObserveRequest(
+                    client_id="front", sequence=300, hash_vectors=_VECTORS
+                ),
+                "0566726f6e74ac02" + _VECTOR_BYTES,
+            ),
+        ],
+    )
+    def test_hash_vector_messages_golden_bytes(self, message, golden):
+        assert message.encode().hex() == golden
+        assert type(message).decode(bytes.fromhex(golden)) == message
+
 
 class TestChunkMessages:
     def test_put_chunks_roundtrip(self):

@@ -16,13 +16,16 @@ import zlib
 
 import pytest
 
+from repro.core import ted
 from repro.core.ted import TedKeyManager
 from repro.crypto.murmur3 import short_hashes
+from repro.storage.wal import WriteAheadLog
 from repro.tedstore.keymanager import KeygenStream
 from repro.tedstore.messages import (
     BatchedKeyGenRequest,
     KeyGenRequest,
     ShardObserveRequest,
+    ShardObserveResponse,
 )
 from repro.tedstore.ratelimit import KeyGenRateLimiter, RateLimitExceeded
 from repro.tedstore.fleet import RemoteKmShardPool
@@ -32,6 +35,7 @@ from repro.tedstore.sharding import (
     ShardedKeyManager,
     make_shard_observer,
 )
+from repro.utils.varint import decode_uvarint
 
 _WIDTH = 2**12
 _ROWS = 4
@@ -346,6 +350,98 @@ def test_local_and_remote_observer_pools_agree(tmp_path, mode):
         assert _observer_state(
             tmp_path / "local" / shard, mode
         ) == _observer_state(tmp_path / "remote" / shard, mode)
+
+
+class _StubObserverTransport:
+    """An observer process reduced to its reply: every estimate is 1."""
+
+    def observe(self, request):
+        return ShardObserveResponse(estimates=[1] * len(request.hash_vectors))
+
+    def close(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("remote", [False, True], ids=["local", "remote"])
+def test_front_counts_each_served_seed_once(remote):
+    """``ted_keymanager_keygen_requests_total`` counts the seeds a front
+    serves, in the front's own process: N per N requests, whether the
+    observers live elsewhere or in this process (which must not count
+    them a second time)."""
+    ring = HashRing.build(3, seed=1)
+    pool = None
+    if remote:
+        ring = ring.with_endpoints(
+            {k: f"127.0.0.1:{7200 + k}" for k in ring.shards}
+        )
+        pool = RemoteKmShardPool(
+            ring, transport_factory=lambda _: _StubObserverTransport()
+        )
+    sharded = ShardedKeyManager(_front("fted"), ring, shard_pool=pool)
+    before = ted._KEYGEN_REQUESTS.value
+    sharded.handle_keygen(KeyGenRequest(hash_vectors=_vectors(30)))
+    sharded.handle_keygen_batched(
+        BatchedKeyGenRequest(sequence=1, hash_vectors=_vectors(20)),
+        stream=KeygenStream(),
+    )
+    assert ted._KEYGEN_REQUESTS.value - before == 50
+    assert dict(sharded.stats())["requests"] == 50
+    sharded.close()
+
+
+def _front_log_tunes(path):
+    records = []
+    for _, key, value in WriteAheadLog.replay(path):
+        assert key == b"tune"
+        t, offset = decode_uvarint(value, 0)
+        records.append((t, decode_uvarint(value, offset)[0]))
+    return records
+
+
+def test_front_log_has_one_record_per_tune(tmp_path):
+    sharded = ShardedKeyManager(
+        _front("fted", batch_size=37),
+        HashRing.build(3, seed=2),
+        state_root=tmp_path,
+    )
+    sharded.handle_keygen(KeyGenRequest(hash_vectors=_vectors(20)))
+    # 20 + 100 requests cross the boundaries at 37, 74 and 111.
+    sharded.handle_keygen(KeyGenRequest(hash_vectors=_vectors(100, seed=6)))
+    history = sharded.key_manager.stats.t_history
+    assert len(history) == 3
+    assert _front_log_tunes(tmp_path / "front.log") == [
+        (t, 37 * (i + 1)) for i, t in enumerate(history)
+    ]
+    sharded.close()
+
+
+@pytest.mark.parametrize("close", [True, False], ids=["close", "crash"])
+def test_in_process_front_restores_its_window_exactly(tmp_path, close):
+    """Restarted mid-window, a front over in-process observers resumes
+    the position in the batch and the tracked map, not just the state
+    as of its last tune."""
+    ring = HashRing.build(3, seed=2)
+    first = ShardedKeyManager(
+        _front("fted", batch_size=37), ring, state_root=tmp_path
+    )
+    for seed in (6, 7):
+        first.handle_keygen(
+            KeyGenRequest(hash_vectors=_vectors(50, distinct=40, seed=seed))
+        )
+    front = first.key_manager
+    assert front.stats.batches_tuned == 2 and front._requests_in_batch == 26
+    if close:
+        first.close()
+
+    second = ShardedKeyManager(
+        _front("fted", batch_size=37), state_root=tmp_path
+    )
+    restored = second.key_manager
+    assert restored.stats.requests == 100
+    assert restored._requests_in_batch == 26
+    assert restored._freq_by_identity == front._freq_by_identity
+    assert restored.t == front.t
+    second.close()
 
 
 def test_served_observer_tracks_nothing(tmp_path):

@@ -28,6 +28,23 @@ class TestParser:
         args = build_parser().parse_args(argv)
         assert callable(args.func)
 
+    def test_endpoints_parse_to_address_tuples(self):
+        args = build_parser().parse_args(["upload", "f", "--km", ":7"])
+        assert args.km == ("127.0.0.1", 7)
+        assert args.provider == ("127.0.0.1", 9402)
+
+    @pytest.mark.parametrize("command", ["stats", "upload", "loadgen"])
+    @pytest.mark.parametrize("flag", ["--km", "--provider"])
+    def test_malformed_endpoint_is_a_usage_error(self, command, flag, capsys):
+        argv = [command, flag, "localhost"]
+        if command == "upload":
+            argv.append("file.bin")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "'localhost'" in err
+
 
 class TestOfflineCommands:
     def test_generate_and_analyze_and_tune(self, tmp_path, capsys):
