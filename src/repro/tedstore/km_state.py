@@ -8,11 +8,14 @@ from zero, so previously-frequent chunks look rare and draw random seeds —
 storage blowup with no error anywhere). This module makes that state
 crash-durable with the classic snapshot + log pair:
 
-* a **snapshot** — the full sketch counters (zlib-compressed; they are
-  mostly zeros), the FTED frequency map, ``t`` and the batch-position
-  counters (a trailing per-client slot is reserved and written empty) —
-  published atomically via the durable-write shim (crash scope
-  ``km.snapshot``);
+* a **snapshot** — the sketch's non-zero cells (index gaps and counts,
+  deflated: a snapshot costs one scan of the counters plus O(set
+  cells), not the geometry), the FTED frequency map, ``t`` and the
+  batch-position counters (a trailing per-client slot is reserved and
+  written empty) — published atomically via the durable-write shim
+  (crash scope ``km.snapshot``). The older dense form (``TEDKMS1``,
+  every counter deflated) still restores and is rewritten sparse at the
+  next snapshot; a malformed body fails restore with ``ValueError``;
 * an append-only **delta log** — one CRC-protected record per acked
   key-generation batch, holding the batch's hash vectors (crash scope
   ``km.delta``). The record is durable *before* the response leaves the
@@ -38,7 +41,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,9 +49,18 @@ from repro.core.ted import TedKeyManager
 from repro.obs import metrics as obs_metrics
 from repro.storage import crash
 from repro.storage.wal import OP_PUT, WriteAheadLog
-from repro.utils.varint import decode_uvarint, encode_uvarint
+from repro.utils.varint import (
+    decode_uvarint,
+    decode_vectors,
+    encode_uvarint,
+    encode_vectors,
+)
 
-_MAGIC = b"TEDKMS1\n"
+_MAGIC = b"TEDKMS2\n"
+# The dense form (every counter, deflated); still read, never written.
+_MAGIC_DENSE = b"TEDKMS1\n"
+# Magic plus the body's CRC-32; both magics have the same length.
+_PREFIX = len(_MAGIC) + 4
 
 _REGISTRY = obs_metrics.get_registry()
 _SNAPSHOTS_WRITTEN = _REGISTRY.counter(
@@ -84,17 +96,15 @@ def _encode_batch(
     hash_vectors: Sequence[Sequence[int]],
 ) -> bytes:
     cid = client_id.encode("utf-8")
-    out = bytearray()
-    out.extend(encode_uvarint(batch_id))
-    out.extend(encode_uvarint(len(cid)))
-    out.extend(cid)
-    out.extend(encode_uvarint(sequence))
-    out.extend(encode_uvarint(len(hash_vectors)))
-    for vector in hash_vectors:
-        out.extend(encode_uvarint(len(vector)))
-        for short_hash in vector:
-            out.extend(encode_uvarint(short_hash))
-    return bytes(out)
+    return b"".join(
+        (
+            encode_uvarint(batch_id),
+            encode_uvarint(len(cid)),
+            cid,
+            encode_uvarint(sequence),
+            encode_vectors(hash_vectors),
+        )
+    )
 
 
 def _decode_batch(
@@ -105,16 +115,121 @@ def _decode_batch(
     client_id = payload[pos : pos + cid_len].decode("utf-8")
     pos += cid_len
     sequence, pos = decode_uvarint(payload, pos)
-    count, pos = decode_uvarint(payload, pos)
-    vectors: List[List[int]] = []
-    for _ in range(count):
-        length, pos = decode_uvarint(payload, pos)
-        vector = []
-        for _ in range(length):
-            value, pos = decode_uvarint(payload, pos)
-            vector.append(value)
-        vectors.append(vector)
+    vectors, _ = decode_vectors(payload, pos)
     return batch_id, client_id, sequence, vectors
+
+
+def _inflate(data: bytes, size: int) -> bytes:
+    """Inflate a deflate stream that must hold exactly ``size`` bytes.
+
+    The output is capped at ``size + 1`` bytes, so a hostile stream
+    cannot make recovery allocate more than the sketch it claims to be.
+    """
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(data, size + 1)
+    except zlib.error as exc:
+        raise ValueError(f"counters are not a deflate stream ({exc})") from exc
+    if len(raw) != size or not inflater.eof or inflater.unused_data:
+        raise ValueError(
+            f"counters inflate to {len(raw)} bytes, expected {size}"
+        )
+    return raw
+
+
+def _encode_counters(counters: np.ndarray) -> Tuple[int, bytes]:
+    """The sketch's non-zero cells as ``(cell count, deflated body)``.
+
+    The body is the gaps between successive flat cell indices (the first
+    counted from -1, so every gap is >= 1), then the cells' counts, as
+    little-endian ``uint32`` values laid out byte plane by byte plane:
+    the mostly-zero high bytes then deflate to almost nothing. Cost is
+    one scan of the counters plus O(set cells), whatever the geometry.
+    """
+    flat = counters.ravel()
+    cells = np.flatnonzero(flat != 0)
+    values = np.concatenate(
+        (np.diff(cells, prepend=-1).astype("<u4"), flat[cells].astype("<u4"))
+    )
+    planes = values.view(np.uint8).reshape(-1, 4).T
+    return cells.size, zlib.compress(planes.tobytes())
+
+
+def _decode_counters(
+    body: bytes, cells: int, rows: int, width: int
+) -> np.ndarray:
+    """Inverse of :func:`_encode_counters`; validates before scattering."""
+    size = rows * width
+    if cells > size:
+        raise ValueError(f"{cells} set cells exceed the {rows}x{width} sketch")
+    raw = _inflate(body, 8 * cells)
+    planes = np.frombuffer(raw, dtype=np.uint8).reshape(4, 2 * cells)
+    values = np.ascontiguousarray(planes.T).view("<u4").ravel()
+    gaps, counts = values[:cells], values[cells:]
+    counters = np.zeros(size, dtype=np.uint32)
+    if cells:
+        if gaps.min() == 0:
+            raise ValueError("cell indices do not strictly increase")
+        if counts.min() == 0:
+            raise ValueError("a listed cell has a zero count")
+        index = np.cumsum(gaps, dtype=np.int64) - 1
+        if index[-1] >= size:
+            raise ValueError(
+                f"cell {index[-1]} is past the {rows}x{width} sketch"
+            )
+        counters[index] = counts
+    return counters.reshape(rows, width)
+
+
+def _decode_snapshot(
+    blob: bytes, rows: int, width: int, fted: bool
+) -> Tuple[List[int], np.ndarray, Dict[Tuple[int, ...], int]]:
+    """Parse a CRC-checked snapshot of either magic into plain values.
+
+    Returns the eight header fields, the ``rows`` x ``width`` counters
+    and the frequency map. The map is the tuner's input, so it is only
+    read for an FTED key manager; a fixed-``t`` one (a served shard
+    observer included) tracks nothing and leaves it, and the reserved
+    per-client slot after it, unread.
+
+    Raises:
+        ValueError: on a geometry mismatch or any malformed field.
+    """
+    payload = blob[_PREFIX:]
+    header = []
+    pos = 0
+    for _ in range(8):
+        value, pos = decode_uvarint(payload, pos)
+        header.append(value)
+    if header[:2] != [rows, width]:
+        raise ValueError(
+            f"sketch geometry {header[0]}x{header[1]} does not match "
+            f"the configured {rows}x{width}"
+        )
+    if blob.startswith(_MAGIC_DENSE):
+        length, pos = decode_uvarint(payload, pos)
+        raw = _inflate(payload[pos : pos + length], 4 * rows * width)
+        counters = np.frombuffer(raw, dtype=np.uint32).reshape(rows, width)
+        counters = counters.copy()
+    else:
+        cells, pos = decode_uvarint(payload, pos)
+        length, pos = decode_uvarint(payload, pos)
+        counters = _decode_counters(
+            payload[pos : pos + length], cells, rows, width
+        )
+    pos += length
+    freq: Dict[Tuple[int, ...], int] = {}
+    if fted:
+        count, pos = decode_uvarint(payload, pos)
+        for _ in range(count):
+            size, pos = decode_uvarint(payload, pos)
+            identity = []
+            for _ in range(size):
+                short_hash, pos = decode_uvarint(payload, pos)
+                identity.append(short_hash)
+            frequency, pos = decode_uvarint(payload, pos)
+            freq[tuple(identity)] = frequency
+    return header, counters, freq
 
 
 class KeyManagerStateStore:
@@ -215,14 +330,15 @@ class KeyManagerStateStore:
 
         Loads the snapshot (if an intact one exists), then replays every
         delta past its high-water mark via
-        :meth:`TedKeyManager.observe_batch`. A corrupt snapshot is
-        ignored (recovery starts from the deltas alone); a torn delta
-        tail stops replay there, per the WAL contract.
+        :meth:`TedKeyManager.observe_batch`. A snapshot that fails its
+        CRC is ignored (recovery starts from the deltas alone); a torn
+        delta tail stops replay there, per the WAL contract.
 
         Raises:
             ValueError: if the snapshot's sketch geometry does not match
                 ``key_manager`` — that is a configuration error, not
-                crash damage.
+                crash damage — or a CRC-valid snapshot body does not
+                parse. ``key_manager`` is left untouched either way.
         """
         report = RestoreReport()
         snapshot_high = 0
@@ -253,14 +369,17 @@ class KeyManagerStateStore:
 
     @staticmethod
     def _snapshot_intact(blob: bytes) -> bool:
-        if len(blob) < len(_MAGIC) + 4 or blob[: len(_MAGIC)] != _MAGIC:
+        if len(blob) < _PREFIX or blob[: len(_MAGIC)] not in (
+            _MAGIC,
+            _MAGIC_DENSE,
+        ):
             return False
-        crc = int.from_bytes(blob[len(_MAGIC) : len(_MAGIC) + 4], "little")
-        return zlib.crc32(blob[len(_MAGIC) + 4 :]) == crc
+        crc = int.from_bytes(blob[len(_MAGIC) : _PREFIX], "little")
+        return zlib.crc32(blob[_PREFIX:]) == crc
 
     def _encode_snapshot(self, key_manager: TedKeyManager) -> bytes:
         sketch = key_manager.sketch
-        counters = zlib.compress(sketch._counters.tobytes())
+        cells, counters = _encode_counters(sketch._counters)
         payload = bytearray()
         for value in (
             sketch.rows,
@@ -271,9 +390,10 @@ class KeyManagerStateStore:
             key_manager.stats.requests,
             key_manager.stats.batches_tuned,
             self._batch_id,
+            cells,
+            len(counters),
         ):
             payload.extend(encode_uvarint(value))
-        payload.extend(encode_uvarint(len(counters)))
         payload.extend(counters)
         freq = key_manager._freq_by_identity
         payload.extend(encode_uvarint(len(freq)))
@@ -293,56 +413,40 @@ class KeyManagerStateStore:
     ) -> int:
         """Apply a verified snapshot; returns its batch-id high water.
 
-        The frequency map is the tuner's input, so only an FTED key
-        manager takes it; a fixed-``t`` one (a served shard observer
-        included) tracks nothing and leaves it — and the reserved
-        per-client slot after it — unread.
+        The whole snapshot is decoded before ``key_manager`` is touched,
+        so one that fails to parse leaves it as it was.
+
+        Raises:
+            ValueError: naming the snapshot, if its geometry differs from
+                ``key_manager``'s or its body is malformed.
         """
-        payload = blob[len(_MAGIC) + 4 :]
-        pos = 0
-        values = []
-        for _ in range(8):
-            value, pos = decode_uvarint(payload, pos)
-            values.append(value)
+        sketch = key_manager.sketch
+        try:
+            header, counters, freq = _decode_snapshot(
+                blob, sketch.rows, sketch.width, key_manager.is_fted
+            )
+        except ValueError as exc:
+            raise ValueError(
+                f"key-manager snapshot {self.snapshot_path}: {exc}"
+            ) from exc
         (
-            rows,
-            width,
+            _,
+            _,
             total,
             t,
             requests_in_batch,
             stat_requests,
             batches_tuned,
             batch_high,
-        ) = values
-        sketch = key_manager.sketch
-        if rows != sketch.rows or width != sketch.width:
-            raise ValueError(
-                f"snapshot sketch geometry {rows}x{width} does not match "
-                f"the configured {sketch.rows}x{sketch.width}"
-            )
-        counters_len, pos = decode_uvarint(payload, pos)
-        raw = zlib.decompress(payload[pos : pos + counters_len])
-        pos += counters_len
-        sketch._counters = np.frombuffer(raw, dtype=np.uint32).reshape(
-            rows, width
-        ).copy()
+        ) = header
+        sketch._counters = counters
         sketch.total = total
         key_manager.t = t
         key_manager._requests_in_batch = requests_in_batch
         key_manager.stats.requests = stat_requests
         key_manager.stats.batches_tuned = batches_tuned
         key_manager._freq_by_identity.clear()
-        if not key_manager.is_fted:
-            return batch_high
-        freq_count, pos = decode_uvarint(payload, pos)
-        for _ in range(freq_count):
-            length, pos = decode_uvarint(payload, pos)
-            identity = []
-            for _ in range(length):
-                short_hash, pos = decode_uvarint(payload, pos)
-                identity.append(short_hash)
-            frequency, pos = decode_uvarint(payload, pos)
-            key_manager._freq_by_identity[tuple(identity)] = frequency
+        key_manager._freq_by_identity.update(freq)
         return batch_high
 
     # -- lifecycle ---------------------------------------------------------

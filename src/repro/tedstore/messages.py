@@ -28,7 +28,12 @@ import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.utils.varint import decode_uvarint, encode_uvarint
+from repro.utils.varint import (
+    decode_uvarint,
+    decode_vectors,
+    encode_uvarint,
+    encode_vectors,
+)
 
 _LEN = struct.Struct(">I")
 _F64 = struct.Struct(">d")
@@ -213,11 +218,7 @@ class _Writer:
 
     def vectors(self, vectors: Sequence[Sequence[int]]) -> "_Writer":
         """A counted list of counted short-hash vectors."""
-        self.varint(len(vectors))
-        for vector in vectors:
-            self.varint(len(vector))
-            for h in vector:
-                self.varint(h)
+        self._out.extend(encode_vectors(vectors))
         return self
 
     def done(self) -> bytes:
@@ -261,10 +262,11 @@ class _Reader:
 
     def vectors(self) -> List[List[int]]:
         """Inverse of :meth:`_Writer.vectors`."""
-        return [
-            [self.varint() for _ in range(self.varint())]
-            for _ in range(self.varint())
-        ]
+        try:
+            vectors, self._pos = decode_vectors(self._data, self._pos)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from exc
+        return vectors
 
     def expect_end(self) -> None:
         if self._pos != len(self._data):

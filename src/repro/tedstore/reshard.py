@@ -402,7 +402,7 @@ def _peek_geometry(snapshot_path: Path) -> Optional[Tuple[int, int]]:
     blob = snapshot_path.read_bytes()
     if not KeyManagerStateStore._snapshot_intact(blob):
         return None
-    payload = blob[len(km_state_mod._MAGIC) + 4 :]
+    payload = blob[km_state_mod._PREFIX :]
     rows, pos = decode_uvarint(payload, 0)
     width, _ = decode_uvarint(payload, pos)
     return rows, width

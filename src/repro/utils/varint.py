@@ -7,7 +7,7 @@ LevelDB encodes its internal keys.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 
 def encode_uvarint(value: int) -> bytes:
@@ -49,3 +49,41 @@ def decode_uvarint(data: bytes, offset: int = 0) -> Tuple[int, int]:
         if not byte & 0x80:
             return result, pos
         shift += 7
+
+
+def encode_vectors(vectors: Sequence[Sequence[int]]) -> bytes:
+    """A counted list of counted integer vectors (keygen short hashes).
+
+    The wire keygen messages and the key manager's delta log share this
+    layout byte for byte.
+    """
+    out = bytearray(encode_uvarint(len(vectors)))
+    for vector in vectors:
+        out.extend(encode_uvarint(len(vector)))
+        for value in vector:
+            out.extend(encode_uvarint(value))
+    return bytes(out)
+
+
+def decode_vectors(
+    data: bytes, offset: int = 0
+) -> Tuple[List[List[int]], int]:
+    """Inverse of :func:`encode_vectors`.
+
+    Returns:
+        A ``(vectors, next_offset)`` tuple.
+
+    Raises:
+        ValueError: if the buffer ends mid-list (see
+            :func:`decode_uvarint`).
+    """
+    count, pos = decode_uvarint(data, offset)
+    vectors: List[List[int]] = []
+    for _ in range(count):
+        length, pos = decode_uvarint(data, pos)
+        vector = []
+        for _ in range(length):
+            value, pos = decode_uvarint(data, pos)
+            vector.append(value)
+        vectors.append(vector)
+    return vectors, pos

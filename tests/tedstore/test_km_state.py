@@ -7,18 +7,22 @@ never-crashed key manager would have produced. Deterministic seed
 selection (``probabilistic=False``) makes that comparable seed-for-seed.
 """
 
+import hashlib
 import random
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.core.ted import TedKeyManager
+from repro.crypto.murmur3 import short_hashes
 from repro.storage import crash
 from repro.storage.crash import InjectedCrash
 from repro.tedstore import km_state as km_state_mod
 from repro.tedstore.km_state import KeyManagerStateStore
 from repro.tedstore.keymanager import KeyManagerService
-from repro.tedstore.messages import KeyGenRequest
+from repro.tedstore.messages import BatchedKeyGenRequest, KeyGenRequest
+from repro.tedstore.reshard import _peek_geometry
 from repro.utils.varint import encode_uvarint
 
 _WIDTH = 1024
@@ -53,6 +57,58 @@ def km_state(km):
         km._requests_in_batch,
         km.stats.requests,
     )
+
+
+def snapshot_blob(body, magic=km_state_mod._MAGIC):
+    """A snapshot file around ``body`` with a valid CRC."""
+    return magic + zlib.crc32(body).to_bytes(4, "little") + body
+
+
+def header_bytes(km, batch_high):
+    """The eight leading varints every snapshot magic shares."""
+    return b"".join(
+        encode_uvarint(value)
+        for value in (
+            km.sketch.rows,
+            km.sketch.width,
+            km.sketch.total,
+            km.t,
+            km._requests_in_batch,
+            km.stats.requests,
+            km.stats.batches_tuned,
+            batch_high,
+        )
+    )
+
+
+def freq_map_bytes(km):
+    out = bytearray(encode_uvarint(len(km._freq_by_identity)))
+    for identity, frequency in km._freq_by_identity.items():
+        out += encode_uvarint(len(identity))
+        for short_hash in identity:
+            out += encode_uvarint(short_hash)
+        out += encode_uvarint(frequency)
+    return bytes(out)
+
+
+def dense_snapshot(km, batch_high):
+    """A ``TEDKMS1`` snapshot: every counter deflated, in the layout
+    key managers wrote before snapshots became sparse."""
+    counters = zlib.compress(km.sketch._counters.tobytes())
+    body = (
+        header_bytes(km, batch_high)
+        + encode_uvarint(len(counters))
+        + counters
+        + freq_map_bytes(km)
+        + encode_uvarint(0)
+    )
+    return snapshot_blob(body, magic=b"TEDKMS1\n")
+
+
+def sparse_counters(gaps, counts):
+    """A sparse counters body: uint32 gaps then counts, byte planes."""
+    values = np.array(list(gaps) + list(counts), dtype="<u4")
+    return zlib.compress(values.view(np.uint8).reshape(-1, 4).T.tobytes())
 
 
 class TestRestoreEquivalence:
@@ -296,3 +352,185 @@ class TestCrashMatrix:
         ).seeds
         assert got == baseline_seeds[:2]
         assert retry == baseline_seeds[2]
+
+
+def _run_batches(tmp_path, batches, snapshot_every):
+    service = KeyManagerService(
+        make_km(),
+        state_store=KeyManagerStateStore(
+            tmp_path, snapshot_every=snapshot_every
+        ),
+    )
+    for batch in batches:
+        service.handle_keygen(KeyGenRequest(hash_vectors=batch))
+    return service
+
+
+class TestSnapshotFormat:
+    def test_dense_snapshot_restores_and_is_rewritten_sparse(self, tmp_path):
+        """A ``TEDKMS1`` state dir restores to the never-crashed state
+        (delta replay on top included), and its next snapshot is the
+        smaller sparse ``TEDKMS2``."""
+        batches = make_batches(count=3)
+        baseline = make_km()
+        for batch in batches:
+            baseline.generate_seeds(batch)
+        # Crash after batch 3: the snapshot holds batches 1-2, the delta
+        # log batch 3. Swap the snapshot for its dense equivalent.
+        _run_batches(tmp_path, batches, snapshot_every=2)
+        at_snapshot = make_km()
+        for batch in batches[:2]:
+            at_snapshot.generate_seeds(batch)
+        snapshot = tmp_path / "snapshot.bin"
+        dense = dense_snapshot(at_snapshot, batch_high=2)
+        snapshot.write_bytes(dense)
+        assert _peek_geometry(snapshot) == (4, _WIDTH)
+
+        restored = KeyManagerService(
+            make_km(), state_store=KeyManagerStateStore(tmp_path)
+        )
+        assert restored.restore_report.snapshot_loaded
+        assert restored.restore_report.deltas_replayed == 1
+        assert km_state(restored.key_manager) == km_state(baseline)
+        restored.close()
+        sparse = snapshot.read_bytes()
+        assert sparse.startswith(b"TEDKMS2\n")
+        assert len(sparse) < len(dense_snapshot(baseline, batch_high=3))
+        assert _peek_geometry(snapshot) == (4, _WIDTH)
+
+    @pytest.mark.parametrize("cells", [0, 1, 300])
+    def test_sparse_counters_round_trip(self, cells):
+        """Every byte plane is exercised: gaps past 2**16, counts up to
+        the uint32 maximum, and the first and last cells of the sketch."""
+        rows, width = 4, 2**18
+        rng = np.random.default_rng(cells)
+        counters = np.zeros(rows * width, dtype=np.uint32)
+        picked = rng.choice(rows * width, size=cells, replace=False)
+        counters[picked] = rng.integers(1, 2**32, size=cells, dtype=np.uint64)
+        if cells > 1:
+            counters[[0, rows * width - 1]] = [2**32 - 1, 1]
+        counters = counters.reshape(rows, width)
+        count, body = km_state_mod._encode_counters(counters)
+        assert count == np.count_nonzero(counters)
+        decoded = km_state_mod._decode_counters(body, count, rows, width)
+        assert decoded.dtype == np.uint32
+        assert (decoded == counters).all()
+
+    def test_snapshot_size_does_not_follow_the_geometry(self, tmp_path):
+        """The same 1,000-key stream (100 distinct chunks) snapshots to
+        within 1 KiB in a 4 x 2**10 and a 4 x 2**21 sketch. The dense
+        form differed by the ~32 KiB that 32 MiB of zeros deflates to."""
+        rng = random.Random(4)
+        digests = [
+            hashlib.sha256(i.to_bytes(4, "big")).digest() for i in range(100)
+        ]
+        stream = [rng.choice(digests) for _ in range(1000)]
+        sizes = []
+        for width in (2**10, 2**21):
+            directory = tmp_path / str(width)
+            service = KeyManagerService(
+                TedKeyManager(secret=b"s", t=5, sketch_width=width),
+                state_store=KeyManagerStateStore(directory),
+            )
+            for start in range(0, len(stream), 100):
+                service.handle_keygen(
+                    KeyGenRequest(
+                        hash_vectors=[
+                            short_hashes(d, 4, width)
+                            for d in stream[start : start + 100]
+                        ]
+                    )
+                )
+            service.close()
+            sizes.append((directory / "snapshot.bin").stat().st_size)
+        assert abs(sizes[0] - sizes[1]) < 1024, sizes
+
+
+def _malformed_bodies():
+    """CRC-valid ``TEDKMS2`` bodies whose fields do not parse."""
+    km = make_km()
+    header = header_bytes(km, batch_high=1)
+    tail = encode_uvarint(0) + encode_uvarint(0)  # empty map, empty slot
+
+    def counters(cells, body):
+        return encode_uvarint(cells) + encode_uvarint(len(body)) + body
+
+    one_cell = counters(1, sparse_counters([5], [2]))
+    km.generate_seeds(make_batches(count=1)[0])
+    return {
+        "counters-not-deflate": header
+        + counters(1, b"not a deflate stream")
+        + tail,
+        "counters-short": header + counters(3, sparse_counters([5], [2])) + tail,
+        "map-truncated": header
+        + one_cell
+        + freq_map_bytes(km)[:-3],
+        "cell-past-sketch": header
+        + counters(1, sparse_counters([4 * _WIDTH + 1], [2]))
+        + tail,
+        "cell-repeated": header
+        + counters(2, sparse_counters([5, 0], [2, 1]))
+        + tail,
+        "count-zero": header + counters(1, sparse_counters([5], [0])) + tail,
+    }
+
+
+class TestMalformedSnapshot:
+    @pytest.mark.parametrize("case", sorted(_malformed_bodies()))
+    def test_fails_typed_and_leaves_the_key_manager_untouched(
+        self, tmp_path, case
+    ):
+        snapshot = tmp_path / "snapshot.bin"
+        snapshot.write_bytes(snapshot_blob(_malformed_bodies()[case]))
+        km = make_km()
+        with pytest.raises(ValueError, match="snapshot.bin"):
+            KeyManagerStateStore(tmp_path).restore_into(km)
+        assert km_state(km) == km_state(make_km())
+        with pytest.raises(ValueError, match="snapshot.bin"):
+            KeyManagerService(
+                make_km(), state_store=KeyManagerStateStore(tmp_path)
+            )
+
+    def test_malformed_dense_counters_fail_typed(self, tmp_path):
+        km = make_km()
+        short = zlib.compress(km.sketch._counters.tobytes()[:-4])
+        body = (
+            header_bytes(km, batch_high=0)
+            + encode_uvarint(len(short))
+            + short
+            + encode_uvarint(0)
+            + encode_uvarint(0)
+        )
+        (tmp_path / "snapshot.bin").write_bytes(
+            snapshot_blob(body, magic=b"TEDKMS1\n")
+        )
+        with pytest.raises(ValueError, match="snapshot.bin"):
+            KeyManagerStateStore(tmp_path).restore_into(km)
+        assert km_state(km) == km_state(make_km())
+
+
+_VECTORS = [[1, 300, 2**20, 2**32 + 5], [], [127, 128]]
+
+
+class TestDeltaCodec:
+    """The delta log and the wire share one vector codec; both keep the
+    bytes they had before it was shared."""
+
+    def test_delta_record_bytes_are_unchanged(self):
+        payload = km_state_mod._encode_batch(300, "alice", 129, _VECTORS)
+        assert payload.hex() == (
+            "ac0205616c6963658101030401ac02808040858080801000027f8001"
+        )
+        assert km_state_mod._decode_batch(payload) == (
+            300,
+            "alice",
+            129,
+            _VECTORS,
+        )
+
+    def test_keygen_wire_bytes_are_unchanged(self):
+        request = BatchedKeyGenRequest(sequence=129, hash_vectors=_VECTORS)
+        assert request.encode().hex() == (
+            "8101030401ac02808040858080801000027f8001"
+        )
+        assert BatchedKeyGenRequest.decode(request.encode()) == request

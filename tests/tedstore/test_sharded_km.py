@@ -12,7 +12,6 @@ parity between the in-process and the remote observer pool.
 from __future__ import annotations
 
 import random
-import zlib
 
 import pytest
 
@@ -20,6 +19,7 @@ from repro.core import ted
 from repro.core.ted import TedKeyManager
 from repro.crypto.murmur3 import short_hashes
 from repro.storage.wal import WriteAheadLog
+from repro.tedstore import km_state
 from repro.tedstore.keymanager import KeygenStream
 from repro.tedstore.messages import (
     BatchedKeyGenRequest,
@@ -470,13 +470,19 @@ def test_served_observer_tracks_nothing(tmp_path):
             )
         service.flush()
         assert len(service.key_manager._freq_by_identity) == 0
-        counters = service.key_manager.sketch._counters.tobytes()
-        overheads.append(
-            (tmp_path / "snapshot.bin").stat().st_size
-            - len(zlib.compress(counters))
+        counters = service.key_manager.sketch._counters
+        blob = (tmp_path / "snapshot.bin").read_bytes()
+        # Read back as a tracking key manager would: no map entries.
+        _, restored, freq = km_state._decode_snapshot(
+            blob, _ROWS, _WIDTH, fted=True
         )
-    # A snapshot is the compressed counters plus a fixed few bytes;
-    # 1,024 tracked identities a round used to add over 5 KiB each time.
+        assert freq == {}
+        assert (restored == counters).all()
+        overheads.append(
+            len(blob) - len(km_state._encode_counters(counters)[1])
+        )
+    # A snapshot is the sparse counters plus a fixed few bytes; 1,024
+    # tracked identities a round used to add over 5 KiB each time.
     assert max(overheads) < 64
     assert service.key_manager.stats.requests == 3 * 16 * 64
     service.close()

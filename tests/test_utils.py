@@ -15,6 +15,7 @@ from repro.utils import (
     int_to_bytes,
     xor_bytes,
 )
+from repro.utils.varint import decode_vectors, encode_vectors
 
 
 class TestVarint:
@@ -49,6 +50,17 @@ class TestVarint:
     def test_rejects_overlong(self):
         with pytest.raises(ValueError):
             decode_uvarint(b"\x80" * 11 + b"\x01")
+
+    @given(st.lists(st.lists(st.integers(0, 2**40))))
+    def test_vectors_roundtrip_at_an_offset(self, vectors):
+        data = b"\xff" + encode_vectors(vectors)
+        assert decode_vectors(data, 1) == (vectors, len(data))
+
+    def test_truncated_vectors_rejected(self):
+        data = encode_vectors([[1, 300], [7]])
+        for end in range(len(data)):
+            with pytest.raises(ValueError):
+                decode_vectors(data[:end])
 
 
 class TestBytesUtil:
