@@ -8,9 +8,10 @@ reference chunks scattered across many old containers, so restores touch
 more containers and slow down.
 
 Chunks are addressed by ``ChunkLocation(container_id, offset, length)``
-where ``offset`` indexes into the container's *data section*. Reads fetch
-whole containers through a small LRU cache, mirroring how a real provider
-amortizes disk seeks.
+where ``offset`` indexes into the container's *data section*. Reads of
+sealed containers fetch whole containers through a small LRU cache,
+mirroring how a real provider amortizes disk seeks; a read from the
+still-open container copies just that chunk out of the open buffer.
 
 Crash consistency (DESIGN.md §12). Sealed containers are self-verifying
 and atomically published:
@@ -24,7 +25,10 @@ and atomically published:
   is ``data_len u64 || toc_len u64 || toc_crc u32 || chunk_count u32 ||
   magic``. Every chunk is individually checksummed and the TOC itself is
   checksummed, so torn writes and bit rot are always detectable
-  (``repro fsck`` / the background scrubber verify them).
+  (``repro fsck`` / the background scrubber verify them). Every fetch
+  runs the *frame check* (magic, trailer, length geometry, TOC CRC); the
+  *TOC check* (decode + entry bounds) runs once per distinct TOC+trailer
+  bytes per container per process, keyed by their SHA-256.
 
 * **Atomic seal**: temp file → fsync → rename → directory fsync via the
   :mod:`repro.storage.crash` shim. A crash at any barrier leaves either
@@ -46,6 +50,7 @@ and atomically published:
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import zlib
 from collections import OrderedDict
@@ -165,11 +170,11 @@ def encode_container(data: bytes, entries: List[TocEntry]) -> bytes:
     return _MAGIC + data + toc + trailer
 
 
-def parse_container(blob: bytes) -> Tuple[bytes, List[TocEntry]]:
-    """Parse a container image into (data section, TOC entries).
+def _check_frame(blob: bytes) -> Tuple[int, int]:
+    """The frame check: magic, trailer magic, length geometry, TOC CRC.
 
-    Validates magic, trailer geometry, and the TOC checksum — but not the
-    per-chunk checksums (that is the scrubber's deep pass).
+    Returns ``(toc_start, chunk_count)``; the TOC runs from ``toc_start``
+    to the trailer.
 
     Raises:
         ContainerIntegrityError: on any structural or checksum failure.
@@ -187,9 +192,19 @@ def parse_container(blob: bytes) -> Tuple[bytes, List[TocEntry]]:
     if len(_MAGIC) + data_len + toc_len + _TRAILER.size != len(blob):
         raise ContainerIntegrityError("container length mismatch")
     toc_start = len(_MAGIC) + data_len
-    toc = blob[toc_start : toc_start + toc_len]
-    if zlib.crc32(toc) != toc_crc:
+    if zlib.crc32(blob[toc_start : len(blob) - _TRAILER.size]) != toc_crc:
         raise ContainerIntegrityError("container TOC checksum failure")
+    return toc_start, count
+
+
+def _check_toc(blob: bytes, toc_start: int, count: int) -> List[TocEntry]:
+    """The TOC check of a framed image: decode, then bound every entry.
+
+    Raises:
+        ContainerIntegrityError: malformed TOC or an out-of-bounds entry.
+    """
+    data_len = toc_start - len(_MAGIC)
+    toc = blob[toc_start : len(blob) - _TRAILER.size]
     try:
         entries = _decode_toc(toc, count)
     except (ValueError, IndexError) as exc:
@@ -197,6 +212,25 @@ def parse_container(blob: bytes) -> Tuple[bytes, List[TocEntry]]:
     for entry in entries:
         if entry.offset + entry.length > data_len:
             raise ContainerIntegrityError("TOC entry exceeds data section")
+    return entries
+
+
+def _toc_digest(blob: bytes, toc_start: int) -> bytes:
+    """SHA-256 of an image's TOC and trailer (what the TOC check reads)."""
+    return hashlib.sha256(memoryview(blob)[toc_start:]).digest()
+
+
+def parse_container(blob: bytes) -> Tuple[bytes, List[TocEntry]]:
+    """Parse a container image into (data section, TOC entries).
+
+    Runs the frame check and the TOC check — but not the per-chunk
+    checksums (that is the scrubber's deep pass).
+
+    Raises:
+        ContainerIntegrityError: on any structural or checksum failure.
+    """
+    toc_start, count = _check_frame(blob)
+    entries = _check_toc(blob, toc_start, count)
     return blob[len(_MAGIC) : toc_start], entries
 
 
@@ -238,6 +272,9 @@ class ContainerStore:
         self._idalloc = WriteAheadLog(
             self.directory / "idalloc.log", scope="container.idalloc"
         )
+        # container id -> SHA-256 of the TOC+trailer bytes that passed
+        # the TOC check in this process (see _check_sealed).
+        self._toc_checked: Dict[int, bytes] = {}
         self.recovery = self._recover()
         self._open_id = self._discover_next_id()
         self._open_buffer = bytearray()
@@ -261,11 +298,12 @@ class ContainerStore:
         if report.tmp_files_removed:
             _RECOVERY_TMP_REMOVED.inc(report.tmp_files_removed)
         for path in sorted(self.directory.glob("container-*.bin")):
+            container_id = int(path.stem.split("-")[1])
             try:
-                parse_container(path.read_bytes())
+                self._check_sealed(container_id, path.read_bytes())
             except ContainerIntegrityError:
                 self._quarantine(path)
-                report.quarantined.append(int(path.stem.split("-")[1]))
+                report.quarantined.append(container_id)
         return report
 
     def _quarantine(self, path: Path) -> None:
@@ -295,6 +333,7 @@ class ContainerStore:
         if not path.exists():
             raise KeyError(f"container {container_id} does not exist")
         self._cache.pop(container_id, None)
+        self._toc_checked.pop(container_id, None)
         self._quarantine(path)
         self.stats["containers_quarantined"] += 1
 
@@ -382,6 +421,11 @@ class ContainerStore:
         )
         crash.crash_point("container.seal.before_commit")
         self._commit_id(sealed_id)
+        # The image's TOC was just encoded from entries append() bounded,
+        # and _decode_toc inverts _encode_toc: these bytes pass the check.
+        self._toc_checked[sealed_id] = _toc_digest(
+            image, len(_MAGIC) + sealed_bytes
+        )
         self._open_buffer = bytearray()
         self._open_toc = []
         self._open_id += 1
@@ -396,9 +440,9 @@ class ContainerStore:
     def open_container_id(self) -> int:
         """Id of the still-open (unsealed) container.
 
-        Reads of this id snapshot the open buffer and MUST NOT be cached
-        by callers: later appends land in the same container, so a
-        cached snapshot would serve stale bytes.
+        :meth:`load_container` of this id snapshots the open buffer, and
+        the snapshot MUST NOT be cached by callers: later appends land in
+        the same container, so a cached snapshot would serve stale bytes.
         """
         return self._open_id
 
@@ -423,7 +467,8 @@ class ContainerStore:
             self.stats["cache_hits"] += 1
             _CONTAINER_EVENTS.labels(event="cache_hit").inc()
             return cached
-        data, _ = self._read_container_file(container_id)
+        blob = self._container_image(container_id)
+        data = blob[len(_MAGIC) : self._check_sealed(container_id, blob)]
         self.stats["container_reads"] += 1
         _CONTAINER_EVENTS.labels(event="read").inc()
         self._cache[container_id] = data
@@ -431,27 +476,49 @@ class ContainerStore:
             self._cache.popitem(last=False)
         return data
 
-    def _read_container_file(
-        self, container_id: int
-    ) -> Tuple[bytes, List[TocEntry]]:
+    def _check_sealed(self, container_id: int, blob: bytes) -> int:
+        """Frame-check an image; TOC-check it unless its TOC already passed.
+
+        Returns the TOC's start offset. The frame check runs every time.
+        The TOC check's outcome is a pure function of the TOC and trailer
+        bytes, so it runs only when their SHA-256 differs from the one
+        that last passed for this id (DESIGN.md §12).
+
+        Raises:
+            ContainerIntegrityError: on any structural or checksum failure.
+        """
+        toc_start, count = _check_frame(blob)
+        digest = _toc_digest(blob, toc_start)
+        if self._toc_checked.get(container_id) != digest:
+            _check_toc(blob, toc_start, count)
+            self._toc_checked[container_id] = digest
+        return toc_start
+
+    def _container_image(self, container_id: int) -> bytes:
         path = self._container_path(container_id)
         if not path.exists():
             raise KeyError(f"container {container_id} does not exist")
-        return parse_container(path.read_bytes())
+        return path.read_bytes()
 
     def read(self, location: ChunkLocation) -> bytes:
         """Fetch one chunk by location.
+
+        A chunk of the open container is sliced straight out of the open
+        buffer; only sealed containers are fetched whole.
 
         Raises:
             KeyError: unknown container.
             ValueError: location out of the container's bounds.
             ContainerIntegrityError: the container file is corrupt.
         """
-        data = self._load_container(location.container_id)
+        if location.container_id == self._open_id:
+            data = self._open_buffer
+        else:
+            data = self._load_container(location.container_id)
         end = location.offset + location.length
         if end > len(data):
             raise ValueError(f"chunk location out of bounds: {location}")
-        return data[location.offset : end]
+        return bytes(data[location.offset : end])
 
     def toc(self, container_id: int) -> List[TocEntry]:
         """TOC entries for one container (open or sealed).
@@ -462,7 +529,7 @@ class ContainerStore:
         """
         if container_id == self._open_id:
             return list(self._open_toc)
-        _, entries = self._read_container_file(container_id)
+        _, entries = parse_container(self._container_image(container_id))
         return entries
 
     def verify_container(self, container_id: int) -> List[TocEntry]:
@@ -476,7 +543,7 @@ class ContainerStore:
             ContainerIntegrityError: structural corruption (no per-chunk
                 verdict is possible).
         """
-        data, entries = self._read_container_file(container_id)
+        data, entries = parse_container(self._container_image(container_id))
         return [
             entry
             for entry in entries

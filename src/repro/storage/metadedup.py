@@ -157,7 +157,8 @@ def unpack_metadata_chunks(
             chunk-download path).
 
     Raises:
-        ValueError: corrupt meta recipe.
+        ValueError: corrupt meta recipe, or a metadata chunk whose
+            ciphertext does not match its fingerprint.
     """
     if meta_plain[:4] != _META_MAGIC:
         raise ValueError("not a meta recipe")
@@ -179,6 +180,11 @@ def unpack_metadata_chunks(
     key_recipe = KeyRecipe()
     ciphertexts = fetch([fp for fp, _ in pointers])
     for (fingerprint, key), ciphertext in zip(pointers, ciphertexts):
+        if digest(ciphertext) != fingerprint:
+            raise ValueError(
+                f"metadata chunk {fingerprint.hex()} does not match its "
+                f"fingerprint"
+            )
         nonce = digest(b"metadedup-nonce" + key)[:16]
         plaintext = shactr.decrypt(key, nonce, ciphertext)
         for chunk_fp, size, chunk_key in _decode_entries(plaintext):

@@ -300,7 +300,8 @@ class TedStoreClient:
                 retried).
             KeyError: a recipe names a chunk the provider does not hold.
             ValueError: recipe authentication failure (wrong master key or
-                tampering), or a chunk that decrypts to the wrong size.
+                tampering), a chunk whose ciphertext does not match its
+                fingerprint, or a chunk that decrypts to the wrong size.
         """
         with tracing.get_tracer().span(
             "client.download", attributes={"file": file_name}

@@ -14,8 +14,11 @@ exists once, as a stage body on :class:`PipelinedDownloader`:
   mapped to one ciphertext. Every reply is length-checked against its
   request, so a short reply raises ``ValueError`` instead of silently
   truncating the file.
-* **decrypt** — decrypt first-occurrence jobs, verify each plaintext
-  against the recipe size, and write it into its recipe-order slot.
+* **decrypt** — check each first-occurrence ciphertext against the
+  fingerprint it was fetched by (``ValueError`` on mismatch: the store
+  is not trusted to return what it was asked for), decrypt it, verify
+  the plaintext against the recipe size, and write it into its
+  recipe-order slot.
 * **assemble** — resolve the aliases and join the slots.
 
 Scheduling follows the upload path (same predicate,
@@ -33,6 +36,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.crypto.hashes import digest
 from repro.obs import tracing
 from repro.tedstore.pipeline import (
     PipelineError,
@@ -121,11 +125,20 @@ class PipelinedDownloader:
         return jobs
 
     def decrypt(self, job: List[_Job], timer: StageTimer) -> None:
-        """Decrypt first-occurrence jobs into their recipe-order slots."""
+        """Check, then decrypt first-occurrence jobs into their slots."""
         profile = self.client.profile
+        algorithm = profile.hash_algorithm
         with timer.stage("decryption"), _WORKERS_BUSY.track():
             for index, fp, key, size in job:
-                plaintext = profile.decrypt(key, self._ciphertexts[fp])
+                ciphertext = self._ciphertexts[fp]
+                # The stream ciphers carry no MAC: a ciphertext that is
+                # not the one its fingerprint names would decrypt to
+                # wrong bytes of the right length.
+                if digest(ciphertext, algorithm) != fp:
+                    raise ValueError(
+                        f"chunk {fp.hex()} does not match its fingerprint"
+                    )
+                plaintext = profile.decrypt(key, ciphertext)
                 if len(plaintext) != size:
                     raise ValueError(
                         f"chunk {fp.hex()} decrypted to "

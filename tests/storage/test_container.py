@@ -1,13 +1,64 @@
-"""Container store: packing, sealing, reads, cache."""
+"""Container store: packing, sealing, reads, cache, the TOC memo."""
+
+import hashlib
+import sys
+import threading
+import zlib
 
 import pytest
 
-from repro.storage.container import ChunkLocation, ContainerStore
+from repro.storage import container as container_mod
+from repro.storage.container import (
+    _MAGIC,
+    _TRAILER,
+    ChunkLocation,
+    ContainerIntegrityError,
+    ContainerStore,
+    TocEntry,
+    _encode_toc,
+)
+from repro.storage.dedup import ConcurrentDedupEngine, DedupEngine
+
+
+def _image(data: bytes, toc: bytes, count: int) -> bytes:
+    """A container image whose frame (magic, geometry, TOC CRC) is valid
+    whatever the TOC bytes say."""
+    trailer = _TRAILER.pack(
+        len(data), len(toc), zlib.crc32(toc), count, _MAGIC
+    )
+    return _MAGIC + data + toc + trailer
+
+
+def _entry_past_data_len() -> bytes:
+    return _image(b"d" * 10, _encode_toc([TocEntry(b"fp", 4, 100, 0)]), 1)
+
+
+def _truncated_entry() -> bytes:
+    toc = _encode_toc([TocEntry(b"fp", 0, 10, zlib.crc32(b"d" * 10))])
+    return _image(b"d" * 10, toc[:-2], 1)
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Counts calls of the TOC decoder (the TOC check's costly part)."""
+    calls = []
+    real = container_mod._decode_toc
+
+    def counting(blob, count):
+        calls.append(count)
+        return real(blob, count)
+
+    monkeypatch.setattr(container_mod, "_decode_toc", counting)
+    return calls
+
+
+def _store(path, cache=2):
+    return ContainerStore(path, container_bytes=256, cache_containers=cache)
 
 
 @pytest.fixture
 def store(tmp_path):
-    return ContainerStore(tmp_path, container_bytes=256, cache_containers=2)
+    return _store(tmp_path)
 
 
 class TestChunkLocation:
@@ -102,3 +153,161 @@ class TestAccounting:
     def test_invalid_capacity(self, tmp_path):
         with pytest.raises(ValueError):
             ContainerStore(tmp_path, container_bytes=0)
+
+
+def _seal_containers(store, count):
+    """Fill ``count`` sealed 256-byte containers with two chunks each."""
+    locs = [store.append(bytes([i]) * 100) for i in range(2 * count)]
+    store.seal()
+    return locs
+
+
+class TestTocMemo:
+    """A fetch frame-checks every time; it TOC-checks each distinct
+    TOC+trailer byte string once per container id per process."""
+
+    @pytest.mark.parametrize(
+        "image,message",
+        [
+            (_entry_past_data_len, "exceeds data section"),
+            (_truncated_entry, "malformed container TOC"),
+        ],
+    )
+    def test_malformed_toc_raises_on_every_fetch(
+        self, store, decode_calls, image, message
+    ):
+        (store.directory / "container-5.bin").write_bytes(image())
+        for attempt in range(3):
+            with pytest.raises(ContainerIntegrityError, match=message):
+                store.read(ChunkLocation(5, 0, 4))
+        assert len(decode_calls) == 3  # a failure is never remembered
+
+    def test_replaced_image_is_checked_again(self, tmp_path, decode_calls):
+        store = _store(tmp_path, cache=1)
+        locs = _seal_containers(store, 2)
+        assert store.read(locs[0]) == bytes([0]) * 100
+        assert store.read(locs[2]) == bytes([2]) * 100  # evicts container 0
+        assert decode_calls == []  # both TOCs were remembered at seal
+        (tmp_path / "container-0.bin").write_bytes(_entry_past_data_len())
+        with pytest.raises(ContainerIntegrityError, match="exceeds data"):
+            store.read(locs[0])
+        assert len(decode_calls) == 1
+
+    def test_flipped_toc_byte_fails_the_frame_check(self, tmp_path):
+        store = _store(tmp_path, cache=1)
+        locs = _seal_containers(store, 2)
+        store.read(locs[0])
+        store.read(locs[2])  # evicts container 0
+        path = tmp_path / "container-0.bin"
+        blob = bytearray(path.read_bytes())
+        blob[len(_MAGIC) + 200] ^= 0xFF  # first byte of the TOC
+        path.write_bytes(bytes(blob))
+        with pytest.raises(
+            ContainerIntegrityError, match="TOC checksum failure"
+        ):
+            store.read(locs[0])
+
+    def test_quarantine_clears_the_entry(self, store):
+        _seal_containers(store, 1)
+        assert 0 in store._toc_checked
+        store.quarantine_container(0)
+        assert 0 not in store._toc_checked
+
+    def test_cold_restore_decodes_each_toc_at_most_once(
+        self, tmp_path, decode_calls
+    ):
+        store = _store(tmp_path)
+        locs = _seal_containers(store, 6)
+        store.close()
+        # Reopen (startup recovery checks every container) with a cache
+        # far smaller than the store, then restore in a fragmented order.
+        cold = _store(tmp_path, cache=2)
+        order = locs[0::2] + locs[1::2]
+        for _ in range(3):
+            for loc in order:
+                assert cold.read(loc) == bytes([locs.index(loc)]) * 100
+        assert cold.stats["container_reads"] > 6  # containers re-fetched
+        assert len(decode_calls) <= 6
+
+
+class TestOpenContainerReads:
+    def test_read_returns_appended_bytes_across_appends(self, store):
+        first = store.append(b"first-chunk")
+        assert store.read(first) == b"first-chunk"
+        second = store.append(b"second")
+        third = store.append(b"third-chunk!")
+        for loc, want in (
+            (first, b"first-chunk"),
+            (second, b"second"),
+            (third, b"third-chunk!"),
+        ):
+            got = store.read(loc)
+            assert type(got) is bytes
+            assert got == want
+        assert third.container_id == store.open_container_id
+
+    def test_open_read_out_of_bounds(self, store):
+        store.append(b"tiny")
+        with pytest.raises(ValueError):
+            store.read(ChunkLocation(store.open_container_id, 2, 10))
+
+    def test_load_container_of_open_id_is_a_snapshot(self, store):
+        store.append(b"abc")
+        snapshot = store.load_container(store.open_container_id)
+        store.append(b"defg")
+        assert type(snapshot) is bytes
+        assert snapshot == b"abc"
+        assert store.load_container(store.open_container_id) == b"abcdefg"
+
+    def test_concurrent_load_many_racing_store(self, tmp_path):
+        engine = ConcurrentDedupEngine(
+            DedupEngine(tmp_path, container_bytes=8192)
+        )
+        chunks = [
+            hashlib.sha256(i.to_bytes(4, "big")).digest() * (1 + i % 7)
+            for i in range(600)
+        ]
+        fps = [hashlib.sha256(c).digest() for c in chunks]
+        stored = []  # indices whose store() has returned
+        reads = []
+        errors = []
+        done = threading.Event()
+
+        def writer():
+            try:
+                for i, (fp, chunk) in enumerate(zip(fps, chunks)):
+                    engine.store(fp, chunk)
+                    stored.append(i)
+            finally:
+                done.set()
+
+        def reader():
+            # Re-read the newest chunks, most of them still in the open
+            # container that the writer is appending to.
+            try:
+                while not done.is_set():
+                    ids = stored[-20:]
+                    got = engine.load_many([fps[i] for i in ids])
+                    assert got == [chunks[i] for i in ids]
+                    reads.append(len(ids))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=f) for f in (writer, reader, reader)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(stored) == len(chunks) and sum(reads) > 0
+        assert engine.containers.stats["containers_sealed"] >= 2
+        assert engine.load_many(fps) == chunks
+        engine.close()
