@@ -49,6 +49,9 @@ _RECOVERY_INDEX_DROPPED = _REGISTRY.counter(
     "missing or out-of-bounds chunks",
 )
 
+#: Per-fingerprint lock stripes of each :class:`ConcurrentDedupEngine`.
+STRIPES = 64
+
 
 class RingEpochRegressionError(ValueError):
     """A peer reported a ring epoch *older* than one already observed.
@@ -461,11 +464,9 @@ class ConcurrentDedupEngine:
     deadlock-free.
     """
 
-    def __init__(self, engine: DedupEngine, stripes: int = 64) -> None:
-        if stripes < 1:
-            raise ValueError("stripes must be at least 1")
+    def __init__(self, engine: DedupEngine) -> None:
         self._engine = engine
-        self._stripes = tuple(threading.Lock() for _ in range(stripes))
+        self._stripes = tuple(threading.Lock() for _ in range(STRIPES))
         self._index_lock = threading.Lock()
         self._container_lock = threading.Lock()
         self._stats_lock = threading.Lock()

@@ -156,7 +156,6 @@ class ShardedDedupEngine:
         ring,
         container_bytes: int = 8 << 20,
         concurrent: bool = False,
-        stripes: int = 64,
     ) -> None:
         self.directory = Path(directory)
         self.ring = ring
@@ -170,9 +169,7 @@ class ShardedDedupEngine:
             )
             self._leaves[shard] = leaf
             self._routes[shard] = (
-                ConcurrentDedupEngine(leaf, stripes=stripes)
-                if concurrent
-                else leaf
+                ConcurrentDedupEngine(leaf) if concurrent else leaf
             )
         self._fanout = ShardFanout("provider", ring.shards)
 

@@ -94,11 +94,14 @@ class TedStoreClient:
         timer: optional stage timer; a fresh one is created if omitted.
         workers: encrypt/decrypt worker threads. With ``workers == 1``
             (and no ``crypto_workers``) the caller's thread runs every
-            stage itself and no thread is started; otherwise the same
-            stages overlap on threads (DESIGN.md §10). Stored state is
-            byte-identical for every value.
-        pipeline_depth: bounded-queue depth between threaded stages —
-            the backpressure knob capping in-flight sub-batches.
+            stage itself and no thread is started; otherwise encryption
+            and decryption run on a ``workers``-thread executor, and
+            upload PUTs on one writer thread (DESIGN.md §10). Stored
+            state is byte-identical for every value.
+        pipeline_depth: the backpressure knob of the threaded
+            scheduler: upload batches waiting to be written, and
+            ``pipeline_depth × workers`` outstanding decrypt jobs on
+            restore.
         fingerprint_cache: optional client-side
             :class:`~repro.storage.dedup.FingerprintCache`; hits skip
             encryption and upload for chunks already at the provider.
@@ -159,7 +162,8 @@ class TedStoreClient:
         """Chunk and upload a file's raw bytes.
 
         The chunker output streams into the upload stages, so with
-        stage threads chunking overlaps keygen, encrypt, and upload.
+        stage threads chunking overlaps encrypt and PUT, not keygen
+        (both run in the caller's thread).
         """
         return self._upload_chunks(file_name, self._chunk_stream(data))
 

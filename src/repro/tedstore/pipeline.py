@@ -29,11 +29,13 @@ The schedulers differ only in *who calls the bodies*:
   thread runs prepare → encrypt → sequence back to back per
   ``batch_size`` batch. No thread, no queue: on small files thread
   start/join and queue hand-offs cost more than there is to overlap.
-* **threaded** (otherwise) — the caller's thread feeds sub-batches into
-  a depth-bounded queue (the backpressure: memory stays proportional to
-  ``pipeline_depth``, never file size); one dispatcher thread coalesces
-  whatever is queued into one prepare call; ``workers`` threads encrypt;
-  one uploader thread sequences. The wire and the CPU overlap.
+* **threaded** (otherwise) — the caller's thread draws ``batch_size``
+  batches and prepares each one (keygen stays ordered and single in
+  flight); ``workers`` executor threads encrypt the misses; one writer
+  thread sequences the batches in submission order. At most
+  ``pipeline_depth`` batches wait to be written (the backpressure:
+  memory stays proportional to the depth, never to the file size). The
+  wire and the CPU overlap.
 
 Stored state is the same either way: keys depend only on the order
 chunks reach the key manager, ciphertexts only on (key, chunk), and PUT
@@ -41,20 +43,19 @@ batches are cut from the re-sequenced stream
 (``tests/integration/test_pipeline_differential.py`` checks both
 schedulers against a straight-line oracle).
 
-A stage error is re-raised to the caller as itself — same type from
-either scheduler. In threaded mode it first latches a shared failure
-box that every queue wait polls, so a dead stage can never deadlock the
-rest.
+A stage error reaches the caller as itself from either scheduler. In
+threaded mode it is the first error in file order; every executor is
+shut down and joined before the call returns, and nothing is sent
+after the error is seen.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.keygen import derive_key
 from repro.crypto.hashes import digest
@@ -63,14 +64,8 @@ from repro.obs import metrics as obs_metrics, tracing
 from repro.storage.dedup import FingerprintCache
 from repro.storage.recipe import FileRecipe, KeyRecipe
 from repro.tedstore.messages import BatchedKeyGenRequest, PutChunks
-from repro.utils.timer import StageTimer
 
 _REGISTRY = obs_metrics.get_registry()
-_QUEUE_DEPTH = _REGISTRY.gauge(
-    "ted_pipeline_queue_depth",
-    "Sub-batches currently queued between pipeline stages",
-    labelnames=("stage",),
-)
 _WORKERS_BUSY = _REGISTRY.gauge(
     "ted_pipeline_workers_busy",
     "Encrypt workers currently processing a job",
@@ -80,10 +75,6 @@ _PIPELINE_CHUNKS = _REGISTRY.counter(
     "Chunks leaving the pipeline, by path taken",
     labelnames=("path",),
 )
-
-#: Queue poll interval; every blocking wait checks the failure box at
-#: this cadence so a dead stage unwinds the whole pipeline promptly.
-_POLL_SECONDS = 0.05
 
 
 def stage_threads(workers: int, crypto_workers: int) -> bool:
@@ -114,88 +105,6 @@ class PipelineError(RuntimeError):
     """
 
 
-class _Failure:
-    """First-error latch shared by all stages."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._event = threading.Event()
-        self.exc: Optional[BaseException] = None
-
-    def set(self, exc: BaseException) -> None:
-        with self._lock:
-            if self.exc is None:
-                self.exc = exc
-        self._event.set()
-
-    def is_set(self) -> bool:
-        return self._event.is_set()
-
-
-class _Aborted(Exception):
-    """Internal unwind signal raised inside stages after a failure."""
-
-
-def _run_guarded(failure: _Failure, body) -> None:
-    """Run one stage loop; latch its first real error."""
-    try:
-        body()
-    except _Aborted:
-        pass
-    except BaseException as exc:
-        failure.set(exc)
-
-
-class _MeteredQueue:
-    """Bounded queue whose depth is mirrored onto a gauge and whose
-    blocking operations poll the shared failure box."""
-
-    def __init__(self, stage: str, maxsize: int, failure: _Failure) -> None:
-        self._q: "queue.Queue" = queue.Queue(maxsize=maxsize)
-        self._gauge = _QUEUE_DEPTH.labels(stage=stage)
-        self._failure = failure
-
-    def put(self, item) -> None:
-        while True:
-            if self._failure.is_set():
-                raise _Aborted()
-            try:
-                self._q.put(item, timeout=_POLL_SECONDS)
-                self._gauge.set(self._q.qsize())
-                return
-            except queue.Full:
-                continue
-
-    def get(self):
-        while True:
-            if self._failure.is_set():
-                raise _Aborted()
-            try:
-                item = self._q.get(timeout=_POLL_SECONDS)
-                self._gauge.set(self._q.qsize())
-                return item
-            except queue.Empty:
-                continue
-
-    def get_nowait(self):
-        item = self._q.get_nowait()  # raises queue.Empty
-        self._gauge.set(self._q.qsize())
-        return item
-
-    def try_get(self):
-        """One bounded wait; raises queue.Empty on timeout.
-
-        For consumers whose exit condition can become true while the
-        queue stays empty forever (the uploader once every chunk is
-        emitted): poll, re-check, poll again — never block open-ended.
-        """
-        if self._failure.is_set():
-            raise _Aborted()
-        item = self._q.get(timeout=_POLL_SECONDS)
-        self._gauge.set(self._q.qsize())
-        return item
-
-
 @dataclass
 class _Resolved:
     """One chunk's outcome, keyed by its position in the file.
@@ -219,8 +128,6 @@ class _Resolved:
 
 #: One encrypt job entry: (file index, chunk, fingerprint, seed, key).
 _Miss = Tuple[int, bytes, bytes, bytes, bytes]
-
-_FEED_END = object()
 
 
 def _encrypt_job(profile, job: List[_Miss]) -> List[_Resolved]:
@@ -396,10 +303,10 @@ class PipelinedUploader:
             )
         return resolved, misses
 
-    def encrypt(self, job: List[_Miss], timer: StageTimer) -> List[_Resolved]:
+    def encrypt(self, job: List[_Miss]) -> List[_Resolved]:
         """Encrypt one job of misses; fingerprint the ciphertexts."""
         profile = self.client.profile
-        with timer.stage("encryption"), _WORKERS_BUSY.track():
+        with self.client.timer.stage("encryption"), _WORKERS_BUSY.track():
             if self._pool is not None:
                 resolved = self._pool.submit(
                     _mp_encrypt_job, profile.name, job
@@ -498,119 +405,74 @@ class PipelinedUploader:
         for batch in batched(chunks, client.batch_size):
             resolved, misses = self.prepare(batch)
             if misses:
-                resolved += self.encrypt(misses, client.timer)
+                resolved += self.encrypt(misses)
             self.sequence(resolved)
         self._finish()
 
     def _run_threaded(self, file_name: str, chunks: Iterable[bytes]) -> None:
-        """Feed from the caller's thread; stages on threads of their own."""
+        """Prepare here; encrypt and write on executors.
+
+        The caller's thread prepares each ``batch_size`` batch, so keygen
+        stays ordered and single in flight. The misses go to the encrypt
+        executor as contiguous jobs, and one write task per batch goes to
+        a one-thread writer whose FIFO order is file order. At most
+        ``pipeline_depth`` batches wait to be written.
+        """
         client = self.client
-        failure = _Failure()
-        depth = client.pipeline_depth
-        feed_q = _MeteredQueue("feed", depth, failure)
-        encrypt_q = _MeteredQueue("encrypt", depth * self.workers, failure)
-        result_q = _MeteredQueue("results", 0, failure)
-        # Chunks per feed sub-batch: small enough that several are in
-        # flight across stages, large enough that queue overhead stays
-        # negligible against hashing/encryption work.
-        feed_batch = max(16, client.batch_size // max(2, self.workers))
-        total_lock = threading.Lock()
-        total: Optional[int] = None  # chunk count, once the feed ended
-
-        def feed() -> None:
-            nonlocal total
-            count = 0
-            for batch in batched(chunks, feed_batch):
-                count += len(batch)
-                feed_q.put(batch)
-            with total_lock:
-                total = count
-            feed_q.put(_FEED_END)
-
-        def dispatch() -> None:
-            done = False
-            while not done:
-                item = feed_q.get()
-                if item is _FEED_END:
-                    break
-                # Coalesce everything already queued, up to one full
-                # keygen batch — more sub-batches may have piled up
-                # while the previous round trip was in flight.
-                pending: List[bytes] = list(item)
-                while len(pending) < client.batch_size:
-                    try:
-                        extra = feed_q.get_nowait()
-                    except queue.Empty:
-                        break
-                    if extra is _FEED_END:
-                        done = True
-                        break
-                    pending.extend(extra)
-                resolved, misses = self.prepare(pending)
-                if resolved:
-                    result_q.put(resolved)
-                # Fan misses out in contiguous slices; sequencing
-                # restores global order downstream.
-                job_size = max(32, -(-len(misses) // self.workers))
-                for start in range(0, len(misses), job_size):
-                    encrypt_q.put(misses[start : start + job_size])
-            for _ in range(self.workers):
-                encrypt_q.put(_FEED_END)
-
-        def encrypt_worker(timer: StageTimer) -> None:
-            while True:
-                job = encrypt_q.get()
-                if job is _FEED_END:
-                    return
-                result_q.put(self.encrypt(job, timer))
-
-        def upload() -> None:
-            while True:
-                with total_lock:
-                    if total is not None and self._next_index >= total:
-                        break
-                try:
-                    entries = result_q.try_get()
-                except queue.Empty:
-                    # Nothing in flight right now; the total may have
-                    # just been published — re-check the exit condition.
-                    continue
-                self.sequence(entries)
-            self._finish()
-
-        worker_timers = [StageTimer() for _ in range(self.workers)]
-        bodies = [("dispatch", dispatch), ("upload", upload)] + [
-            (f"encrypt-{i}", lambda t=timer: encrypt_worker(t))
-            for i, timer in enumerate(worker_timers)
-        ]
-        threads = [
-            threading.Thread(
-                target=_run_guarded,
-                args=(failure, body),
-                name=f"ted-pipeline-{name}",
-                daemon=True,
-            )
-            for name, body in bodies
-        ]
+        encryptors = ThreadPoolExecutor(
+            self.workers, thread_name_prefix="ted-pipeline-encrypt"
+        )
+        writer = ThreadPoolExecutor(1, thread_name_prefix="ted-pipeline-write")
         if client.crypto_workers:
-            self._pool = ProcessPoolExecutor(
-                max_workers=client.crypto_workers
-            )
-        with tracing.get_tracer().span(
-            "client.pipeline",
-            attributes={"workers": self.workers, "file": file_name},
-        ):
-            for thread in threads:
-                thread.start()
-            try:
-                _run_guarded(failure, feed)
-            finally:
-                for thread in threads:
-                    thread.join()
-                if self._pool is not None:
-                    self._pool.shutdown(wait=True)
-                    self._pool = None
-        for timer in worker_timers:
-            client.timer.merge(timer)
-        if failure.exc is not None:
-            raise failure.exc
+            self._pool = ProcessPoolExecutor(max_workers=client.crypto_workers)
+        writes: Deque[Future] = deque()
+        try:
+            with tracing.get_tracer().span(
+                "client.pipeline",
+                attributes={"workers": self.workers, "file": file_name},
+            ):
+                for batch in batched(chunks, client.batch_size):
+                    # Writes complete in order, so a failed one is seen
+                    # here before the next keygen is sent.
+                    while writes and writes[0].done():
+                        writes.popleft().result()
+                    resolved, misses = self.prepare(batch)
+                    size = max(32, -(-len(misses) // self.workers))
+                    jobs = [
+                        encryptors.submit(self.encrypt, misses[s : s + size])
+                        for s in range(0, len(misses), size)
+                    ]
+                    previous = writes[-1] if writes else None
+                    writes.append(
+                        writer.submit(self._write, previous, resolved, jobs)
+                    )
+                    if len(writes) > client.pipeline_depth:
+                        writes.popleft().result()
+                while writes:
+                    writes.popleft().result()
+                self._finish()
+        finally:
+            # Encryptors first: a write still waiting on a cancelled job
+            # then ends without its PUT.
+            for executor in (encryptors, writer, self._pool):
+                if executor is not None:
+                    executor.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+
+    def _write(
+        self,
+        previous: Optional[Future],
+        resolved: List[_Resolved],
+        jobs: List[Future],
+    ) -> None:
+        """Writer task: sequence one batch once its encrypt jobs are done.
+
+        ``previous`` is the batch before it, already finished on the one
+        writer thread; its failure is re-raised so nothing after it is
+        sent.
+        """
+        if previous is not None:
+            previous.result()
+        for job in jobs:
+            resolved += job.result()
+        self.sequence(resolved)

@@ -194,7 +194,6 @@ class ProviderService:
         quota_bytes: Optional[int] = None,
         quota_files: Optional[int] = None,
         auth_tokens: Optional[Dict[str, bytes]] = None,
-        dedup_stripes: int = 64,
         shards: int = 1,
         ring_seed: int = 0,
     ) -> None:
@@ -212,7 +211,6 @@ class ProviderService:
         self.lookahead_window = lookahead_window
         self.container_bytes = container_bytes
         self._directory = Path(directory) if directory is not None else None
-        self._dedup_stripes = dedup_stripes
         self._closed = False
         # Guards tenant-map mutation and close(); never held while a
         # tenant lock is held (order: admin -> tenant -> engine locks).
@@ -267,7 +265,6 @@ class ProviderService:
                     self.ring,
                     container_bytes=container_bytes,
                     concurrent=cross_user_dedup,
-                    stripes=dedup_stripes,
                 )
             else:
                 if directory is None:
@@ -285,9 +282,7 @@ class ProviderService:
                     # on exactly one shard.
                     self._shared = self.engine
                 else:
-                    self._shared = ConcurrentDedupEngine(
-                        self.engine, stripes=dedup_stripes
-                    )
+                    self._shared = ConcurrentDedupEngine(self.engine)
         # Materialize the default tenant eagerly: it owns the legacy
         # root-layout recipes, which must be durable-loaded before the
         # first request (a provider restart must still resolve every
@@ -673,19 +668,16 @@ class ProviderService:
 
     def flush(self) -> None:
         """Seal containers and flush indexes/recipes across all tenants."""
+        # A tenant-owned engine (partitioned mode, the default tenant's
+        # included) is flushed under the tenant lock its requests hold.
         for state in self._tenant_snapshot():
             with state.lock:
-                if (
-                    state.engine is not None
-                    and state.engine is not self.engine
-                ):
+                if state.engine is not None:
                     state.engine.flush()
                 if state.recipe_store is not None:
                     state.recipe_store.flush()
         if self._shared is not None:
             self._shared.flush()
-        elif self.engine is not None:
-            self.engine.flush()
 
     def close(self) -> None:
         """Stop the scrubber and flush/release all storage.

@@ -24,32 +24,31 @@ exists once, as a stage body on :class:`PipelinedDownloader`:
 Scheduling follows the upload path (same predicate,
 :func:`~repro.tedstore.pipeline.stage_threads`): **inline**, the
 caller's thread alternates fetch and decrypt per batch and starts no
-thread; **threaded**, the caller's thread fetches while ``workers``
-threads decrypt from a depth-bounded queue, so batch *i+1*'s round trip
-hides behind batch *i*'s decryption — joining the workers is the
-re-sequencing barrier. Output is byte-identical either way, and a stage
-error reaches the caller as itself from both.
+thread; **threaded**, the caller's thread fetches and submits decrypt
+jobs to a ``workers``-thread executor, at most ``pipeline_depth ×
+workers`` outstanding, so batch *i+1*'s round trip hides behind batch
+*i*'s decryption — waiting on the jobs is the re-sequencing barrier.
+Output is byte-identical either way. A stage error reaches the caller
+as itself from both; in threaded mode it is the first error in file
+order, the executor is joined before the call returns, and no GET is
+sent after the error is seen.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto.hashes import digest
 from repro.obs import tracing
 from repro.tedstore.pipeline import (
     PipelineError,
-    _Aborted,
-    _Failure,
-    _FEED_END,
-    _MeteredQueue,
     _PIPELINE_CHUNKS,
     _WORKERS_BUSY,
-    _run_guarded,
     stage_threads,
 )
-from repro.utils.timer import StageTimer
 
 #: One decrypt job: (recipe index, ciphertext fingerprint, chunk key,
 #: expected plaintext size).
@@ -124,11 +123,11 @@ class PipelinedDownloader:
             _PIPELINE_CHUNKS.labels(path="fetched").inc(len(want))
         return jobs
 
-    def decrypt(self, job: List[_Job], timer: StageTimer) -> None:
+    def decrypt(self, job: List[_Job]) -> None:
         """Check, then decrypt first-occurrence jobs into their slots."""
         profile = self.client.profile
         algorithm = profile.hash_algorithm
-        with timer.stage("decryption"), _WORKERS_BUSY.track():
+        with self.client.timer.stage("decryption"), _WORKERS_BUSY.track():
             for index, fp, key, size in job:
                 ciphertext = self._ciphertexts[fp]
                 # The stream ciphers carry no MAC: a ciphertext that is
@@ -204,65 +203,43 @@ class PipelinedDownloader:
             for piece in slices:
                 jobs = self.fetch(*piece)
                 if jobs:
-                    self.decrypt(jobs, client.timer)
+                    self.decrypt(jobs)
         return self.assemble()
 
     def _run_threaded(self, file_name: str, slices) -> None:
-        """Fetch from the caller's thread; decrypt on worker threads."""
+        """Fetch from the caller's thread; decrypt on an executor.
+
+        At most ``pipeline_depth × workers`` decrypt jobs are
+        outstanding, so memory stays proportional to the depth, never to
+        the file size. Waiting on the jobs in submission order yields the
+        first error in file order; joining them is the re-sequencing
+        barrier.
+        """
         client = self.client
         workers = client.workers
-        failure = _Failure()
-        # Up to ``depth`` fetched batches may be in flight as decrypt
-        # jobs (each batch fans out into at most ``workers`` jobs), so
-        # memory stays proportional to depth, never file size.
-        decrypt_q = _MeteredQueue(
-            "decrypt", client.pipeline_depth * workers, failure
+        limit = client.pipeline_depth * workers
+        decryptors = ThreadPoolExecutor(
+            workers, thread_name_prefix="ted-pipeline-decrypt"
         )
-
-        def prefetch() -> None:
-            for piece in slices:
-                jobs = self.fetch(*piece)
-                # Fan out in contiguous slices; slot indices restore
-                # global order, so workers need no coordination beyond
-                # the queue.
-                job_size = max(32, -(-len(jobs) // workers))
-                for s in range(0, len(jobs), job_size):
-                    decrypt_q.put(jobs[s : s + job_size])
-
-        def decrypt_worker(timer: StageTimer) -> None:
-            while True:
-                job = decrypt_q.get()
-                if job is _FEED_END:
-                    return
-                self.decrypt(job, timer)
-
-        worker_timers = [StageTimer() for _ in range(workers)]
-        threads = [
-            threading.Thread(
-                target=_run_guarded,
-                args=(failure, lambda t=timer: decrypt_worker(t)),
-                name=f"ted-pipeline-decrypt-{i}",
-                daemon=True,
-            )
-            for i, timer in enumerate(worker_timers)
-        ]
-        with tracing.get_tracer().span(
-            "client.restore_pipeline",
-            attributes={"workers": workers, "file": file_name},
-        ):
-            for thread in threads:
-                thread.start()
-            try:
-                _run_guarded(failure, prefetch)
-            finally:
-                try:
-                    for _ in range(workers):
-                        decrypt_q.put(_FEED_END)
-                except _Aborted:
-                    pass  # failure latched; workers unwind on their own
-                for thread in threads:
-                    thread.join()
-        for timer in worker_timers:
-            client.timer.merge(timer)
-        if failure.exc is not None:
-            raise failure.exc
+        pending: Deque[Future] = deque()
+        try:
+            with tracing.get_tracer().span(
+                "client.restore_pipeline",
+                attributes={"workers": workers, "file": file_name},
+            ):
+                for piece in slices:
+                    while pending and pending[0].done():
+                        pending.popleft().result()
+                    jobs = self.fetch(*piece)
+                    # Contiguous slices; slot indices restore order.
+                    size = max(32, -(-len(jobs) // workers))
+                    for s in range(0, len(jobs), size):
+                        if len(pending) >= limit:
+                            pending.popleft().result()
+                        pending.append(
+                            decryptors.submit(self.decrypt, jobs[s : s + size])
+                        )
+                while pending:
+                    pending.popleft().result()
+        finally:
+            decryptors.shutdown(wait=True, cancel_futures=True)

@@ -9,10 +9,14 @@ Every stage exit is also observed on the ``ted_stage_seconds`` histogram
 of the metrics registry (labelled by stage name — a small, bounded set),
 so the per-step latency *distribution* is available alongside the paper's
 per-step totals (DESIGN.md §9).
+
+A ``StageTimer`` is thread-safe: the client's encrypt and decrypt
+workers charge the one timer directly.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator
@@ -54,6 +58,7 @@ class StageTimer:
 
     def __init__(self) -> None:
         self._totals: Dict[str, float] = {}
+        self._lock = threading.Lock()
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
@@ -63,12 +68,13 @@ class StageTimer:
             yield
         finally:
             elapsed = time.perf_counter() - start
-            self._totals[name] = self._totals.get(name, 0.0) + elapsed
+            self.add(name, elapsed)
             _STAGE_SECONDS.labels(stage=name).observe(elapsed)
 
     def add(self, name: str, seconds: float) -> None:
         """Manually add elapsed seconds to a stage."""
-        self._totals[name] = self._totals.get(name, 0.0) + seconds
+        with self._lock:
+            self._totals[name] = self._totals.get(name, 0.0) + seconds
 
     def total(self, name: str) -> float:
         """Return accumulated seconds for a stage (0.0 if never entered)."""
@@ -76,13 +82,10 @@ class StageTimer:
 
     def totals(self) -> Dict[str, float]:
         """Return a copy of all accumulated stage totals."""
-        return dict(self._totals)
-
-    def merge(self, other: "StageTimer") -> None:
-        """Fold another timer's totals into this one."""
-        for name, seconds in other.totals().items():
-            self.add(name, seconds)
+        with self._lock:
+            return dict(self._totals)
 
     def reset(self) -> None:
         """Drop all accumulated totals."""
-        self._totals.clear()
+        with self._lock:
+            self._totals.clear()

@@ -3,8 +3,9 @@
 The client's consistency contract (DESIGN.md §10) must hold when the
 world misbehaves: a provider crash mid-upload, and injected hard faults
 that must surface promptly *as themselves* — the same exception type
-whether the stages run inline or on threads — instead of deadlocking
-the stage queues. (Delay faults are covered by the differential gate,
+whether the stages run inline or on threads — instead of hanging the
+stage threads, and with nothing sent to a server once the call has
+raised. (Delay faults are covered by the differential gate,
 ``test_pipeline_differential.py``.)
 """
 
@@ -237,3 +238,106 @@ class TestInjectedFaults:
             == result.chunk_count
         )
         assert deployment.client.download(name) == b"".join(chunks)
+
+
+class _Counting:
+    """Transport wrapper that counts calls per method; call number
+    ``fail_at`` of ``fail_method`` raises ``boom`` instead of going out."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.fail_method = None
+        self.fail_at = None
+        self._lock = threading.Lock()
+        self.calls = {}
+        self.boom = RuntimeError("refused")
+
+    def _call(self, method, request):
+        with self._lock:
+            count = self.calls[method] = self.calls.get(method, 0) + 1
+        if method == self.fail_method and count == self.fail_at:
+            raise self.boom
+        return getattr(self._inner, method)(request)
+
+    def keygen_batched(self, request):
+        return self._call("keygen_batched", request)
+
+    def put_chunks(self, request):
+        return self._call("put_chunks", request)
+
+    def get_chunks(self, request):
+        return self._call("get_chunks", request)
+
+    def snapshot(self):
+        with self._lock:
+            return dict(self.calls)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestNothingSentAfterFailure:
+    """A failed threaded transfer joins its threads and goes quiet: no
+    keygen, PUT or GET reaches a server once the call has raised."""
+
+    @pytest.fixture
+    def tcp_client(self):
+        km_handle = serve_key_manager(_key_manager_service())
+        prov_handle = serve_provider(ProviderService(in_memory=True))
+        km = RemoteKeyManager(km_handle.address)
+        provider = RemoteProvider(prov_handle.address, data_connections=2)
+        counted_km = _Counting(km)
+        counted_provider = _Counting(provider)
+        client = TedStoreClient(
+            counted_km,
+            counted_provider,
+            profile=SHACTR,
+            sketch_width=_W,
+            batch_size=50,  # 16 keygen/PUT batches per file
+            workers=3,
+            pipeline_depth=2,
+        )
+        try:
+            yield client, counted_km, counted_provider
+        finally:
+            km.close()
+            provider.close()
+            km_handle.stop()
+            prov_handle.stop()
+
+    @staticmethod
+    def _assert_quiet(*transports):
+        before = [t.snapshot() for t in transports]
+        time.sleep(0.2)
+        assert [t.snapshot() for t in transports] == before
+        assert not [
+            t.name
+            for t in threading.enumerate()
+            if t.name.startswith("ted-pipeline")
+        ]
+
+    def test_failed_upload_sends_nothing_after(self, tcp_client):
+        client, km, provider = tcp_client
+        name, chunks = WORKLOAD[0]
+        provider.fail_method, provider.fail_at = "put_chunks", 2
+        with pytest.raises(RuntimeError) as excinfo:
+            client.upload_chunks(name, chunks)
+        assert excinfo.value is provider.boom
+        self._assert_quiet(km, provider)
+        assert provider.snapshot()["put_chunks"] == 2
+
+        client.upload_chunks(name, chunks)
+        assert client.download(name) == b"".join(chunks)
+
+    def test_failed_restore_sends_nothing_after(self, tcp_client):
+        client, km, provider = tcp_client
+        name, chunks = WORKLOAD[1]
+        client.upload_chunks(name, chunks)
+        provider.fail_method, provider.fail_at = "get_chunks", 2
+        with pytest.raises(RuntimeError) as excinfo:
+            client.download(name)
+        assert excinfo.value is provider.boom
+        self._assert_quiet(km, provider)
+        assert provider.snapshot()["get_chunks"] == 2
+
+        assert client.download(name) == b"".join(chunks)

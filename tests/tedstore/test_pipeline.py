@@ -148,11 +148,19 @@ class TestSchedulingAndValidation:
         client.upload_chunks("threaded", _chunks())
         client.download("threaded")
         assert {
-            "ted-pipeline-dispatch",
-            "ted-pipeline-upload",
-            "ted-pipeline-encrypt-1",
-            "ted-pipeline-decrypt-1",
+            "ted-pipeline-encrypt_0",
+            "ted-pipeline-write_0",
+            "ted-pipeline-decrypt_0",
         } <= set(started_threads)
+
+    def test_workers_charge_the_client_timer(self):
+        """Encrypt and decrypt run on executor threads; their time still
+        lands on the client's one stage clock."""
+        client = _client(workers=4)
+        client.upload_chunks("timed", _chunks())
+        client.download("timed")
+        assert client.timer.total("encryption") > 0.0
+        assert client.timer.total("decryption") > 0.0
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):

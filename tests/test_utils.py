@@ -1,5 +1,7 @@
 """Utility helpers: varints, byte ops, timers."""
 
+import sys
+import threading
 import time
 
 import pytest
@@ -111,15 +113,36 @@ class TestTimers:
         assert timer.total("x") >= 0.0
         assert "x" in timer.totals()
 
-    def test_manual_add_and_merge(self):
-        a = StageTimer()
-        b = StageTimer()
-        a.add("s", 1.0)
-        b.add("s", 2.0)
-        b.add("t", 3.0)
-        a.merge(b)
-        assert a.total("s") == 3.0
-        assert a.total("t") == 3.0
+    def test_manual_add(self):
+        timer = StageTimer()
+        timer.add("s", 1.0)
+        timer.add("s", 2.0)
+        timer.add("t", 3.0)
+        assert timer.total("s") == 3.0
+        assert timer.totals() == {"s": 3.0, "t": 3.0}
+
+    def test_concurrent_adds_are_not_lost(self):
+        """Worker threads charge one timer; no update may be lost."""
+        timer = StageTimer()
+        start = threading.Barrier(8)
+
+        def charge():
+            start.wait()
+            for _ in range(2000):
+                timer.add("encryption", 1.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=charge) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert timer.total("encryption") == 16000.0
 
     def test_reset(self):
         timer = StageTimer()
