@@ -1,6 +1,5 @@
 """Deduplicated-storage substrate: LSM index, containers, recipes, dedup."""
 
-from repro.storage.bloom import BloomFilter
 from repro.storage.metadedup import (
     MetaDedupStore,
     pack_metadata_chunks,
@@ -20,7 +19,6 @@ from repro.storage.sstable import SSTable, write_sstable
 from repro.storage.wal import WriteAheadLog
 
 __all__ = [
-    "BloomFilter",
     "MetaDedupStore",
     "pack_metadata_chunks",
     "unpack_metadata_chunks",

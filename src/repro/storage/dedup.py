@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from repro.obs import metrics as obs_metrics
-from repro.storage.bloom import BloomFilter
 from repro.storage.container import ContainerStore, ChunkLocation
 from repro.storage.kvstore import KVStore
 
@@ -98,7 +97,7 @@ _CACHE_EVENTS = _REGISTRY.counter(
 
 
 class FingerprintCache:
-    """Client-side duplicate short-circuit: bloom-gated LRU over uploads.
+    """Client-side duplicate short-circuit: an LRU over acknowledged uploads.
 
     Maps a *(plaintext fingerprint, key seed)* pair to the ciphertext
     fingerprint the pair produced when it was last uploaded and
@@ -115,29 +114,15 @@ class FingerprintCache:
     never deletes chunks during a client session (GC is offline), so a
     hit can never go stale mid-upload.
 
-    A Bloom filter over every key ever inserted fronts the LRU: most
-    lookups are misses (unique chunks), and the filter turns those into
-    one hash + bit probes instead of a lock + dict lookup. The filter
-    saturates as the LRU evicts — false positives then fall through to
-    the authoritative LRU, never the other way around.
-
     Thread-safe: lookups and inserts may come from any pipeline stage.
     """
 
-    def __init__(
-        self, capacity: int = 1 << 16, bloom_fp_rate: float = 0.01
-    ) -> None:
+    def __init__(self, capacity: int = 1 << 16) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._lock = threading.Lock()
         self._lru: "OrderedDict[bytes, bytes]" = OrderedDict()
-        # Size the bloom for several LRU generations so it stays useful
-        # after evictions begin without growing unbounded state.
-        self._bloom_fp_rate = bloom_fp_rate
-        self._bloom = BloomFilter.with_capacity(
-            capacity * 4, false_positive_rate=bloom_fp_rate
-        )
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -152,12 +137,6 @@ class FingerprintCache:
     def lookup(self, fingerprint: bytes, seed: bytes) -> Optional[bytes]:
         """Ciphertext fingerprint if this exact pair was uploaded before."""
         key = self.key(fingerprint, seed)
-        if not self._bloom.may_contain(key):
-            # Definite miss: never inserted. Skip the lock entirely.
-            with self._lock:
-                self.misses += 1
-            _CACHE_EVENTS.labels(event="miss").inc()
-            return None
         with self._lock:
             cipher_fp = self._lru.get(key)
             if cipher_fp is None:
@@ -181,10 +160,6 @@ class FingerprintCache:
                 self._lru.popitem(last=False)
                 self.evictions += 1
                 evicted += 1
-        # Bloom insertion outside the LRU lock: BloomFilter.add only sets
-        # bits, so a racing lookup can at worst see a fresh key as a
-        # definite miss — the safe direction.
-        self._bloom.add(key)
         _CACHE_EVENTS.labels(event="insert").inc()
         if evicted:
             _CACHE_EVENTS.labels(event="evict").inc(evicted)
@@ -199,8 +174,7 @@ class FingerprintCache:
         shard. Entries cached under an older epoch therefore cannot be
         trusted to short-circuit an upload — dropping them costs a
         re-encrypt + PUT (which the provider dedups server-side), while
-        keeping them could skip a PUT the new owner never saw. The
-        bloom filter is rebuilt too, since it fronts the LRU.
+        keeping them could skip a PUT the new owner never saw.
 
         Returns the number of entries invalidated; same-epoch calls are
         no-ops so the pipeline can consult this on every upload.
@@ -219,10 +193,6 @@ class FingerprintCache:
             self.epoch = epoch
             self.epoch_invalidations += invalidated
             self._lru.clear()
-            self._bloom = BloomFilter.with_capacity(
-                self.capacity * 4,
-                false_positive_rate=self._bloom_fp_rate,
-            )
         if invalidated:
             _CACHE_EVENTS.labels(event="epoch_invalidate").inc(invalidated)
         return invalidated

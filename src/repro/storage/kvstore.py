@@ -7,7 +7,8 @@ behaviour:
 
 * writes go to a WAL, then a memtable;
 * a full memtable flushes to an immutable L0 SSTable;
-* reads check memtable → SSTables newest-first (Bloom filters skip most);
+* reads check memtable → SSTables newest-first, each an exact in-memory
+  lookup;
 * when L0 accumulates ``compaction_trigger`` tables, they are merge-compacted
   into one, dropping shadowed versions and (at the bottom level) tombstones.
 
@@ -18,6 +19,7 @@ on disk.
 from __future__ import annotations
 
 import heapq
+import re
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -32,6 +34,14 @@ _RECOVERY_TABLES_QUARANTINED = _REGISTRY.counter(
     "ted_recovery_sstables_quarantined_total",
     "Corrupt SSTables set aside by key-value-store startup recovery",
 )
+
+_TABLE_NAME = re.compile(r"table-(0|[1-9][0-9]*)\.sst")
+
+
+def _table_id(path: Path) -> Optional[int]:
+    """The id in a ``table-<id>.sst`` name, or None if it does not parse."""
+    match = _TABLE_NAME.fullmatch(path.name)
+    return int(match.group(1)) if match else None
 
 
 class KVStore:
@@ -83,38 +93,44 @@ class KVStore:
         """Rebuild from disk, tolerating the artifacts a crash leaves.
 
         Stray ``.tmp`` files (interrupted atomic table writes) are
-        deleted; a corrupt SSTable is quarantined rather than fatal —
-        with atomic publication it can only mean external damage, and
-        recovery must not die on it. WAL replay stops at the first torn
-        record by construction. Table-id allocation stays monotonic past
-        quarantined ids.
+        deleted; a corrupt SSTable, or a ``table-*.sst`` whose id does
+        not parse, is quarantined rather than fatal — with atomic
+        publication it can only mean external damage, and recovery must
+        not die on it. WAL replay stops at the first torn record by
+        construction. Table-id allocation stays monotonic past
+        quarantined ids, including those quarantined by an earlier
+        start, so a later quarantine never overwrites earlier evidence.
         """
         crash.remove_stray_tmp_files(self.directory)
-        paths = sorted(
-            self.directory.glob("table-*.sst"),
-            key=lambda p: int(p.stem.split("-")[1]),
-            reverse=True,
-        )
-        if paths:
-            self._next_table_id = (
-                max(int(p.stem.split("-")[1]) for p in paths) + 1
-            )
+        live: Dict[int, Path] = {}
+        for path in self.directory.glob("table-*.sst"):
+            table_id = _table_id(path)
+            if table_id is None:
+                self._quarantine(path)
+            else:
+                live[table_id] = path
+        quarantined = (self.directory / "quarantine").glob("table-*.sst")
+        burned = [i for i in map(_table_id, quarantined) if i is not None]
+        self._next_table_id = max([*live, *burned], default=-1) + 1
         self._tables = []
-        for path in paths:
+        for table_id in sorted(live, reverse=True):
             try:
-                self._tables.append(SSTable(path))
+                self._tables.append(SSTable(live[table_id]))
             except ValueError:
-                quarantine = self.directory / "quarantine"
-                quarantine.mkdir(exist_ok=True)
-                path.replace(quarantine / path.name)
-                crash.fsync_dir(quarantine)
-                crash.fsync_dir(self.directory)
-                _RECOVERY_TABLES_QUARANTINED.inc()
+                self._quarantine(live[table_id])
         for op, key, value in WriteAheadLog.replay(self._wal.path):
             if op == OP_PUT:
                 self._memtable.put(key, value)
             else:
                 self._memtable.delete(key)
+
+    def _quarantine(self, path: Path) -> None:
+        quarantine = self.directory / "quarantine"
+        quarantine.mkdir(exist_ok=True)
+        path.replace(quarantine / path.name)
+        crash.fsync_dir(quarantine)
+        crash.fsync_dir(self.directory)
+        _RECOVERY_TABLES_QUARANTINED.inc()
 
     def close(self) -> None:
         """Flush the memtable and release the WAL file handle."""

@@ -5,16 +5,18 @@ read. On-disk layout::
 
     [magic: 8 bytes]
     [data block: records, sorted by key]
-    [bloom filter block]
+    [filter block: filter_len bytes, always 0 when written]
     [sparse index block]
-    [footer: data_len(8) bloom_len(8) index_len(8) crc32(4) magic(8)]
+    [footer: data_len(8) filter_len(8) index_len(8) crc32(4) magic(8)]
 
 Each record is ``key_len varint || key || flag(1) || value_len varint ||
 value`` where ``flag`` 1 marks a tombstone. The sparse index stores every
-``index_interval``-th key with its file offset, so a point lookup reads the
-index into memory (cached), binary-searches it, and scans at most one
-interval of the data block — the same structure LevelDB uses, minus
-block compression.
+``index_interval``-th key with its file offset, so a point lookup
+binary-searches it and scans at most one interval of the data block — the
+same structure LevelDB uses, minus block compression. There is no filter:
+the whole table is read into memory when opened, so a lookup never reads
+the disk a filter would let it skip. Readers skip the filter block, so
+tables from builds that wrote one still open.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.storage import crash
-from repro.storage.bloom import BloomFilter
 from repro.utils.varint import decode_uvarint, encode_uvarint
 
 _MAGIC = b"REPROSST"
@@ -69,7 +70,6 @@ def write_sstable(
     path: Path,
     items: Iterable[Tuple[bytes, Optional[bytes]]],
     index_interval: int = 16,
-    bloom_fp_rate: float = 0.01,
 ) -> "SSTable":
     """Write sorted ``(key, value-or-None)`` pairs to a new SSTable file.
 
@@ -78,7 +78,6 @@ def write_sstable(
         items: pairs in strictly ascending key order; ``None`` values are
             tombstones and are preserved (they mask older tables).
         index_interval: one sparse-index entry per this many records.
-        bloom_fp_rate: target Bloom false-positive rate.
 
     Raises:
         ValueError: if keys are not strictly ascending.
@@ -90,13 +89,11 @@ def write_sstable(
         if a >= b:
             raise ValueError("SSTable keys must be strictly ascending")
 
-    bloom = BloomFilter.with_capacity(len(materialized), bloom_fp_rate)
     data = bytearray()
     index_entries: List[Tuple[bytes, int]] = []
     for i, (key, value) in enumerate(materialized):
         if i % index_interval == 0:
             index_entries.append((key, len(data)))
-        bloom.add(key)
         data.extend(_encode_record(key, value))
 
     index_block = bytearray()
@@ -105,10 +102,9 @@ def write_sstable(
         index_block.extend(key)
         index_block.extend(encode_uvarint(offset))
 
-    bloom_block = bloom.to_bytes()
-    body = bytes(data) + bloom_block + bytes(index_block)
+    body = bytes(data) + bytes(index_block)
     footer = _FOOTER.pack(
-        len(data), len(bloom_block), len(index_block), zlib.crc32(body), _MAGIC
+        len(data), 0, len(index_block), zlib.crc32(body), _MAGIC
     )
     # Atomic publish (DESIGN.md §12): a crash mid-write must never leave
     # a torn .sst visible, or recovery would have to guess whether the
@@ -127,24 +123,21 @@ class SSTable:
         raw = self.path.read_bytes()
         if len(raw) < len(_MAGIC) + _FOOTER.size or raw[: len(_MAGIC)] != _MAGIC:
             raise ValueError(f"not an SSTable: {self.path}")
-        data_len, bloom_len, index_len, crc, magic = _FOOTER.unpack(
+        data_len, filter_len, index_len, crc, magic = _FOOTER.unpack(
             raw[-_FOOTER.size :]
         )
         if magic != _MAGIC:
             raise ValueError(f"bad SSTable footer magic: {self.path}")
         body = raw[len(_MAGIC) : -_FOOTER.size]
-        if len(body) != data_len + bloom_len + index_len:
+        if len(body) != data_len + filter_len + index_len:
             raise ValueError(f"SSTable length mismatch: {self.path}")
         if zlib.crc32(body) != crc:
             raise ValueError(f"SSTable checksum failure: {self.path}")
         self._data = body[:data_len]
-        self._bloom = BloomFilter.from_bytes(
-            body[data_len : data_len + bloom_len]
-        )
         self._index_keys: List[bytes] = []
         self._index_offsets: List[int] = []
         pos = 0
-        index_block = body[data_len + bloom_len :]
+        index_block = body[data_len + filter_len :]
         while pos < len(index_block):
             key_len, pos = decode_uvarint(index_block, pos)
             self._index_keys.append(index_block[pos : pos + key_len])
@@ -154,8 +147,6 @@ class SSTable:
 
     def get(self, key: bytes) -> LookupResult:
         """Point lookup; ``(True, None)`` signals a tombstone."""
-        if not self._index_keys or not self._bloom.may_contain(key):
-            return False, None
         slot = bisect_right(self._index_keys, key) - 1
         if slot < 0:
             return False, None

@@ -1,11 +1,20 @@
 """LSM KV store against a dict model, plus recovery and compaction."""
 
+import hashlib
+import json
 import random
+import shutil
+import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cli import main
+from repro.storage.dedup import DedupEngine
 from repro.storage.kvstore import KVStore
+
+_DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -179,3 +188,109 @@ class TestCompaction:
         store.flush()
         assert store.disk_bytes() > 0
         store.close()
+
+
+class TestRecoveryIds:
+    def test_quarantined_id_is_never_reused(self, tmp_path):
+        """A quarantined table's id stays burned across reopens.
+
+        Reusing it would make a second quarantine of that id overwrite
+        the first one's evidence in ``quarantine/``.
+        """
+        store = KVStore(tmp_path, compaction_trigger=100)
+        for i in range(5):
+            store.put(b"k-%d" % i, b"v")
+            store.flush()
+        store.close()
+        (tmp_path / "table-4.sst").write_bytes(b"garbage")
+        KVStore(tmp_path, compaction_trigger=100).close()  # quarantines it
+        reopened = KVStore(tmp_path, compaction_trigger=100)
+        reopened.put(b"new", b"v")
+        reopened.flush()
+        assert not (tmp_path / "table-4.sst").exists()
+        reopened.close()
+        assert (tmp_path / "quarantine" / "table-4.sst").read_bytes() == (
+            b"garbage"
+        )
+
+    def test_unparsable_table_name_is_quarantined(self, tmp_path):
+        """A stray ``table-*.sst`` whose id does not parse is set aside
+        like a corrupt table instead of aborting startup."""
+        store = KVStore(tmp_path)
+        store.put(b"k", b"v")
+        store.close()
+        (tmp_path / "table-old.sst").write_bytes(b"stray")
+        reopened = KVStore(tmp_path)
+        assert reopened.get(b"k") == b"v"
+        assert (tmp_path / "quarantine" / "table-old.sst").exists()
+        assert not (tmp_path / "table-old.sst").exists()
+        reopened.close()
+
+
+def _filter_len(path):
+    """The ``filter_len`` field of an SSTable footer."""
+    return struct.unpack("<QQQI8s", path.read_bytes()[-36:])[1]
+
+
+class TestParentFormat:
+    """A store written by a build whose SSTables carried a Bloom filter.
+
+    ``data/parent_index`` is a :class:`DedupEngine` directory made with
+    ``container_bytes=1024`` and ``kvstore_options={"memtable_bytes":
+    1024, "compaction_trigger": 100}`` by storing the 48 chunks
+    ``b"chunk-%03d-" % i * 6`` under their SHA-256, sealing the open
+    container and stopping without an index flush: two flushed tables,
+    each with a non-empty filter block, plus a WAL tail.
+    ``parent_index.locations.json`` maps each fingerprint to the
+    location the index held then.
+    """
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        root = tmp_path / "store"
+        shutil.copytree(_DATA / "parent_index", root)
+        return root
+
+    def _check_serves(self, engine, expected):
+        for fp_hex, location_hex in expected.items():
+            fingerprint = bytes.fromhex(fp_hex)
+            assert engine.index.get(fingerprint) == bytes.fromhex(
+                location_hex
+            )
+            assert hashlib.sha256(engine.load(fingerprint)).digest() == (
+                fingerprint
+            )
+        for i in range(48, 96):
+            absent = hashlib.sha256(b"chunk-%03d-" % i * 6).digest()
+            assert not engine.contains(absent)
+            assert engine.index.get(absent) is None
+
+    def test_opens_serves_compacts_and_passes_fsck(self, root, capsys):
+        expected = json.loads(
+            (_DATA / "parent_index.locations.json").read_text()
+        )
+        tables = sorted((root / "index").glob("table-*.sst"))
+        assert len(tables) >= 2
+        assert all(_filter_len(t) > 0 for t in tables)
+        assert (root / "index" / "wal.log").stat().st_size > 0
+
+        engine = DedupEngine(root)
+        assert engine.recovered_index_drops == 0
+        assert engine.index.table_count() == len(tables)
+        self._check_serves(engine, expected)
+        engine.index.compact()
+        assert engine.index.table_count() == 1
+        self._check_serves(engine, expected)
+        engine.close()
+
+        assert all(
+            _filter_len(t) == 0 for t in (root / "index").glob("table-*.sst")
+        )
+        reopened = DedupEngine(root)
+        self._check_serves(reopened, expected)
+        reopened.close()
+
+        assert main(["fsck", "--storage", str(root), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["clean"]
+        assert report["index_entries_checked"] == len(expected)

@@ -117,7 +117,7 @@ def test_epoch_advance_clears_cache():
     invalidated = cache.advance_epoch(1)
     assert invalidated == 2
     assert len(cache) == 0
-    # Bloom was rebuilt too: a pre-epoch key is a definite miss.
+    # The LRU was cleared: a pre-epoch key misses.
     assert cache.lookup(b"fp1", b"seed") is None
     stats = cache.stats()
     assert stats["epoch"] == 1

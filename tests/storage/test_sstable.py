@@ -1,8 +1,13 @@
 """SSTables: lookups, tombstones, sparse index, corruption detection."""
 
+import struct
+import zlib
+
 import pytest
 
 from repro.storage.sstable import SSTable, write_sstable
+
+_FOOTER = struct.Struct("<QQQI8s")
 
 
 def _items(n, prefix=b"key"):
@@ -80,6 +85,69 @@ class TestWriteRead:
         path = tmp_path / "t.sst"
         write_sstable(path, _items(37))
         assert len(SSTable(path)) == 37
+
+
+def _with_filter_block(path, filter_block, declared_len=None):
+    """Rewrite a table with ``filter_block`` spliced in as its filter.
+
+    This is the layout of tables from builds that wrote a per-table
+    filter; the CRC covers the new body, so only the declared length
+    can be wrong (when ``declared_len`` says so).
+    """
+    raw = path.read_bytes()
+    data_len, filter_len, index_len, _crc, magic = _FOOTER.unpack(
+        raw[-_FOOTER.size :]
+    )
+    assert filter_len == 0
+    body = raw[len(magic) : -_FOOTER.size]
+    body = body[:data_len] + filter_block + body[data_len:]
+    if declared_len is None:
+        declared_len = len(filter_block)
+    footer = _FOOTER.pack(
+        data_len, declared_len, index_len, zlib.crc32(body), magic
+    )
+    path.write_bytes(magic + body + footer)
+
+
+class TestFilterBlock:
+    def test_written_tables_have_no_filter_block(self, tmp_path):
+        path = tmp_path / "t.sst"
+        write_sstable(path, _items(50))
+        _data_len, filter_len, *_ = _FOOTER.unpack(
+            path.read_bytes()[-_FOOTER.size :]
+        )
+        assert filter_len == 0
+
+    def test_nonzero_filter_block_is_skipped(self, tmp_path):
+        path = tmp_path / "t.sst"
+        items = _items(50) + [(b"zz-tombstone", None)]
+        write_sstable(path, items)
+        _with_filter_block(path, bytes(range(256)) * 3 + b"\x07")
+        table = SSTable(path)
+        assert list(table) == items
+        for key, value in items:
+            assert table.get(key) == (True, value)
+        assert table.get(b"key-000010x") == (False, None)
+        assert table.get(b"a") == (False, None)
+        assert table.get(b"zzz") == (False, None)
+
+    def test_filter_length_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "t.sst"
+        write_sstable(path, _items(20))
+        _with_filter_block(path, b"\xaa" * 16, declared_len=15)
+        with pytest.raises(ValueError, match="length mismatch"):
+            SSTable(path)
+
+    def test_flipped_filter_byte_rejected(self, tmp_path):
+        path = tmp_path / "t.sst"
+        write_sstable(path, _items(20))
+        _with_filter_block(path, b"\xaa" * 16)
+        raw = bytearray(path.read_bytes())
+        data_len = _FOOTER.unpack(raw[-_FOOTER.size :])[0]
+        raw[8 + data_len + 3] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="checksum"):
+            SSTable(path)
 
 
 class TestCorruption:
