@@ -101,16 +101,16 @@ class PayloadForge:
         self._unit_bytes = shape.unit_kb << 10
         self._units: List[bytes] = []
         self._payloads: List[bytes] = []
-        self._shared_units = shared_units
-        self._shared_lock = shared_lock
+        self._common_units = shared_units
+        self._common_lock = shared_lock
         self._lock = threading.Lock()
 
     def _pool_unit(self) -> Optional[bytes]:
         use_shared = self._rng.random() < self._shape.shared_prob
         if use_shared:
-            with self._shared_lock:
-                if self._shared_units:
-                    return self._rng.choice(self._shared_units)
+            with self._common_lock:
+                if self._common_units:
+                    return self._rng.choice(self._common_units)
         if self._units:
             return self._rng.choice(self._units)
         return None
@@ -121,8 +121,8 @@ class PayloadForge:
             pool.append(unit)
         else:
             pool[self._rng.randrange(len(pool))] = unit
-        with self._shared_lock:
-            shared = self._shared_units
+        with self._common_lock:
+            shared = self._common_units
             if len(shared) < self._shape.pool_units:
                 shared.append(unit)
             else:

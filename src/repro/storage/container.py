@@ -446,6 +446,11 @@ class ContainerStore:
         """
         return self._open_id
 
+    @property
+    def open_data_bytes(self) -> int:
+        """Chunk-payload bytes appended to the open container so far."""
+        return len(self._open_buffer)
+
     def load_container(self, container_id: int) -> bytes:
         """Fetch one whole container's data section (open buffer or file).
 

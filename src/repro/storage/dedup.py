@@ -48,7 +48,7 @@ _RECOVERY_INDEX_DROPPED = _REGISTRY.counter(
     "missing or out-of-bounds chunks",
 )
 
-#: Per-fingerprint lock stripes of each :class:`ConcurrentDedupEngine`.
+#: Per-fingerprint lock stripes of each :class:`DedupEngine`.
 STRIPES = 64
 
 
@@ -71,10 +71,10 @@ class RingEpochRegressionError(ValueError):
         self.current = current
 
 
-def record_dedup_store(size: int, unique: bool) -> None:
+def _record_store(size: int, unique: bool) -> None:
     """Record one store decision on the process-wide dedup instruments.
 
-    Shared by :class:`DedupEngine` and the provider's in-memory mode so
+    Shared by :class:`DedupEngine` and :class:`InMemoryDedupEngine` so
     ``ted_dedup_*`` reflects deduplication regardless of backend.
     """
     _DEDUP_LOGICAL_CHUNKS.inc()
@@ -241,6 +241,37 @@ class DedupStats:
 class DedupEngine:
     """Content-addressed chunk store with inline deduplication.
 
+    Thread-safe: the multi-tenant provider (DESIGN.md §13) calls one
+    engine from many connection threads, so the engine carries locks
+    with enough granularity that concurrent callers make real progress
+    instead of queueing on one global lock:
+
+    * **striped per-fingerprint locks** make the check-then-append of one
+      fingerprint atomic (two callers racing to store the same chunk
+      must not both append it) without serializing distinct fingerprints;
+    * :attr:`index_lock` covers every KV-store read/write — a lookup
+      racing a memtable flush would observe a half-swapped table list;
+    * :attr:`container_lock` covers appends and reads — the open
+      container is a single mutable buffer.
+
+    The stripes are **per engine**: they provide no atomicity across two
+    engines, so they only suffice when a fingerprint can never be offered
+    to two engines concurrently. Under sharding (DESIGN.md §15) that is
+    the ring's routing invariant — one fingerprint, one owning shard per
+    epoch — and migrations only change placement through ``repro
+    reshard``, which runs against a quiesced store and bumps the ring
+    epoch so client caches drop pre-migration placement knowledge
+    (:meth:`FingerprintCache.advance_epoch`).
+
+    The duplicate fast path takes only a stripe plus the short index
+    lock, so one caller's duplicate detection proceeds while another
+    streams container appends under the container lock. Lock order is
+    strictly ``stripe → (index | container | stats)``; batch reads,
+    :meth:`flush` and :meth:`close` hold index then container. Public
+    methods lock and private helpers do not, so no lock is re-entered.
+    Tools that read the components directly (fsck) take
+    :attr:`index_lock` and :attr:`container_lock` themselves.
+
     Args:
         directory: root directory (index and containers live underneath).
         container_bytes: container capacity (see :class:`ContainerStore`).
@@ -272,6 +303,10 @@ class DedupEngine:
             self._reconcile_index() if startup_reconcile else 0
         )
         self.stats = DedupStats()
+        self.index_lock = threading.Lock()
+        self.container_lock = threading.Lock()
+        self._stats_lock = threading.Lock()
+        self._stripes = tuple(threading.Lock() for _ in range(STRIPES))
         # Look-ahead restorers, keyed by window size. Persistent so the
         # container LRU stays warm across the recipe-ordered GetChunks
         # batches of one restore (and across restores of overlapping
@@ -309,21 +344,28 @@ class DedupEngine:
         Duplicate fingerprints cost one index lookup and no container I/O —
         the deduplication fast path.
         """
-        self.stats.logical_chunks += 1
-        self.stats.logical_bytes += len(chunk)
-        if self.index.get(fingerprint) is not None:
-            record_dedup_store(len(chunk), unique=False)
-            return False
-        location = self.containers.append(chunk, fingerprint)
-        self.index.put(fingerprint, location.to_bytes())
-        self.stats.unique_chunks += 1
-        self.stats.unique_bytes += len(chunk)
-        record_dedup_store(len(chunk), unique=True)
-        return True
+        stripe = self._stripes[zlib.crc32(fingerprint) % STRIPES]
+        with stripe:
+            with self.index_lock:
+                unique = self.index.get(fingerprint) is None
+            if unique:
+                with self.container_lock:
+                    location = self.containers.append(chunk, fingerprint)
+                with self.index_lock:
+                    self.index.put(fingerprint, location.to_bytes())
+            with self._stats_lock:
+                self.stats.logical_chunks += 1
+                self.stats.logical_bytes += len(chunk)
+                if unique:
+                    self.stats.unique_chunks += 1
+                    self.stats.unique_bytes += len(chunk)
+        _record_store(len(chunk), unique)
+        return unique
 
     def contains(self, fingerprint: bytes) -> bool:
         """Whether a chunk with this fingerprint is stored."""
-        return self.index.get(fingerprint) is not None
+        with self.index_lock:
+            return self.index.get(fingerprint) is not None
 
     def load(self, fingerprint: bytes) -> bytes:
         """Fetch a chunk by fingerprint.
@@ -331,10 +373,9 @@ class DedupEngine:
         Raises:
             KeyError: unknown fingerprint.
         """
-        raw = self.index.get(fingerprint)
-        if raw is None:
-            raise KeyError(f"unknown fingerprint: {fingerprint.hex()}")
-        return self.containers.read(ChunkLocation.from_bytes(raw))
+        location = self.locate(fingerprint)
+        with self.container_lock:
+            return self.containers.read(location)
 
     def locate(self, fingerprint: bytes) -> ChunkLocation:
         """Resolve a fingerprint to its physical location.
@@ -342,6 +383,10 @@ class DedupEngine:
         Raises:
             KeyError: unknown fingerprint.
         """
+        with self.index_lock:
+            return self._locate(fingerprint)
+
+    def _locate(self, fingerprint: bytes) -> ChunkLocation:
         raw = self.index.get(fingerprint)
         if raw is None:
             raise KeyError(f"unknown fingerprint: {fingerprint.hex()}")
@@ -357,172 +402,110 @@ class DedupEngine:
         restore touches each container roughly once per window instead of
         once per cache miss (the B.5 restore-optimization ablation).
 
+        Holds the index and container locks for the whole batch: the
+        look-ahead restorer mutates a shared container LRU, and reads of
+        the open container race appends. Restores therefore serialize
+        against stores, but not against the index-only duplicate path.
+
         Raises:
             KeyError: any unknown fingerprint.
         """
-        locations = [self.locate(fp) for fp in fingerprints]
-        if locations:
-            from repro.storage.restore import (
-                FragmentationAnalyzer,
-                _RESTORE_FRAGMENTATION,
-            )
+        with self.index_lock, self.container_lock:
+            locations = [self._locate(fp) for fp in fingerprints]
+            if locations:
+                from repro.storage.restore import (
+                    FragmentationAnalyzer,
+                    _RESTORE_FRAGMENTATION,
+                )
 
-            report = FragmentationAnalyzer.analyze(locations)
-            _RESTORE_FRAGMENTATION.set(report.fragmentation_factor)
-        if lookahead_window is None:
-            return [self.containers.read(loc) for loc in locations]
-        restorer = self._restorers.get(lookahead_window)
-        if restorer is None:
-            from repro.storage.restore import LookaheadRestorer
+                report = FragmentationAnalyzer.analyze(locations)
+                _RESTORE_FRAGMENTATION.set(report.fragmentation_factor)
+            if lookahead_window is None:
+                return [self.containers.read(loc) for loc in locations]
+            restorer = self._restorers.get(lookahead_window)
+            if restorer is None:
+                from repro.storage.restore import LookaheadRestorer
 
-            restorer = LookaheadRestorer(
-                self.containers, window_chunks=lookahead_window
-            )
-            self._restorers[lookahead_window] = restorer
-        return restorer.restore_all(locations)
+                restorer = LookaheadRestorer(
+                    self.containers, window_chunks=lookahead_window
+                )
+                self._restorers[lookahead_window] = restorer
+            return restorer.restore_all(locations)
 
     def flush(self) -> None:
         """Seal the open container and flush the index."""
+        with self.index_lock, self.container_lock:
+            self._flush()
+
+    def _flush(self) -> None:
         self.containers.seal()
         self.index.flush()
 
     def close(self) -> None:
         """Flush and release resources."""
-        self.flush()
-        self.index.close()
-        self.containers.close()
+        with self.index_lock, self.container_lock:
+            self._flush()
+            self.index.close()
+            self.containers.close()
 
     def physical_bytes(self) -> int:
         """Bytes in the container store (the paper's physical storage size)."""
-        return self.containers.physical_bytes()
+        with self.container_lock:
+            return self.containers.physical_bytes()
+
+    def container_count(self) -> int:
+        """Sealed containers on disk."""
+        with self.container_lock:
+            return self.containers.container_count()
 
 
-class ConcurrentDedupEngine:
-    """Thread-safe facade over :class:`DedupEngine` for concurrent tenants.
+class InMemoryDedupEngine:
+    """The dedup engine without a disk: one dict under one lock.
 
-    :class:`DedupEngine` itself is single-threaded (the KV store swaps
-    memtables on flush, the container store mutates one open container).
-    The multi-tenant provider (DESIGN.md §13) shares one engine across
-    many connection threads when cross-user deduplication is enabled, so
-    this facade adds locking with enough granularity that concurrent
-    tenants make real progress instead of queueing on one global lock:
-
-    * **striped per-fingerprint locks** make the check-then-append of one
-      fingerprint atomic (two tenants racing to store the same chunk must
-      not both append it) without serializing distinct fingerprints;
-    * an **index lock** covers every KV-store read/write — a lookup racing
-      a memtable flush would observe a half-swapped table list;
-    * a **container lock** covers appends and reads — the open container
-      is a single mutable file.
-
-    The stripes are **per engine**: they provide no atomicity across two
-    engines, so they only suffice when a fingerprint can never be offered
-    to two engines concurrently. Under sharding (DESIGN.md §15) that is
-    the ring's routing invariant — one fingerprint, one owning shard per
-    epoch — and migrations only change placement through ``repro
-    reshard``, which runs against a quiesced store and bumps the ring
-    epoch so client caches drop pre-migration placement knowledge
-    (:meth:`FingerprintCache.advance_epoch`).
-
-    The duplicate fast path — the common case in dedup-heavy workloads —
-    takes only a stripe plus the short index lock, so one tenant's
-    duplicate detection proceeds while another tenant streams container
-    appends under the container lock.
-
-    Lock order is strictly ``stripe → (index | container | stats)``;
-    the inner locks are never nested in each other, so the hierarchy is
-    deadlock-free.
+    Experiments B.1–B.3 remove disk I/O to measure compute limits; this
+    engine keeps the provider's chunk path identical in that mode.
+    ``chunks`` maps fingerprint to stored chunk.
     """
 
-    def __init__(self, engine: DedupEngine) -> None:
-        self._engine = engine
-        self._stripes = tuple(threading.Lock() for _ in range(STRIPES))
-        self._index_lock = threading.Lock()
-        self._container_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
-
-    @property
-    def inner(self) -> DedupEngine:
-        """The wrapped engine (scrub/fsck tooling reads through this)."""
-        return self._engine
-
-    @property
-    def stats(self) -> DedupStats:
-        return self._engine.stats
-
-    @property
-    def containers(self):
-        return self._engine.containers
-
-    @property
-    def index(self):
-        return self._engine.index
-
-    def _stripe(self, fingerprint: bytes) -> threading.Lock:
-        return self._stripes[zlib.crc32(fingerprint) % len(self._stripes)]
+    def __init__(self) -> None:
+        self.chunks: Dict[bytes, bytes] = {}
+        self.stats = DedupStats()
+        self._lock = threading.Lock()
 
     def store(self, fingerprint: bytes, chunk: bytes) -> bool:
-        """Store one chunk; returns True if it was new (thread-safe)."""
-        with self._stripe(fingerprint):
-            with self._index_lock:
-                known = self._engine.index.get(fingerprint) is not None
-            if known:
-                with self._stats_lock:
-                    self._engine.stats.logical_chunks += 1
-                    self._engine.stats.logical_bytes += len(chunk)
-                record_dedup_store(len(chunk), unique=False)
-                return False
-            with self._container_lock:
-                location = self._engine.containers.append(chunk, fingerprint)
-            with self._index_lock:
-                self._engine.index.put(fingerprint, location.to_bytes())
-            with self._stats_lock:
-                self._engine.stats.logical_chunks += 1
-                self._engine.stats.logical_bytes += len(chunk)
-                self._engine.stats.unique_chunks += 1
-                self._engine.stats.unique_bytes += len(chunk)
-            record_dedup_store(len(chunk), unique=True)
-            return True
+        """Store one chunk; returns True if it was new."""
+        with self._lock:
+            unique = fingerprint not in self.chunks
+            if unique:
+                self.chunks[fingerprint] = chunk
+                self.stats.unique_chunks += 1
+                self.stats.unique_bytes += len(chunk)
+            self.stats.logical_chunks += 1
+            self.stats.logical_bytes += len(chunk)
+        _record_store(len(chunk), unique)
+        return unique
 
-    def contains(self, fingerprint: bytes) -> bool:
-        with self._index_lock:
-            return self._engine.index.get(fingerprint) is not None
+    def load_many(
+        self, fingerprints, lookahead_window: Optional[int] = None
+    ):
+        """Fetch a batch of chunks in request order.
 
-    def load(self, fingerprint: bytes) -> bytes:
-        with self._index_lock:
-            raw = self._engine.index.get(fingerprint)
-        if raw is None:
-            raise KeyError(f"unknown fingerprint: {fingerprint.hex()}")
-        with self._container_lock:
-            return self._engine.containers.read(
-                ChunkLocation.from_bytes(raw)
-            )
-
-    def locate(self, fingerprint: bytes) -> ChunkLocation:
-        with self._index_lock:
-            raw = self._engine.index.get(fingerprint)
-        if raw is None:
-            raise KeyError(f"unknown fingerprint: {fingerprint.hex()}")
-        return ChunkLocation.from_bytes(raw)
-
-    def load_many(self, fingerprints, lookahead_window=None):
-        # Batch reads hold both component locks: the look-ahead restorer
-        # mutates a shared container LRU, and reads of the open container
-        # race appends. Restores therefore serialize against stores, but
-        # not against the index-only duplicate fast path above.
-        with self._index_lock, self._container_lock:
-            return self._engine.load_many(
-                fingerprints, lookahead_window=lookahead_window
-            )
+        Raises:
+            KeyError: any unknown fingerprint.
+        """
+        with self._lock:
+            return [self.chunks[fp] for fp in fingerprints]
 
     def flush(self) -> None:
-        with self._index_lock, self._container_lock:
-            self._engine.flush()
+        """Nothing to make durable."""
 
     def close(self) -> None:
-        with self._index_lock, self._container_lock:
-            self._engine.close()
+        """Nothing to release."""
 
     def physical_bytes(self) -> int:
-        with self._container_lock:
-            return self._engine.physical_bytes()
+        with self._lock:
+            return self.stats.unique_bytes
+
+    def container_count(self) -> int:
+        """No containers: chunks live in the dict."""
+        return 0

@@ -22,12 +22,18 @@ pure read-side pass:
   read-only fsck passes, surfacing damage through the ``ted_scrub_*``
   metrics long before a restore trips over it.
 
+fsck may run against a serving engine: it takes the engine's index lock
+for the index snapshot and its container lock for each container read,
+and counts an entry that points into the open container's current
+buffer as live (it becomes durable at the next seal).
+
 The CLI front-end is ``repro fsck`` (exit 0 clean / 1 damaged, ``--json``
 for machine consumption) — see docs/RUNBOOK.md.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 import zlib
@@ -159,8 +165,9 @@ def _find_redundant_copy(
         if container_id == bad_container or container_id in structural_bad:
             continue
         try:
-            data = engine.containers.load_container(container_id)
-            entries = engine.containers.toc(container_id)
+            with engine.container_lock:
+                data = engine.containers.load_container(container_id)
+                entries = engine.containers.toc(container_id)
         except (ContainerIntegrityError, KeyError):
             continue
         for entry in entries:
@@ -176,14 +183,40 @@ def _find_redundant_copy(
     return None
 
 
+def _heal(
+    engine: DedupEngine,
+    fingerprint: bytes,
+    bad_container: int,
+    structural_bad: List[int],
+) -> bool:
+    """Re-point an entry at a verified redundant copy, else drop it.
+
+    Returns True when healed, False when the entry was dropped.
+    """
+    replacement = _find_redundant_copy(
+        engine, fingerprint, bad_container, structural_bad
+    )
+    with engine.index_lock:
+        if replacement is None:
+            engine.index.delete(fingerprint)
+        else:
+            engine.index.put(fingerprint, replacement.to_bytes())
+    if replacement is None:
+        _SCRUB_DROPPED.inc()
+        return False
+    _SCRUB_HEALED.inc()
+    return True
+
+
 def fsck(
     engine: DedupEngine, *, repair: bool = False, deep: bool = True
 ) -> FsckReport:
     """Verify (and with ``repair``, heal) one dedup engine's storage.
 
     Args:
-        engine: the engine to check; its open container buffer is not
-            touched (seal/flush first for a complete check).
+        engine: the engine to check, possibly while it serves. Its open
+            container buffer is not verified, but index entries into it
+            count as live (seal/flush first for a complete check).
         repair: quarantine corrupt containers, re-point bad chunks at
             verified redundant copies, drop unhealable index entries.
         deep: verify every chunk's CRC (the expensive pass); ``False``
@@ -221,18 +254,16 @@ def fsck(
     for container_id in containers.container_ids():
         report.containers_checked += 1
         try:
-            entries = containers.toc(container_id)
+            with engine.container_lock:
+                entries = containers.toc(container_id)
+                bad_entries = (
+                    containers.verify_container(container_id) if deep else []
+                )
         except ContainerIntegrityError:
             report.structural_errors.append(container_id)
             _SCRUB_STRUCTURAL.inc()
             continue
         if not deep:
-            continue
-        try:
-            bad_entries = containers.verify_container(container_id)
-        except ContainerIntegrityError:
-            report.structural_errors.append(container_id)
-            _SCRUB_STRUCTURAL.inc()
             continue
         report.chunks_verified += len(entries)
         _SCRUB_CHUNKS.inc(len(entries))
@@ -250,15 +281,24 @@ def fsck(
     if repair:
         for container_id in report.structural_errors:
             try:
-                containers.quarantine_container(container_id)
+                with engine.container_lock:
+                    containers.quarantine_container(container_id)
             except KeyError:
                 pass
 
     # Index pass: every entry must land inside an intact container — and
     # with ``repair``, entries over bad chunks are healed or dropped.
+    # The container state is read *after* the index snapshot: containers
+    # only grow and seal, so every snapshotted entry of a serving engine
+    # is then either sealed or inside the open buffer.
     structural = set(report.structural_errors)
-    sealed = set(containers.container_ids())
-    for fingerprint, raw in list(engine.index.items()):
+    with engine.index_lock:
+        index_entries = list(engine.index.items())
+    with engine.container_lock:
+        sealed = set(containers.container_ids())
+        open_id = containers.open_container_id
+        open_bytes = containers.open_data_bytes
+    for fingerprint, raw in index_entries:
         report.index_entries_checked += 1
         try:
             location = ChunkLocation.from_bytes(raw)
@@ -268,6 +308,10 @@ def fsck(
             location is None
             or location.container_id in structural
             or location.container_id not in sealed
+            and (
+                location.container_id != open_id
+                or location.offset + location.length > open_bytes
+            )
         )
         bad = (
             bad_by_location.get((location.container_id, location.offset))
@@ -277,41 +321,29 @@ def fsck(
         if dangling:
             report.dangling_index_entries += 1
             if repair:
-                replacement = _find_redundant_copy(
+                healed = _heal(
                     engine,
                     fingerprint,
                     location.container_id if location else -1,
                     report.structural_errors,
                 )
-                if replacement is not None:
-                    engine.index.put(fingerprint, replacement.to_bytes())
-                    report.healed += 1
-                    _SCRUB_HEALED.inc()
-                else:
-                    engine.index.delete(fingerprint)
-                    report.dropped += 1
-                    _SCRUB_DROPPED.inc()
+                report.healed += healed
+                report.dropped += not healed
         elif bad is not None:
             bad.referenced = True
             if repair:
-                replacement = _find_redundant_copy(
+                bad.healed = _heal(
                     engine,
                     fingerprint,
                     location.container_id,
                     report.structural_errors,
                 )
-                if replacement is not None:
-                    engine.index.put(fingerprint, replacement.to_bytes())
-                    bad.healed = True
-                    report.healed += 1
-                    _SCRUB_HEALED.inc()
-                else:
-                    engine.index.delete(fingerprint)
-                    bad.dropped = True
-                    report.dropped += 1
-                    _SCRUB_DROPPED.inc()
+                bad.dropped = not bad.healed
+                report.healed += bad.healed
+                report.dropped += bad.dropped
     if repair:
-        engine.index.flush()
+        with engine.index_lock:
+            engine.index.flush()
 
     report.seconds = time.perf_counter() - start
     _SCRUB_PASSES.inc()
@@ -350,8 +382,9 @@ class BackgroundScrubber:
     """Periodic read-only fsck passes on a daemon thread.
 
     Args:
-        engine: engine to scrub (shared with the serving path; all scrub
-            reads go through the engine's ordinary read methods).
+        engine: engine to scrub, shared with the serving path; each
+            pass takes the engine's own locks (see :func:`fsck`). A
+            failed pass is printed to stderr and the next one still runs.
         interval_seconds: sleep between passes.
         deep: per-chunk CRC verification on each pass.
 
@@ -391,10 +424,10 @@ class BackgroundScrubber:
 
     def _run(self) -> None:
         while not self._stop.is_set():
-            self.last_report = fsck(
-                self.engine, repair=False, deep=self.deep
-            )
-            self.passes += 1
+            try:
+                self.run_once()
+            except Exception as exc:  # one bad pass must not end scrubbing
+                print(f"scrubber: pass failed: {exc!r}", file=sys.stderr)
             self._stop.wait(self.interval_seconds)
 
     def run_once(self) -> FsckReport:

@@ -18,6 +18,11 @@ remembers the old epoch — is handled by the cache's epoch invalidation
 (:meth:`~repro.storage.dedup.FingerprintCache.advance_epoch`), not
 here.
 
+Every leaf is a thread-safe :class:`~repro.storage.dedup.DedupEngine`
+with its own lock stripes. Stripes give no atomicity across shards, and
+none is needed: the ring routes a fingerprint to exactly one shard, so
+the router itself holds no lock.
+
 The ring object is injected rather than imported so this module stays
 free of ``repro.tedstore`` dependencies; anything with
 ``shard_for_key``/``shards``/``epoch`` duck-types.
@@ -29,12 +34,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs import metrics as obs_metrics
-from repro.storage.dedup import (
-    ChunkLocation,
-    ConcurrentDedupEngine,
-    DedupEngine,
-    DedupStats,
-)
+from repro.storage.dedup import ChunkLocation, DedupEngine, DedupStats
 
 SHARDS_DIRNAME = "shards"
 
@@ -137,11 +137,6 @@ class ShardedDedupEngine:
         ring: placement — anything with ``shard_for_key(bytes) -> int``,
             ``shards`` (ids), and ``epoch``.
         container_bytes: per-shard container size budget.
-        concurrent: wrap each shard in
-            :class:`~repro.storage.dedup.ConcurrentDedupEngine`
-            (striped per-fingerprint locks). The stripes are *per
-            engine*; cross-shard atomicity is never needed because the
-            ring routes a fingerprint to exactly one shard.
 
     Example:
         >>> from repro.tedstore.ring import HashRing
@@ -155,22 +150,17 @@ class ShardedDedupEngine:
         directory,
         ring,
         container_bytes: int = 8 << 20,
-        concurrent: bool = False,
     ) -> None:
         self.directory = Path(directory)
         self.ring = ring
         self.container_bytes = container_bytes
-        self._leaves: Dict[int, DedupEngine] = {}
-        self._routes: Dict[int, object] = {}
-        for shard in ring.shards:
-            leaf = DedupEngine(
+        self._leaves: Dict[int, DedupEngine] = {
+            shard: DedupEngine(
                 self.directory / SHARDS_DIRNAME / str(shard),
                 container_bytes=container_bytes,
             )
-            self._leaves[shard] = leaf
-            self._routes[shard] = (
-                ConcurrentDedupEngine(leaf) if concurrent else leaf
-            )
+            for shard in ring.shards
+        }
         self._fanout = ShardFanout("provider", ring.shards)
 
     # -- topology ----------------------------------------------------------
@@ -188,15 +178,15 @@ class ShardedDedupEngine:
     def shard_of(self, fingerprint: bytes) -> int:
         return self.ring.shard_for_key(fingerprint)
 
-    def _route(self, fingerprint: bytes):
-        return self._routes[self.ring.shard_for_key(fingerprint)]
+    def _route(self, fingerprint: bytes) -> DedupEngine:
+        return self._leaves[self.ring.shard_for_key(fingerprint)]
 
     # -- single-engine API -------------------------------------------------
 
     def store(self, fingerprint: bytes, chunk: bytes) -> bool:
         shard = self.ring.shard_for_key(fingerprint)
         self._fanout.record(shard, 1)
-        return self._routes[shard].store(fingerprint, chunk)
+        return self._leaves[shard].store(fingerprint, chunk)
 
     def contains(self, fingerprint: bytes) -> bool:
         return self._route(fingerprint).contains(fingerprint)
@@ -221,7 +211,7 @@ class ShardedDedupEngine:
         routed = self._fanout.run(
             [self.ring.shard_for_key(f) for f in fingerprints],
             fingerprints,
-            lambda shard, sub: self._routes[shard].load_many(
+            lambda shard, sub: self._leaves[shard].load_many(
                 sub, lookahead_window=lookahead_window
             ),
         )
@@ -229,15 +219,15 @@ class ShardedDedupEngine:
 
     def flush(self) -> None:
         for shard in self.ring.shards:
-            self._routes[shard].flush()
+            self._leaves[shard].flush()
 
     def close(self) -> None:
         for shard in self.ring.shards:
-            self._routes[shard].close()
+            self._leaves[shard].close()
 
     def physical_bytes(self) -> int:
         return sum(
-            self._routes[s].physical_bytes() for s in self.ring.shards
+            self._leaves[s].physical_bytes() for s in self.ring.shards
         )
 
     # -- accounting --------------------------------------------------------
@@ -254,10 +244,7 @@ class ShardedDedupEngine:
         return total
 
     def container_count(self) -> int:
-        return sum(
-            leaf.containers.container_count()
-            for leaf in self._leaves.values()
-        )
+        return sum(leaf.container_count() for leaf in self._leaves.values())
 
     def routed_counts(self) -> Dict[int, int]:
         """Cumulative keys routed per shard (imbalance diagnostics)."""

@@ -21,12 +21,13 @@ is the operator's choice:
   never deduplicate against another's and per-tenant stored state is
   independent of tenant interleaving (the differential isolation gate).
 
-**Concurrency.** There is no global provider lock. Each tenant has its own
-lock covering its recipes, quota accounting, and (when partitioned) its
-private engine; the shared engine is wrapped in
-:class:`~repro.storage.dedup.ConcurrentDedupEngine`, whose striped
-per-fingerprint locks let distinct tenants store and dedup-check chunks
-concurrently.
+**Concurrency.** There is no global provider lock. Each tenant holds
+exactly one engine — the shared one, or its private one — and calls it
+the same way in every mode. Engines are thread-safe on their own
+(:class:`~repro.storage.dedup.DedupEngine`'s striped per-fingerprint
+locks let distinct tenants store and dedup-check chunks concurrently),
+so the tenant lock covers only recipes, quota checks and counters, and
+GETs take no tenant lock at all. Lock order: admin → tenant → engine.
 
 **Quotas.** ``quota_bytes`` (logical bytes offered) and ``quota_files``
 are enforced per tenant *before* any storage mutation: an over-quota batch
@@ -45,11 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
-from repro.storage.dedup import (
-    ConcurrentDedupEngine,
-    DedupEngine,
-    record_dedup_store,
-)
+from repro.storage.dedup import DedupEngine, InMemoryDedupEngine
 from repro.storage.kvstore import KVStore
 from repro.storage.scrub import BackgroundScrubber
 from repro.storage.sharded import ShardedDedupEngine
@@ -127,19 +124,17 @@ def _decode_recipes(blob: bytes) -> Tuple[bytes, bytes]:
 
 
 class _TenantState:
-    """One tenant's namespace: recipes, quota accounting, private engine."""
+    """One tenant's namespace: recipes, quota accounting, its engine."""
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, engine) -> None:
         self.name = name
         self.lock = threading.Lock()
         self.recipes: Dict[str, Tuple[bytes, bytes]] = {}
         self.recipe_store: Optional[KVStore] = None
         #: Recipe keys whose durable blobs failed to decode at startup.
         self.quarantined_recipes: List[str] = []
-        # Private engine (cross-user dedup off) or None (shared engine).
-        self.engine: Optional[DedupEngine] = None
-        # In-memory mode, cross-user dedup off: private chunk dict.
-        self.memory_chunks: Optional[Dict[bytes, bytes]] = None
+        # The shared engine (cross-user dedup on) or a private one.
+        self.engine = engine
         # Per-tenant accounting (logical view of this tenant's offers).
         self.logical_chunks = 0
         self.logical_bytes = 0
@@ -154,8 +149,10 @@ class ProviderService:
         directory: provider storage root. The default tenant stores at
             the root (legacy layout); named tenants under ``tenants/<id>``.
         container_bytes: container capacity (paper default 8 MB).
-        in_memory: keep chunks in dicts instead of the on-disk engine —
-            Experiments B.1–B.3 remove disk I/O to measure compute limits.
+        in_memory: keep chunks in
+            :class:`~repro.storage.dedup.InMemoryDedupEngine` instead of
+            the on-disk engine — Experiments B.1–B.3 remove disk I/O to
+            measure compute limits.
         engine: inject a pre-built engine as the shared/default engine.
         cross_user_dedup: share the fingerprint index and containers
             across tenants (True, the storage-efficient default) or give
@@ -217,9 +214,6 @@ class ProviderService:
         self._admin_lock = threading.Lock()
         self._tenants: Dict[str, _TenantState] = {}
 
-        self._memory_chunks: Optional[Dict[bytes, bytes]] = None
-        self._memory_lock = threading.Lock()
-        self._shared = None  # thread-safe facade over self.engine
         # Ring resolution (DESIGN.md §15): a persisted ring.json is the
         # source of truth — the CLI flag only bootstraps a fresh store,
         # and membership changes go through `repro reshard`. A fresh
@@ -253,36 +247,15 @@ class ProviderService:
                 "sharding requires the on-disk engine (a storage directory)"
             )
         if in_memory:
-            self.engine = None
-            if cross_user_dedup:
-                self._memory_chunks = {}
+            self.engine = InMemoryDedupEngine()
+        elif engine is not None:
+            self.engine = engine
+        elif directory is None:
+            raise ValueError(
+                "directory is required unless in_memory or engine given"
+            )
         else:
-            if engine is not None:
-                self.engine = engine
-            elif self.ring is not None:
-                self.engine = ShardedDedupEngine(
-                    self._directory,
-                    self.ring,
-                    container_bytes=container_bytes,
-                    concurrent=cross_user_dedup,
-                )
-            else:
-                if directory is None:
-                    raise ValueError(
-                        "directory is required unless in_memory or engine "
-                        "given"
-                    )
-                self.engine = DedupEngine(
-                    self._directory, container_bytes=container_bytes
-                )
-            if cross_user_dedup:
-                if isinstance(self.engine, ShardedDedupEngine):
-                    # Already thread-safe: each shard wraps its leaf in
-                    # striped locks, and the ring keeps any fingerprint
-                    # on exactly one shard.
-                    self._shared = self.engine
-                else:
-                    self._shared = ConcurrentDedupEngine(self.engine)
+            self.engine = self._new_engine(self._directory)
         # Materialize the default tenant eagerly: it owns the legacy
         # root-layout recipes, which must be durable-loaded before the
         # first request (a provider restart must still resolve every
@@ -291,7 +264,7 @@ class ProviderService:
 
         self.scrubber: Optional[BackgroundScrubber] = None
         if scrub_interval is not None:
-            if self.engine is None:
+            if in_memory:
                 raise ValueError("scrubbing requires the on-disk engine")
             self.scrubber = BackgroundScrubber(
                 self.engine, interval_seconds=scrub_interval
@@ -333,6 +306,34 @@ class ProviderService:
             return self._directory
         return self._directory / "tenants" / tenant
 
+    def _new_engine(self, root: Path):
+        """An on-disk engine at ``root``, sharded under the ring if any.
+
+        Private engines shard under the same ring as the shared one:
+        ``tenants/<id>/shards/<k>``, one global ``ring.json``.
+        """
+        if self.ring is not None:
+            return ShardedDedupEngine(
+                root, self.ring, container_bytes=self.container_bytes
+            )
+        return DedupEngine(root, container_bytes=self.container_bytes)
+
+    def _tenant_engine(self, tenant: str):
+        """The engine a new tenant's chunks go to."""
+        # The default tenant owns the root-layout engine; partitioning
+        # only namespaces the rest.
+        if self.cross_user_dedup or tenant == DEFAULT_TENANT:
+            return self.engine
+        if self.in_memory:
+            return InMemoryDedupEngine()
+        if self._directory is None:
+            # An injected single engine cannot be partitioned.
+            raise ValueError(
+                "per-tenant dedup engines (cross_user_dedup=False) "
+                "require a storage directory"
+            )
+        return self._new_engine(self._tenant_root(tenant))
+
     def _tenant(self, tenant: str) -> _TenantState:
         """Fetch-or-create a tenant namespace (thread-safe, lazy)."""
         state = self._tenants.get(tenant)
@@ -345,46 +346,16 @@ class ProviderService:
                 return state
             if self._closed:
                 raise RuntimeError("provider is closed")
-            state = _TenantState(tenant)
-            if self.in_memory:
-                if not self.cross_user_dedup:
-                    state.memory_chunks = {}
-            else:
-                if not self.cross_user_dedup:
-                    if tenant == DEFAULT_TENANT:
-                        # The default tenant owns the legacy root-layout
-                        # engine; partitioning only namespaces the rest.
-                        state.engine = self.engine
-                    elif self._directory is not None:
-                        if self.ring is not None:
-                            # Private engines shard under the same ring:
-                            # tenants/<id>/shards/<k>, one global ring.json.
-                            state.engine = ShardedDedupEngine(
-                                self._tenant_root(tenant),
-                                self.ring,
-                                container_bytes=self.container_bytes,
-                            )
-                        else:
-                            state.engine = DedupEngine(
-                                self._tenant_root(tenant),
-                                container_bytes=self.container_bytes,
-                            )
-                    else:
-                        # An injected single engine cannot be partitioned.
-                        raise ValueError(
-                            "per-tenant dedup engines "
-                            "(cross_user_dedup=False) require a storage "
-                            "directory"
-                        )
-                if self._directory is not None:
-                    # Recipes are durable alongside the chunks: a provider
-                    # restart must still resolve every previously-acked
-                    # file name, or the chunks it kept are unreachable
-                    # (DESIGN.md §12).
-                    state.recipe_store = KVStore(
-                        self._tenant_root(tenant) / "recipes"
-                    )
-                    self._load_recipes(state)
+            state = _TenantState(tenant, self._tenant_engine(tenant))
+            if not self.in_memory and self._directory is not None:
+                # Recipes are durable alongside the chunks: a provider
+                # restart must still resolve every previously-acked
+                # file name, or the chunks it kept are unreachable
+                # (DESIGN.md §12).
+                state.recipe_store = KVStore(
+                    self._tenant_root(tenant) / "recipes"
+                )
+                self._load_recipes(state)
             self._tenants[tenant] = state
             _TENANT_GAUGE.set(len(self._tenants))
             return state
@@ -465,25 +436,11 @@ class ProviderService:
             attributes={"chunks": len(request.chunks), "tenant": tenant},
         ), state.lock:
             self._check_bytes_quota(state, batch_bytes)
-            if self.in_memory:
-                stored, duplicates = self._put_chunks_memory(state, request)
-            elif state.engine is not None:
-                # Partitioned mode: the tenant lock serializes this
-                # tenant's connections over its private engine.
-                for fingerprint, data in request.chunks:
-                    if state.engine.store(fingerprint, data):
-                        stored += 1
-                    else:
-                        duplicates += 1
-            else:
-                # Shared mode: the concurrent engine's striped locks let
-                # other tenants proceed in parallel with this batch.
-                assert self._shared is not None
-                for fingerprint, data in request.chunks:
-                    if self._shared.store(fingerprint, data):
-                        stored += 1
-                    else:
-                        duplicates += 1
+            for fingerprint, data in request.chunks:
+                if state.engine.store(fingerprint, data):
+                    stored += 1
+                else:
+                    duplicates += 1
             state.logical_chunks += len(request.chunks)
             state.logical_bytes += batch_bytes
             state.stored_chunks += stored
@@ -494,34 +451,6 @@ class ProviderService:
         )
         _TENANT_BYTES.labels(tenant=tenant).inc(batch_bytes)
         return PutChunksResponse(stored=stored, duplicates=duplicates)
-
-    def _put_chunks_memory(
-        self, state: _TenantState, request: PutChunks
-    ) -> Tuple[int, int]:
-        stored = 0
-        duplicates = 0
-        if state.memory_chunks is not None:
-            chunks = state.memory_chunks
-            lock = None  # tenant lock already held; dict is private
-        else:
-            assert self._memory_chunks is not None
-            chunks = self._memory_chunks
-            lock = self._memory_lock
-        for fingerprint, data in request.chunks:
-            if lock is not None:
-                lock.acquire()
-            try:
-                if fingerprint in chunks:
-                    duplicates += 1
-                    record_dedup_store(len(data), unique=False)
-                else:
-                    chunks[fingerprint] = data
-                    stored += 1
-                    record_dedup_store(len(data), unique=True)
-            finally:
-                if lock is not None:
-                    lock.release()
-        return stored, duplicates
 
     def handle_get_chunks(
         self, request: GetChunks, tenant: str = DEFAULT_TENANT
@@ -543,34 +472,8 @@ class ProviderService:
                 "tenant": tenant,
             },
         ):
-            if self.in_memory:
-                if state.memory_chunks is not None:
-                    with state.lock:
-                        return Chunks(
-                            chunks=[
-                                state.memory_chunks[fp]
-                                for fp in request.fingerprints
-                            ]
-                        )
-                assert self._memory_chunks is not None
-                with self._memory_lock:
-                    return Chunks(
-                        chunks=[
-                            self._memory_chunks[fp]
-                            for fp in request.fingerprints
-                        ]
-                    )
-            if state.engine is not None:
-                with state.lock:
-                    return Chunks(
-                        chunks=state.engine.load_many(
-                            request.fingerprints,
-                            lookahead_window=self.lookahead_window,
-                        )
-                    )
-            assert self._shared is not None
             return Chunks(
-                chunks=self._shared.load_many(
+                chunks=state.engine.load_many(
                     request.fingerprints,
                     lookahead_window=self.lookahead_window,
                 )
@@ -584,7 +487,8 @@ class ProviderService:
         """Store sealed recipes verbatim (no metadata dedup, §2.2).
 
         Directory-backed providers write through to the tenant's durable
-        recipe store before acknowledging.
+        recipe store before the recipes become visible: a failed durable
+        write leaves the served version unchanged.
 
         Raises:
             QuotaExceededError: a new file would exceed the tenant's
@@ -593,10 +497,6 @@ class ProviderService:
         state = self._tenant(tenant)
         with state.lock:
             self._check_files_quota(state, request.file_name)
-            state.recipes[request.file_name] = (
-                request.sealed_file_recipe,
-                request.sealed_key_recipe,
-            )
             if state.recipe_store is not None:
                 state.recipe_store.put(
                     request.file_name.encode("utf-8"),
@@ -605,6 +505,10 @@ class ProviderService:
                         request.sealed_key_recipe,
                     ),
                 )
+            state.recipes[request.file_name] = (
+                request.sealed_file_recipe,
+                request.sealed_key_recipe,
+            )
 
     def handle_get_recipes(
         self, request: GetRecipes, tenant: str = DEFAULT_TENANT
@@ -636,25 +540,16 @@ class ProviderService:
         with self._admin_lock:
             return list(self._tenants.values())
 
-    def _engines(self) -> List[DedupEngine]:
-        """Every distinct *leaf* engine (root/shared + per-tenant).
+    @staticmethod
+    def _engines(states: List[_TenantState]) -> list:
+        """Every distinct engine the given tenants hold, in tenant order.
 
-        Sharded engines flatten to their per-shard leaves so accounting
-        and scrub sweeps see every container pool and index exactly once.
+        The default tenant holds :attr:`engine`, so it is always first.
         """
-        engines: List[DedupEngine] = []
-
-        def add(engine) -> None:
-            leaves = getattr(engine, "shard_engines", None)
-            for leaf in leaves if leaves is not None else [engine]:
-                if all(leaf is not existing for existing in engines):
-                    engines.append(leaf)
-
-        if self.engine is not None:
-            add(self.engine)
-        for state in self._tenant_snapshot():
-            if state.engine is not None:
-                add(state.engine)
+        engines: list = []
+        for state in states:
+            if all(state.engine is not engine for engine in engines):
+                engines.append(state.engine)
         return engines
 
     def ring_epoch(self) -> int:
@@ -668,16 +563,18 @@ class ProviderService:
 
     def flush(self) -> None:
         """Seal containers and flush indexes/recipes across all tenants."""
-        # A tenant-owned engine (partitioned mode, the default tenant's
-        # included) is flushed under the tenant lock its requests hold.
-        for state in self._tenant_snapshot():
+        states = self._tenant_snapshot()
+        unflushed = self._engines(states)
+        for state in states:
+            # Each engine flushes under its first holder's tenant lock,
+            # the lock that tenant's PUT batches hold, so it never seals
+            # halfway through one of them.
             with state.lock:
-                if state.engine is not None:
+                if state.engine in unflushed:
+                    unflushed.remove(state.engine)
                     state.engine.flush()
                 if state.recipe_store is not None:
                     state.recipe_store.flush()
-        if self._shared is not None:
-            self._shared.flush()
 
     def close(self) -> None:
         """Stop the scrubber and flush/release all storage.
@@ -697,17 +594,12 @@ class ProviderService:
                 self.scrubber.stop()
         finally:
             first_error: Optional[BaseException] = None
-            closers = []
-            for state in states:
-                if state.recipe_store is not None:
-                    closers.append(state.recipe_store.close)
-                if (
-                    state.engine is not None
-                    and state.engine is not self.engine
-                ):
-                    closers.append(state.engine.close)
-            if self.engine is not None:
-                closers.append(self.engine.close)
+            closers = [
+                state.recipe_store.close
+                for state in states
+                if state.recipe_store is not None
+            ]
+            closers += [engine.close for engine in self._engines(states)]
             for closer in closers:
                 try:
                     closer()
@@ -744,25 +636,6 @@ class ProviderService:
         for state in states:
             with state.lock:
                 files += len(state.recipes)
-        if self.in_memory:
-            logical = sum(s.logical_chunks for s in states)
-            duplicates = sum(s.duplicate_chunks for s in states)
-            if self._memory_chunks is not None:
-                with self._memory_lock:
-                    unique = len(self._memory_chunks)
-            else:
-                unique = 0
-                for state in states:
-                    if state.memory_chunks is not None:
-                        unique += len(state.memory_chunks)
-            return [
-                ("logical_chunks", logical),
-                ("unique_chunks", unique),
-                ("duplicate_chunks", duplicates),
-                ("files", files),
-                ("tenants", len(states)),
-            ]
-        engines = self._engines()
         totals = {
             "logical_chunks": 0,
             "unique_chunks": 0,
@@ -770,13 +643,13 @@ class ProviderService:
             "unique_bytes": 0,
             "containers": 0,
         }
-        for engine in engines:
+        for engine in self._engines(states):
             stats = engine.stats
             totals["logical_chunks"] += stats.logical_chunks
             totals["unique_chunks"] += stats.unique_chunks
             totals["logical_bytes"] += stats.logical_bytes
             totals["unique_bytes"] += stats.unique_bytes
-            totals["containers"] += engine.containers.container_count()
+            totals["containers"] += engine.container_count()
         pairs = [
             ("logical_chunks", totals["logical_chunks"]),
             ("unique_chunks", totals["unique_chunks"]),

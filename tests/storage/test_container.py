@@ -17,7 +17,7 @@ from repro.storage.container import (
     TocEntry,
     _encode_toc,
 )
-from repro.storage.dedup import ConcurrentDedupEngine, DedupEngine
+from repro.storage.dedup import DedupEngine
 
 
 def _image(data: bytes, toc: bytes, count: int) -> bytes:
@@ -260,9 +260,7 @@ class TestOpenContainerReads:
         assert store.load_container(store.open_container_id) == b"abcdefg"
 
     def test_concurrent_load_many_racing_store(self, tmp_path):
-        engine = ConcurrentDedupEngine(
-            DedupEngine(tmp_path, container_bytes=8192)
-        )
+        engine = DedupEngine(tmp_path, container_bytes=8192)
         chunks = [
             hashlib.sha256(i.to_bytes(4, "big")).digest() * (1 + i % 7)
             for i in range(600)

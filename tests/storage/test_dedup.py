@@ -1,8 +1,15 @@
-"""Dedup engine: inline deduplication, stats, persistence."""
+"""Dedup engine: inline deduplication, stats, persistence, locking."""
+
+import hashlib
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
 from repro.storage.dedup import DedupEngine
+from repro.storage.sharded import ShardedDedupEngine
+from repro.tedstore.ring import HashRing
 
 
 @pytest.fixture
@@ -97,3 +104,55 @@ class TestBatchLoad:
         assert engine.containers.read(location) == b"payload"
         with pytest.raises(KeyError):
             engine.locate(b"missing")
+
+
+class TestConcurrentStores:
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_racing_stores_keep_one_copy(self, tmp_path, shards):
+        """8 threads store the same 64 fingerprints: the engine's stripes
+        make each check-then-append atomic, so every chunk is stored
+        exactly once (per shard, under the ring's routing)."""
+        if shards == 1:
+            engine = DedupEngine(tmp_path, container_bytes=1024)
+            leaves = [engine]
+        else:
+            engine = ShardedDedupEngine(
+                tmp_path, HashRing.build(shards), container_bytes=1024
+            )
+            leaves = engine.shard_engines
+        chunks = [bytes([i]) * (40 + i) for i in range(64)]
+        fps = [hashlib.sha256(c).digest() for c in chunks]
+        start = threading.Barrier(8)
+        errors = []
+
+        def worker():
+            try:
+                start.wait()
+                for fp, chunk in zip(fps, chunks):
+                    engine.store(fp, chunk)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        engine.flush()
+        assert engine.stats.unique_chunks == 64
+        assert engine.stats.logical_chunks == 8 * 64
+        copies = Counter(
+            entry.fingerprint
+            for leaf in leaves
+            for container_id in leaf.containers.container_ids()
+            for entry in leaf.containers.toc(container_id)
+        )
+        assert copies == Counter(fps)
+        assert engine.load_many(fps) == chunks
+        engine.close()

@@ -1,11 +1,17 @@
 """Scrub/fsck: detection, self-heal, quarantine, background passes."""
 
 import hashlib
+import sys
+import threading
+import time
 
 import pytest
 
+from repro.storage import scrub
 from repro.storage.dedup import DedupEngine
 from repro.storage.scrub import BackgroundScrubber, fsck, fsck_path
+from repro.tedstore import messages as m
+from repro.tedstore.provider import ProviderService
 
 
 def _fill(engine, count=12, size=400):
@@ -126,6 +132,66 @@ class TestFsck:
         assert report.clean
 
 
+class TestLiveFsck:
+    def test_serving_store_is_clean_before_its_first_seal(self, tmp_path):
+        """Entries into the open container's buffer are live, not
+        dangling: a healthy store that has not sealed yet is clean."""
+        service = ProviderService(directory=tmp_path, scrub_interval=3600)
+        chunks = [bytes([i]) * 300 for i in range(50)]
+        service.handle_put_chunks(
+            m.PutChunks(
+                chunks=[(hashlib.sha256(c).digest(), c) for c in chunks]
+            )
+        )
+        report = service.scrubber.run_once()
+        assert report.clean
+        assert report.index_entries_checked == 50
+        assert report.dangling_index_entries == 0
+        service.close()
+
+    def test_fsck_races_a_flushing_writer(self, tmp_path):
+        """fsck takes the engine's locks: a writer flushing the memtable
+        and sealing containers mid-pass neither crashes a pass nor
+        makes a healthy store look damaged."""
+        engine = DedupEngine(
+            tmp_path,
+            container_bytes=4096,
+            kvstore_options={"memtable_bytes": 2048},
+        )
+        done = threading.Event()
+        errors = []
+
+        def writer():
+            i = 0
+            try:
+                while not done.is_set():
+                    chunk = i.to_bytes(4, "big") * 16
+                    engine.store(hashlib.sha256(chunk).digest(), chunk)
+                    i += 1
+            except Exception as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=writer)
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread.start()
+            deadline = time.monotonic() + 1.5
+            while time.monotonic() < deadline:
+                try:
+                    reports.append(fsck(engine, deep=False))
+                except Exception as exc:
+                    errors.append(exc)
+        finally:
+            done.set()
+            thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert reports and all(report.clean for report in reports)
+        engine.close()
+
+
 class TestBackgroundScrubber:
     def test_run_once_records_report(self, tmp_path):
         engine = DedupEngine(tmp_path, container_bytes=1024)
@@ -158,4 +224,30 @@ class TestBackgroundScrubber:
         engine = DedupEngine(tmp_path, container_bytes=1024)
         with pytest.raises(ValueError):
             BackgroundScrubber(engine, interval_seconds=0)
+        engine.close()
+
+    def test_a_raising_pass_does_not_end_scrubbing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        engine = DedupEngine(tmp_path, container_bytes=1024)
+        _fill(engine)
+        real_fsck = scrub.fsck
+        calls = []
+
+        def flaky_fsck(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise KeyError("memtable swapped mid-scan")
+            return real_fsck(*args, **kwargs)
+
+        monkeypatch.setattr(scrub, "fsck", flaky_fsck)
+        scrubber = BackgroundScrubber(engine, interval_seconds=0.01)
+        scrubber.start()
+        deadline = time.monotonic() + 10
+        while scrubber.passes == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        scrubber.stop()
+        assert scrubber.passes >= 1
+        assert scrubber.last_report.clean
+        assert "scrubber: pass failed" in capsys.readouterr().err
         engine.close()

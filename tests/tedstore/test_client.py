@@ -170,11 +170,11 @@ class TestMetadataDedup:
         client = self._meta_client(provider)
         data = unique_file(60_000)
         client.upload("day-0", data)
-        unique_after_first = len(provider._memory_chunks)
+        unique_after_first = len(provider.engine.chunks)
         client.upload("day-1", data)
         # With t = 10,000 (MLE regime) the data chunks fully dedup AND the
         # metadata chunks dedup too: no new unique chunks at all.
-        assert len(provider._memory_chunks) == unique_after_first
+        assert len(provider.engine.chunks) == unique_after_first
 
     def test_wrong_master_key_still_locked_out(self):
         provider = ProviderService(in_memory=True)
@@ -200,7 +200,7 @@ class TestSecurity:
         client = _make_client(provider=provider)
         data = unique_file(30_000)
         client.upload("f", data)
-        stored = b"".join(provider._memory_chunks.values())
+        stored = b"".join(provider.engine.chunks.values())
         # No 64-byte window of the plaintext appears in storage.
         assert data[:64] not in stored
 

@@ -7,7 +7,10 @@ the typed ``MSG_NOT_FOUND`` reply, the corrupt-recipe-blob quarantine,
 re-entrant ``close()``, and a peer that rejects HELLO.
 """
 
+import errno
+import hashlib
 import random
+import sys
 import threading
 
 import pytest
@@ -331,6 +334,117 @@ class TestRecipeDecodeBugfix:
         stats = dict(reopened.tenant_stats())
         assert stats["quarantined_recipes"] == 1
         reopened.close()
+
+
+class TestRecipeWriteOrderBugfix:
+    @staticmethod
+    def _put(service, name, version):
+        service.handle_put_recipes(
+            m.PutRecipes(
+                file_name=name,
+                sealed_file_recipe=b"F" + version,
+                sealed_key_recipe=b"K" + version,
+            ),
+            tenant="a",
+        )
+
+    @staticmethod
+    def _get(service, name):
+        got = service.handle_get_recipes(m.GetRecipes(file_name=name), "a")
+        return got.sealed_file_recipe, got.sealed_key_recipe
+
+    def test_failed_durable_write_is_not_served(self, tmp_path, monkeypatch):
+        """A recipe PUT whose durable write fails changes nothing that is
+        served: a new file stays absent, an overwrite keeps the old
+        version — the same view a restart would give."""
+        service = ProviderService(directory=tmp_path)
+        self._put(service, "old", b"1")
+        recipe_store = service._tenant("a").recipe_store
+
+        def no_space(key, value):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(recipe_store, "put", no_space)
+        with pytest.raises(OSError):
+            self._put(service, "new", b"1")
+        with pytest.raises(OSError):
+            self._put(service, "old", b"2")
+        monkeypatch.undo()
+        for provider in (service, None):
+            if provider is None:
+                service.close()
+                provider = ProviderService(directory=tmp_path)
+            with pytest.raises(FileNotFoundError):
+                self._get(provider, "new")
+            assert self._get(provider, "old") == (b"F1", b"K1")
+            assert dict(provider.tenant_stats("a"))["files"] == 1
+        provider.close()
+
+
+class TestPartitionedConcurrentGets:
+    def test_one_tenant_concurrent_gets_return_exact_bytes(self, tmp_path):
+        """GETs take no tenant lock: with cross-user dedup off, one
+        tenant's readers race its own writer on the private engine and
+        still get exact bytes."""
+        service = ProviderService(
+            directory=tmp_path, container_bytes=4096, cross_user_dedup=False
+        )
+        chunks = [
+            hashlib.sha256(i.to_bytes(4, "big")).digest() * (1 + i % 5)
+            for i in range(400)
+        ]
+        fps = [hashlib.sha256(c).digest() for c in chunks]
+        service.handle_put_chunks(
+            m.PutChunks(chunks=list(zip(fps[:40], chunks[:40]))), "t-alpha"
+        )
+        stored = 40
+        done = threading.Event()
+        errors = []
+        reads = []
+
+        def writer():
+            nonlocal stored
+            try:
+                for lo in range(40, len(chunks), 8):
+                    batch = list(zip(fps[lo : lo + 8], chunks[lo : lo + 8]))
+                    service.handle_put_chunks(
+                        m.PutChunks(chunks=batch), "t-alpha"
+                    )
+                    stored = lo + len(batch)
+            except Exception as exc:
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def reader(seed):
+            rng = random.Random(seed)
+            try:
+                while not done.is_set():
+                    ids = [rng.randrange(stored) for _ in range(16)]
+                    got = service.handle_get_chunks(
+                        m.GetChunks(fingerprints=[fps[i] for i in ids]),
+                        "t-alpha",
+                    )
+                    assert got.chunks == [chunks[i] for i in ids]
+                    reads.append(len(ids))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(seed,)) for seed in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert sum(reads) > 0
+        service.close()
 
 
 class TestCloseSemantics:

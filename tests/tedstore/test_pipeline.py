@@ -204,8 +204,8 @@ class TestErrors:
         chunks = _chunks(count=40)
         client.upload_chunks("holey", chunks)
         service = client.provider.service
-        victim = next(iter(service._memory_chunks))
-        del service._memory_chunks[victim]
+        victim = next(iter(service.engine.chunks))
+        del service.engine.chunks[victim]
         with pytest.raises(KeyError):
             client.download("holey")
 
