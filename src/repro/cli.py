@@ -240,26 +240,25 @@ def cmd_serve_provider(args: argparse.Namespace) -> int:
                 continue
             tenant, _, token = line.partition(":")
             auth_tokens[tenant.strip()] = token.strip().encode()
-    service = ProviderService(
-        directory=args.storage,
-        container_bytes=args.container_mb << 20,
-        lookahead_window=args.lookahead_window or None,
-        scrub_interval=args.scrub_interval or None,
-        cross_user_dedup=args.cross_user_dedup,
-        quota_bytes=args.quota_bytes or None,
-        quota_files=args.quota_files or None,
-        auth_tokens=auth_tokens,
-        shards=args.shards,
-        ring_seed=args.ring_seed,
-    )
+    try:
+        service = ProviderService(
+            directory=args.storage,
+            container_bytes=args.container_mb << 20,
+            lookahead_window=args.lookahead_window or None,
+            scrub_interval=args.scrub_interval or None,
+            cross_user_dedup=args.cross_user_dedup,
+            quota_bytes=args.quota_bytes or None,
+            quota_files=args.quota_files or None,
+            auth_tokens=auth_tokens,
+        )
+    except RuntimeError as exc:  # a sharded root, or an unfinished reshard
+        print(f"serve-provider: {exc}", file=sys.stderr)
+        return 2
     handle = serve_provider(service, host=args.host, port=args.port)
     mode = "shared" if args.cross_user_dedup else "partitioned"
-    shard_note = (
-        f", {len(service.ring)} shards" if service.ring is not None else ""
-    )
     print(
         f"provider listening on {handle.address}, storage={args.storage}, "
-        f"dedup index {mode} across tenants{shard_note}",
+        f"dedup index {mode} across tenants",
         flush=True,
     )
     return _run_server(handle, service)
@@ -268,9 +267,16 @@ def cmd_serve_provider(args: argparse.Namespace) -> int:
 def cmd_serve_shard(args: argparse.Namespace) -> int:
     """Run one shard of a fleet as its own process (DESIGN.md §17)."""
     from repro.tedstore.network import serve_shard_observer
+    from repro.tedstore.reshard import refuse_pending_reshard
     from repro.tedstore.ring import load_ring
 
     root = Path(args.root)
+    try:
+        # The migration log lives at the root, not in any leaf.
+        refuse_pending_reshard(root)
+    except RuntimeError as exc:
+        print(f"serve-shard: {exc}", file=sys.stderr)
+        return 2
     ring_path = root / "ring.json"
     ring = load_ring(ring_path) if ring_path.exists() else None
     if ring is not None and args.shard not in ring.shards:
@@ -387,7 +393,7 @@ def cmd_reshard(args: argparse.Namespace) -> int:
             args.shards,
             storage=args.storage,
             km_state=args.km_state,
-            ring_seed=args.ring_seed if args.ring_seed >= 0 else None,
+            seed=args.ring_seed if args.ring_seed >= 0 else None,
             vnodes=args.vnodes if args.vnodes > 0 else None,
             container_bytes=args.container_mb << 20,
         )
@@ -965,17 +971,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="tenant:token lines; tenants listed here must present the "
              "token in the HELLO handshake",
     )
-    p.add_argument(
-        "--shards", type=int, default=1,
-        help="split storage into N ring-routed engine shards under "
-             "shards/<k>/ (DESIGN.md §15); an existing ring.json in "
-             "--storage takes precedence",
-    )
-    p.add_argument(
-        "--ring-seed", type=int, default=0,
-        help="seed for the consistent-hash ring (ignored once a "
-             "ring.json exists in --storage)",
-    )
     p.set_defaults(func=cmd_serve_provider)
 
     p = sub.add_parser(
@@ -986,7 +981,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, required=True,
                    help="target shard count")
     p.add_argument("--storage", default=None,
-                   help="provider storage root to migrate")
+                   help="provider storage root to migrate: sharded, "
+                        "unsharded, or an in-process sharded store to "
+                        "convert (even at the same --shards)")
     p.add_argument("--km-state", default=None,
                    help="key-manager state dir to migrate")
     p.add_argument("--ring-seed", type=int, default=-1,

@@ -207,17 +207,20 @@ class InProcessDeployment:
     """Shared KM + provider services, fresh local transports per client.
 
     ``[deployment] shards > 1`` swaps in the sharded topology: a
-    ring-routed on-disk provider store under a temp dir (the in-memory
-    provider has no engine to shard) and a
+    :class:`~repro.tedstore.fleet.LocalFleet` of on-disk provider leaves
+    under a temp dir (the in-memory provider has nothing to shard),
+    reached through the fleet client, and a
     :class:`~repro.tedstore.sharding.ShardedKeyManager` front, so load
     profiles exercise the DESIGN.md §15 routing path end to end.
     """
 
     def __init__(self, profile: WorkloadProfile) -> None:
         self._tempdir: Optional[tempfile.TemporaryDirectory] = None
+        self._fleet = None
         shards = profile.deployment.shards
         if shards > 1:
             from repro.core.ted import TedKeyManager
+            from repro.tedstore.fleet import LocalFleet
             from repro.tedstore.ring import HashRing
             from repro.tedstore.sharding import ShardedKeyManager
 
@@ -234,11 +237,10 @@ class InProcessDeployment:
             self._tempdir = tempfile.TemporaryDirectory(
                 prefix="loadgen-shards-"
             )
-            self.provider = ProviderService(
-                directory=self._tempdir.name,
+            self._fleet = LocalFleet(
+                self._tempdir.name,
+                ring,
                 cross_user_dedup=profile.tenants.cross_user_dedup,
-                shards=shards,
-                ring_seed=profile.deployment.ring_seed,
             )
         else:
             self.key_manager = KeyManagerService()
@@ -253,11 +255,14 @@ class InProcessDeployment:
         km = LocalKeyManager(
             self.key_manager, client_id=f"loadgen-{worker}"
         )
-        provider = LocalProvider(self.provider, tenant=tenant)
+        if self._fleet is not None:
+            provider = self._fleet.transport(tenant)
+        else:
+            provider = LocalProvider(self.provider, tenant=tenant)
         return _build_client(profile, tenant, worker, km, provider)
 
     def close(self) -> None:
-        self.provider.close()
+        (self._fleet or self.provider).close()
         close_km = getattr(self.key_manager, "close", None)
         if callable(close_km):
             close_km()

@@ -115,9 +115,10 @@ class TenantShape:
 class DeploymentShape:
     """Server-side topology the run is generated against.
 
-    ``shards > 1`` builds the in-process deployment sharded — a
-    ring-routed provider store and a :class:`~repro.tedstore.sharding.\
-ShardedKeyManager` front (DESIGN.md §15) — so load profiles can gate
+    ``shards > 1`` builds the in-process deployment sharded — N
+    provider leaves behind the fleet client and a
+    :class:`~repro.tedstore.sharding.ShardedKeyManager` front
+    (DESIGN.md §15) — so load profiles can gate
     the sharded path's throughput the same way they gate the single
     engine's. Ignored for TCP targets (the servers own their topology).
     """

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.obs import metrics as obs_metrics
 from repro.storage.container import ChunkLocation, ContainerIntegrityError
 from repro.storage.dedup import DedupEngine
+from repro.storage.sharded import engine_roots
 
 _REGISTRY = obs_metrics.get_registry()
 _SCRUB_PASSES = _REGISTRY.counter(
@@ -225,27 +226,6 @@ def fsck(
     Returns:
         The :class:`FsckReport`; ``report.clean`` is the verdict.
     """
-    leaves = getattr(engine, "shard_engines", None)
-    if leaves is not None:
-        # Sharded engine: each leaf is a complete single-engine store
-        # (own containers, index, WAL), so fsck runs per leaf and the
-        # reports merge. Container ids may repeat across shards — the
-        # lists keep every entry; ids are only unique per shard.
-        start = time.perf_counter()
-        merged = FsckReport(repaired=repair)
-        for leaf in leaves:
-            part = fsck(leaf, repair=repair, deep=deep)
-            merged.containers_checked += part.containers_checked
-            merged.chunks_verified += part.chunks_verified
-            merged.bad_chunks.extend(part.bad_chunks)
-            merged.structural_errors.extend(part.structural_errors)
-            merged.index_entries_checked += part.index_entries_checked
-            merged.dangling_index_entries += part.dangling_index_entries
-            merged.healed += part.healed
-            merged.dropped += part.dropped
-        merged.seconds = time.perf_counter() - start
-        return merged
-
     start = time.perf_counter()
     report = FsckReport(repaired=repair)
     containers = engine.containers
@@ -354,28 +334,35 @@ def fsck(
 def fsck_path(
     directory, *, repair: bool = False, deep: bool = True
 ) -> FsckReport:
-    """Run :func:`fsck` over an on-disk storage root (``repro fsck``).
+    """Run :func:`fsck` over every engine under a root (``repro fsck``).
 
-    Opens the root with a :class:`DedupEngine` — which runs normal
-    startup recovery first (quarantine, WAL replay, index reconcile), so
-    fsck on a crashed store reports the *post-recovery* state, the one
-    the provider would actually serve. A root carrying ``ring.json``
-    (a sharded store) is opened shard-aware so every shard is checked.
+    The engines are :func:`~repro.storage.sharded.engine_roots`: the
+    shared engine, private tenant engines, and with ``shards/<k>/``
+    every leaf's engines too. Each is opened as a :class:`DedupEngine`
+    — which runs normal startup recovery first (quarantine, WAL replay,
+    index reconcile), so fsck on a crashed store reports the
+    *post-recovery* state, the one the provider would actually serve.
+    The per-engine reports merge; container ids repeat across engines,
+    so the lists keep every entry.
     """
-    root = Path(directory)
-    ring_path = root / "ring.json"
-    if ring_path.is_file():
-        # Local import: keeps storage/ importable without tedstore/.
-        from repro.storage.sharded import ShardedDedupEngine
-        from repro.tedstore.ring import load_ring
-
-        engine = ShardedDedupEngine(root, load_ring(ring_path))
-    else:
+    start = time.perf_counter()
+    merged = FsckReport(repaired=repair)
+    for root in engine_roots(directory) or [Path(directory)]:
         engine = DedupEngine(root)
-    try:
-        return fsck(engine, repair=repair, deep=deep)
-    finally:
-        engine.close()
+        try:
+            part = fsck(engine, repair=repair, deep=deep)
+        finally:
+            engine.close()
+        merged.containers_checked += part.containers_checked
+        merged.chunks_verified += part.chunks_verified
+        merged.bad_chunks.extend(part.bad_chunks)
+        merged.structural_errors.extend(part.structural_errors)
+        merged.index_entries_checked += part.index_entries_checked
+        merged.dangling_index_entries += part.dangling_index_entries
+        merged.healed += part.healed
+        merged.dropped += part.dropped
+    merged.seconds = time.perf_counter() - start
+    return merged
 
 
 class BackgroundScrubber:

@@ -1,31 +1,19 @@
-"""Ring-routed sharded deduplication engine.
+"""Shard fan-out and the on-disk layout of a sharded provider root.
 
-The provider side of ROADMAP item 2: one fingerprint index and one
-container pool cannot serve millions of users, so the store is split
-into N independent :class:`~repro.storage.dedup.DedupEngine` shards
-under ``shards/<k>/``, each with its own LSM index, container pool,
-WAL-backed id allocation, and crash recovery — the per-shard on-disk
-format is byte-for-byte the single-engine format, so every existing
-tool (fsck, scrub, crash recovery) works per shard unchanged.
+A sharded store (DESIGN.md §15, §17) is ``<root>/ring.json`` plus one
+complete provider root per shard under ``<root>/shards/<k>/``: each
+leaf has its own dedup engine (LSM index, container pool, WAL-backed
+id allocation, crash recovery), its own recipe store and its own
+``tenants/<id>/`` namespaces, so every single-store tool (fsck, scrub,
+crash recovery) works per leaf unchanged. Routing is the
+consistent-hash ring's job (``tedstore/ring.py``); the one router is
+the fleet client (``tedstore/fleet.py``), whose fan-out is written
+once here (:class:`ShardFanout`).
 
-Routing is the consistent-hash ring's job (``tedstore/ring.py``): a
-cipher fingerprint always hashes to the same shard, so dedup decisions
-are exact — the shard that owns a fingerprint sees *every* store of
-it, and no fingerprint can ever be stored by two shards under one ring
-epoch (DESIGN.md §15's routing invariant). Cross-epoch aliasing —
-a reshard moving a fingerprint's ownership while a client cache still
-remembers the old epoch — is handled by the cache's epoch invalidation
-(:meth:`~repro.storage.dedup.FingerprintCache.advance_epoch`), not
-here.
-
-Every leaf is a thread-safe :class:`~repro.storage.dedup.DedupEngine`
-with its own lock stripes. Stripes give no atomicity across shards, and
-none is needed: the ring routes a fingerprint to exactly one shard, so
-the router itself holds no lock.
-
-The ring object is injected rather than imported so this module stays
-free of ``repro.tedstore`` dependencies; anything with
-``shard_for_key``/``shards``/``epoch`` duck-types.
+:func:`store_directories` walks any provider root — unsharded, sharded,
+or the in-process layout of earlier releases, whose chunk shards sat
+under a shared recipe store — and is the one list of engine and recipe
+stores that ``repro fsck`` and ``repro reshard`` both work from.
 """
 
 from __future__ import annotations
@@ -34,9 +22,9 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs import metrics as obs_metrics
-from repro.storage.dedup import ChunkLocation, DedupEngine, DedupStats
-
 SHARDS_DIRNAME = "shards"
+TENANTS_DIRNAME = "tenants"
+RECIPES_DIRNAME = "recipes"
 
 _REGISTRY = obs_metrics.get_registry()
 _ROUTED_BATCHES = _REGISTRY.counter(
@@ -59,7 +47,7 @@ _IMBALANCE = _REGISTRY.gauge(
 class ShardFanout:
     """The ring fan-out, written once for every router in the deployment.
 
-    One instance per router (provider engine, fleet client, KM front),
+    One instance per router (fleet client, KM front),
     labelled by ``side``; it also carries the routed-batch accounting —
     cumulative per-shard key counts and ``ted_shard_imbalance``.
     """
@@ -128,129 +116,6 @@ class ShardFanout:
         return dict(self._counts)
 
 
-class ShardedDedupEngine:
-    """N ring-routed dedup engines presenting the single-engine API.
-
-    Args:
-        directory: storage root; shard ``k`` lives at
-            ``<directory>/shards/<k>``.
-        ring: placement — anything with ``shard_for_key(bytes) -> int``,
-            ``shards`` (ids), and ``epoch``.
-        container_bytes: per-shard container size budget.
-
-    Example:
-        >>> from repro.tedstore.ring import HashRing
-        >>> engine = ShardedDedupEngine(tmp, HashRing.build(3))
-        >>> engine.store(b"f" * 32, b"data")
-        True
-    """
-
-    def __init__(
-        self,
-        directory,
-        ring,
-        container_bytes: int = 8 << 20,
-    ) -> None:
-        self.directory = Path(directory)
-        self.ring = ring
-        self.container_bytes = container_bytes
-        self._leaves: Dict[int, DedupEngine] = {
-            shard: DedupEngine(
-                self.directory / SHARDS_DIRNAME / str(shard),
-                container_bytes=container_bytes,
-            )
-            for shard in ring.shards
-        }
-        self._fanout = ShardFanout("provider", ring.shards)
-
-    # -- topology ----------------------------------------------------------
-
-    @property
-    def epoch(self) -> int:
-        """The ring epoch placements were computed under."""
-        return self.ring.epoch
-
-    @property
-    def shard_engines(self) -> List[DedupEngine]:
-        """The leaf engines, shard-id order (fsck/scrub iterate these)."""
-        return [self._leaves[s] for s in self.ring.shards]
-
-    def shard_of(self, fingerprint: bytes) -> int:
-        return self.ring.shard_for_key(fingerprint)
-
-    def _route(self, fingerprint: bytes) -> DedupEngine:
-        return self._leaves[self.ring.shard_for_key(fingerprint)]
-
-    # -- single-engine API -------------------------------------------------
-
-    def store(self, fingerprint: bytes, chunk: bytes) -> bool:
-        shard = self.ring.shard_for_key(fingerprint)
-        self._fanout.record(shard, 1)
-        return self._leaves[shard].store(fingerprint, chunk)
-
-    def contains(self, fingerprint: bytes) -> bool:
-        return self._route(fingerprint).contains(fingerprint)
-
-    def load(self, fingerprint: bytes) -> bytes:
-        return self._route(fingerprint).load(fingerprint)
-
-    def locate(self, fingerprint: bytes) -> ChunkLocation:
-        return self._route(fingerprint).locate(fingerprint)
-
-    def load_many(
-        self,
-        fingerprints: Sequence[bytes],
-        lookahead_window: Optional[int] = None,
-    ) -> List[bytes]:
-        """Batch reads, grouped per shard, results in request order.
-
-        Per-shard sub-batches preserve the caller's relative order, so
-        each shard's container look-ahead sees the same access pattern
-        a single engine would for those fingerprints.
-        """
-        routed = self._fanout.run(
-            [self.ring.shard_for_key(f) for f in fingerprints],
-            fingerprints,
-            lambda shard, sub: self._leaves[shard].load_many(
-                sub, lookahead_window=lookahead_window
-            ),
-        )
-        return ShardFanout.scatter(routed, len(fingerprints))
-
-    def flush(self) -> None:
-        for shard in self.ring.shards:
-            self._leaves[shard].flush()
-
-    def close(self) -> None:
-        for shard in self.ring.shards:
-            self._leaves[shard].close()
-
-    def physical_bytes(self) -> int:
-        return sum(
-            self._leaves[s].physical_bytes() for s in self.ring.shards
-        )
-
-    # -- accounting --------------------------------------------------------
-
-    @property
-    def stats(self) -> DedupStats:
-        """Aggregate logical/physical accounting across shards."""
-        total = DedupStats()
-        for leaf in self._leaves.values():
-            total.logical_chunks += leaf.stats.logical_chunks
-            total.logical_bytes += leaf.stats.logical_bytes
-            total.unique_chunks += leaf.stats.unique_chunks
-            total.unique_bytes += leaf.stats.unique_bytes
-        return total
-
-    def container_count(self) -> int:
-        return sum(leaf.container_count() for leaf in self._leaves.values())
-
-    def routed_counts(self) -> Dict[int, int]:
-        """Cumulative keys routed per shard (imbalance diagnostics)."""
-        return self._fanout.counts
-
-
 def shard_directories(directory) -> List[Tuple[int, Path]]:
     """``(shard_id, path)`` pairs under ``<directory>/shards``, sorted."""
     root = Path(directory) / SHARDS_DIRNAME
@@ -263,9 +128,48 @@ def shard_directories(directory) -> List[Tuple[int, Path]]:
     return sorted(found)
 
 
+def holds_engine(directory) -> bool:
+    """True when ``directory`` holds a dedup engine's containers or index."""
+    return any(
+        (Path(directory) / name).is_dir() for name in ("containers", "index")
+    )
+
+
+def store_directories(directory) -> List[Path]:
+    """Every directory under a provider root that holds an engine or recipes.
+
+    Walks ``directory`` itself, then each ``shards/<k>/`` and
+    ``tenants/<id>/`` below it, recursively, in a stable order. That
+    finds the shared engine and default recipes of a provider root,
+    private tenant engines and tenant recipes, every leaf of a sharded
+    root, and the in-process layout of earlier releases
+    (``tenants/<id>/shards/<k>/``) alike.
+    """
+    root = Path(directory)
+    found = []
+    if holds_engine(root) or (root / RECIPES_DIRNAME).is_dir():
+        found.append(root)
+    children = [path for _, path in shard_directories(root)]
+    tenants = root / TENANTS_DIRNAME
+    if tenants.is_dir():
+        children += sorted(p for p in tenants.iterdir() if p.is_dir())
+    for child in children:
+        found += store_directories(child)
+    return found
+
+
+def engine_roots(directory) -> List[Path]:
+    """The dedup-engine directories among :func:`store_directories`."""
+    return [p for p in store_directories(directory) if holds_engine(p)]
+
+
 __all__ = [
+    "RECIPES_DIRNAME",
     "SHARDS_DIRNAME",
+    "TENANTS_DIRNAME",
     "ShardFanout",
-    "ShardedDedupEngine",
+    "engine_roots",
+    "holds_engine",
     "shard_directories",
+    "store_directories",
 ]

@@ -39,10 +39,11 @@ from __future__ import annotations
 
 import functools
 import threading
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.storage.dedup import RingEpochRegressionError
-from repro.storage.sharded import ShardFanout
+from repro.storage.sharded import SHARDS_DIRNAME, ShardFanout
 from repro.tedstore import messages as m
 from repro.tedstore.health import (
     CircuitBreaker,
@@ -55,9 +56,10 @@ from repro.tedstore.network import (
     parse_endpoint,
     probe_endpoint,
 )
-from repro.tedstore.provider import DEFAULT_TENANT
+from repro.tedstore.inprocess import LocalProvider
+from repro.tedstore.provider import DEFAULT_TENANT, ProviderService
 from repro.tedstore.retry import RetryPolicy
-from repro.tedstore.ring import HashRing
+from repro.tedstore.ring import HashRing, load_ring, recipe_key, store_ring
 
 #: Wire failures that count against a shard's breaker. Anything else a
 #: call raises — RuntimeError (a served MSG_ERROR), KeyError or
@@ -325,10 +327,7 @@ class MultiShardProvider:
     # -- placement helpers -------------------------------------------------
 
     def _recipe_shard(self, file_name: str) -> int:
-        # Recipes ride the same ring under a distinct key prefix so a
-        # file's recipe placement is deterministic but uncorrelated
-        # with any single chunk's placement.
-        return self.ring.shard_for_key(b"recipe:" + file_name.encode("utf-8"))
+        return self.ring.shard_for_key(recipe_key(file_name.encode("utf-8")))
 
     def ring_epoch(self) -> int:
         return self.ring.epoch
@@ -440,6 +439,62 @@ class MultiShardProvider:
         self._routes.close()
 
 
+class LocalFleet:
+    """A sharded store root served in this process, one service per leaf.
+
+    The in-process counterpart of N ``repro serve-shard --role
+    provider`` processes over ``root``: a :class:`ProviderService` per
+    ``shards/<k>/`` leaf, reached through :class:`MultiShardProvider`
+    routes whose transports are :class:`LocalProvider` leaves, so the
+    fleet client's routing is the one under test. A persisted
+    ``ring.json`` wins; ``ring`` only bootstraps a fresh root (and is
+    written there). ``service_options`` go to every leaf service.
+
+    Raises:
+        RuntimeError: ``root`` holds an unfinished reshard.
+    """
+
+    def __init__(
+        self, root, ring: Optional[HashRing] = None, **service_options
+    ) -> None:
+        from repro.tedstore.reshard import refuse_pending_reshard
+
+        root = Path(root)
+        ring_path = root / "ring.json"
+        refuse_pending_reshard(root)
+        if ring is None or ring_path.exists():
+            ring = load_ring(ring_path)
+        else:
+            root.mkdir(parents=True, exist_ok=True)
+            store_ring(ring_path, ring)
+        self.leaves: Dict[int, ProviderService] = {
+            shard: ProviderService(
+                directory=root / SHARDS_DIRNAME / str(shard),
+                **service_options,
+            )
+            for shard in ring.shards
+        }
+        # The route set wants an endpoint per shard; here it only has
+        # to carry the shard id to the transport factory.
+        self._routing_ring = ring.with_endpoints(
+            {shard: f"local:{shard}" for shard in ring.shards}
+        )
+
+    def transport(self, tenant: str = DEFAULT_TENANT) -> MultiShardProvider:
+        """A fleet client bound to ``tenant`` over the local leaves."""
+
+        def leaf(address: Tuple[str, int]) -> LocalProvider:
+            return LocalProvider(self.leaves[address[1]], tenant=tenant)
+
+        return MultiShardProvider(
+            self._routing_ring, tenant=tenant, transport_factory=leaf
+        )
+
+    def close(self) -> None:
+        for service in self.leaves.values():
+            service.close()
+
+
 class RemoteKmShardPool:
     """Guarded routes to KM sketch-observer processes (front side).
 
@@ -521,6 +576,7 @@ class RemoteKmShardPool:
 
 
 __all__ = [
+    "LocalFleet",
     "MultiShardProvider",
     "RemoteKmShardPool",
     "ShardRoute",

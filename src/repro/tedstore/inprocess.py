@@ -111,7 +111,3 @@ class LocalProvider:
 
     def stats(self) -> List[Tuple[str, int]]:
         return self.service.stats()
-
-    def ring_epoch(self) -> int:
-        epoch = getattr(self.service, "ring_epoch", None)
-        return epoch() if callable(epoch) else 0

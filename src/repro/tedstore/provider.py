@@ -49,8 +49,7 @@ from repro.obs import tracing
 from repro.storage.dedup import DedupEngine, InMemoryDedupEngine
 from repro.storage.kvstore import KVStore
 from repro.storage.scrub import BackgroundScrubber
-from repro.storage.sharded import ShardedDedupEngine
-from repro.tedstore.ring import HashRing, load_ring, store_ring
+from repro.storage.sharded import RECIPES_DIRNAME, TENANTS_DIRNAME
 from repro.tedstore.messages import (
     Chunks,
     GetChunks,
@@ -100,6 +99,15 @@ class QuotaExceededError(RuntimeError):
 
 class AuthenticationError(PermissionError):
     """HELLO presented a missing or wrong auth token for its tenant."""
+
+
+class ShardedStoreError(RuntimeError):
+    """The directory is a sharded store root, which no single service serves.
+
+    A root holding ``ring.json`` is N provider roots under
+    ``shards/<k>/`` (DESIGN.md §15); each is served by its own
+    ``repro serve-shard --role provider`` process.
+    """
 
 
 def _encode_recipes(file_recipe: bytes, key_recipe: bytes) -> bytes:
@@ -169,14 +177,10 @@ class ProviderService:
             verification; DESIGN.md §12) every this many seconds over the
             default/shared engine; ``None`` disables it. Requires the
             on-disk engine.
-        shards: split the on-disk engine into this many ring-routed
-            shards under ``shards/<k>/`` (DESIGN.md §15). ``1`` keeps
-            the legacy single-engine layout byte-compatible. A
-            persisted ``ring.json`` at the storage root is
-            authoritative: changing shard membership goes through
-            ``repro reshard``, not this flag.
-        ring_seed: placement seed when bootstrapping a fresh sharded
-            store; ignored once ``ring.json`` exists.
+
+    Raises:
+        ShardedStoreError: ``directory`` is a sharded store root.
+        RuntimeError: ``directory`` holds an unfinished reshard.
     """
 
     def __init__(
@@ -191,15 +195,11 @@ class ProviderService:
         quota_bytes: Optional[int] = None,
         quota_files: Optional[int] = None,
         auth_tokens: Optional[Dict[str, bytes]] = None,
-        shards: int = 1,
-        ring_seed: int = 0,
     ) -> None:
         if quota_bytes is not None and quota_bytes < 0:
             raise ValueError("quota_bytes cannot be negative")
         if quota_files is not None and quota_files < 0:
             raise ValueError("quota_files cannot be negative")
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
         self.in_memory = in_memory
         self.cross_user_dedup = cross_user_dedup
         self.quota_bytes = quota_bytes
@@ -214,38 +214,17 @@ class ProviderService:
         self._admin_lock = threading.Lock()
         self._tenants: Dict[str, _TenantState] = {}
 
-        # Ring resolution (DESIGN.md §15): a persisted ring.json is the
-        # source of truth — the CLI flag only bootstraps a fresh store,
-        # and membership changes go through `repro reshard`. A fresh
-        # N=1 store writes no ring.json, keeping today's on-disk layout
-        # byte-compatible.
-        self.ring: Optional[HashRing] = None
         if not in_memory and engine is None and self._directory is not None:
             self._directory.mkdir(parents=True, exist_ok=True)
-            from repro.tedstore.reshard import pending_reshard
+            from repro.tedstore.reshard import refuse_pending_reshard
 
-            if pending_reshard(self._directory):
-                raise RuntimeError(
-                    f"unfinished reshard in {self._directory}; run "
-                    "`repro reshard` to complete the migration before "
-                    "serving"
+            refuse_pending_reshard(self._directory)
+            if (self._directory / "ring.json").exists():
+                raise ShardedStoreError(
+                    f"{self._directory} is a sharded store root "
+                    "(ring.json); serve each shards/<k> leaf with "
+                    "`repro serve-shard --role provider`"
                 )
-            ring_path = self._directory / "ring.json"
-            if ring_path.exists():
-                self.ring = load_ring(ring_path)
-                if shards > 1 and len(self.ring) != shards:
-                    raise ValueError(
-                        f"storage is sharded {len(self.ring)} ways; run "
-                        f"`repro reshard --shards {shards}` to change "
-                        "membership"
-                    )
-            elif shards > 1:
-                self.ring = HashRing.build(shards, seed=ring_seed)
-                store_ring(ring_path, self.ring)
-        elif shards > 1:
-            raise ValueError(
-                "sharding requires the on-disk engine (a storage directory)"
-            )
         if in_memory:
             self.engine = InMemoryDedupEngine()
         elif engine is not None:
@@ -255,7 +234,9 @@ class ProviderService:
                 "directory is required unless in_memory or engine given"
             )
         else:
-            self.engine = self._new_engine(self._directory)
+            self.engine = DedupEngine(
+                self._directory, container_bytes=container_bytes
+            )
         # Materialize the default tenant eagerly: it owns the legacy
         # root-layout recipes, which must be durable-loaded before the
         # first request (a provider restart must still resolve every
@@ -304,19 +285,7 @@ class ProviderService:
         assert self._directory is not None
         if tenant == DEFAULT_TENANT:
             return self._directory
-        return self._directory / "tenants" / tenant
-
-    def _new_engine(self, root: Path):
-        """An on-disk engine at ``root``, sharded under the ring if any.
-
-        Private engines shard under the same ring as the shared one:
-        ``tenants/<id>/shards/<k>``, one global ``ring.json``.
-        """
-        if self.ring is not None:
-            return ShardedDedupEngine(
-                root, self.ring, container_bytes=self.container_bytes
-            )
-        return DedupEngine(root, container_bytes=self.container_bytes)
+        return self._directory / TENANTS_DIRNAME / tenant
 
     def _tenant_engine(self, tenant: str):
         """The engine a new tenant's chunks go to."""
@@ -332,7 +301,9 @@ class ProviderService:
                 "per-tenant dedup engines (cross_user_dedup=False) "
                 "require a storage directory"
             )
-        return self._new_engine(self._tenant_root(tenant))
+        return DedupEngine(
+            self._tenant_root(tenant), container_bytes=self.container_bytes
+        )
 
     def _tenant(self, tenant: str) -> _TenantState:
         """Fetch-or-create a tenant namespace (thread-safe, lazy)."""
@@ -353,7 +324,7 @@ class ProviderService:
                 # file name, or the chunks it kept are unreachable
                 # (DESIGN.md §12).
                 state.recipe_store = KVStore(
-                    self._tenant_root(tenant) / "recipes"
+                    self._tenant_root(tenant) / RECIPES_DIRNAME
                 )
                 self._load_recipes(state)
             self._tenants[tenant] = state
@@ -552,15 +523,6 @@ class ProviderService:
                 engines.append(state.engine)
         return engines
 
-    def ring_epoch(self) -> int:
-        """The placement epoch (0 for unsharded stores).
-
-        Clients consult this before uploads: a cache populated under an
-        older epoch must not short-circuit PUTs after a reshard
-        (DESIGN.md §15; :meth:`FingerprintCache.advance_epoch`).
-        """
-        return self.ring.epoch if self.ring is not None else 0
-
     def flush(self) -> None:
         """Seal containers and flush indexes/recipes across all tenants."""
         states = self._tenant_snapshot()
@@ -650,7 +612,7 @@ class ProviderService:
             totals["logical_bytes"] += stats.logical_bytes
             totals["unique_bytes"] += stats.unique_bytes
             totals["containers"] += engine.container_count()
-        pairs = [
+        return [
             ("logical_chunks", totals["logical_chunks"]),
             ("unique_chunks", totals["unique_chunks"]),
             ("logical_bytes", totals["logical_bytes"]),
@@ -659,7 +621,3 @@ class ProviderService:
             ("containers", totals["containers"]),
             ("tenants", len(states)),
         ]
-        if self.ring is not None:
-            pairs.append(("shards", len(self.ring)))
-            pairs.append(("ring_epoch", self.ring.epoch))
-        return pairs

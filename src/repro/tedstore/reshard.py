@@ -13,19 +13,21 @@ record per completed barrier — and every phase is idempotent, so a
 kill at any point resumes by re-running the unrecorded phases with the
 same plan. The named barriers (and their ``storage/crash.py`` points):
 
-provider (in-place chunk movement):
-  1. *snapshot* — seal every source shard's open container
+provider (every leaf ``shards/<k>/`` is a complete provider root):
+  1. *snapshot* — seal every engine's open container
      (``reshard.provider.snapshot``);
-  2. *copy/delta drain* — walk each source index in sorted fingerprint
-     order, storing chunks whose new owner differs into the target
-     shard (idempotent: dedup skips chunks already copied;
-     ``reshard.provider.copy`` fires per moved chunk), then a second
+  2. *copy/delta drain* — copy each chunk and each recipe not yet on
+     the leaf the new ring names into that leaf's store of the same
+     tenant namespace (idempotent: dedup and equal recipes skip;
+     ``reshard.provider.copy`` fires per copied entry), then a second
      verification sweep (``reshard.provider.drain``);
   3. *cutover* — atomically replace ``ring.json`` with the epoch+1
      ring (``reshard.provider.cutover`` plus the ``ring.config.*``
      torn-write points);
-  4. *old-shard GC* — drop moved fingerprints from source indexes and
-     delete removed shards' directories (``reshard.provider.gc``).
+  4. *GC* — delete removed leaves and stores outside the leaves, and
+     drop moved entries from the rest (``reshard.provider.gc``).
+  An unsharded root and the in-process layout of earlier releases
+  (recipes at the root, ``tenants/<id>/shards/<k>``) migrate the same way.
 
 key manager (staged state rebuild, reusing ``km_state.py``):
   1. *snapshot* — fold each source shard's delta log into its snapshot
@@ -61,7 +63,16 @@ from repro.core.ted import TedKeyManager
 from repro.obs import metrics as obs_metrics
 from repro.storage import crash
 from repro.storage.dedup import DedupEngine
-from repro.storage.sharded import SHARDS_DIRNAME
+from repro.storage.kvstore import KVStore
+from repro.storage.sharded import (
+    RECIPES_DIRNAME,
+    SHARDS_DIRNAME,
+    TENANTS_DIRNAME,
+    engine_roots,
+    holds_engine,
+    shard_directories,
+    store_directories,
+)
 from repro.storage.wal import OP_PUT, WriteAheadLog
 from repro.tedstore import km_state as km_state_mod
 from repro.tedstore.km_state import KeyManagerStateStore
@@ -69,6 +80,7 @@ from repro.tedstore.ring import (
     DEFAULT_VNODES,
     HashRing,
     load_ring,
+    recipe_key,
     store_ring,
 )
 from repro.utils.varint import decode_uvarint
@@ -124,6 +136,15 @@ def pending_reshard(root) -> bool:
     return bool(phases) and "done" not in phases
 
 
+def refuse_pending_reshard(root) -> None:
+    """Raise ``RuntimeError`` while ``root`` has an unfinished migration."""
+    if pending_reshard(root):
+        raise RuntimeError(
+            f"unfinished reshard in {root}; run `repro reshard` to "
+            "complete the migration before serving"
+        )
+
+
 class _PhaseLog:
     """The migration's phase WAL: append-once records, synced each."""
 
@@ -159,11 +180,14 @@ def _resolve_plan(
     shards: int,
     ring_seed: Optional[int],
     vnodes: Optional[int],
+    convert: bool = False,
 ) -> Tuple[Optional[HashRing], HashRing]:
     """The (old, new) rings this run migrates between.
 
     An in-progress log pins the plan: resuming with a different target
-    is refused rather than silently blended.
+    is refused rather than silently blended. ``convert`` admits a plan
+    at the current shard count (a store whose layout must change). The
+    endpoints of shards that survive carry over to the new ring.
     """
     if log.plan is not None:
         planned_old = (
@@ -197,117 +221,186 @@ def _resolve_plan(
         raise ReshardError(
             f"vnodes is fixed at {old_ring.vnodes} after creation"
         )
-    if shards == len(old_ring):
+    if shards == len(old_ring) and not convert:
         raise ReshardError(f"already at {shards} shards")
     new_ring = HashRing(
         range(shards),
         vnodes=old_ring.vnodes,
         seed=old_ring.seed,
         epoch=old_ring.epoch + 1,
+        endpoints={
+            shard: endpoint
+            for shard, endpoint in old_ring.endpoints.items()
+            if shard < shards
+        },
     )
     return old_ring, new_ring
+
+
+def _summary(side: str, root: Path, ring: HashRing, **counts) -> Dict:
+    """A migration's result; ``needs_endpoint`` lists the new ring's
+    shards that no endpoint names yet (publish them before serving a
+    fleet)."""
+    return {
+        "side": side,
+        "root": str(root),
+        "shards": list(ring.shards),
+        "epoch": ring.epoch,
+        "needs_endpoint": [
+            shard for shard in ring.shards if ring.endpoint_for(shard) is None
+        ],
+        **counts,
+    }
 
 
 # -- provider ----------------------------------------------------------------
 
 
-def _engine_data_roots(root: Path) -> List[Path]:
-    """Root + tenant directories that hold dedup-engine state.
+def _placement(root: Path, store: Path) -> Tuple[Optional[int], tuple]:
+    """(owning shard, namespace) of one store directory under ``root``.
 
-    With cross-user dedup off, each tenant has a private engine under
-    ``tenants/<id>/`` that migrates the same way; recipe-only tenant
-    dirs (cross-user dedup on) are skipped.
+    The namespace is where the store sits inside a provider root: ``()``
+    for the shared engine and default recipes, ``("tenants", id)`` for a
+    tenant's. The owner is the shard the store sits under, or ``None``
+    at an unsharded root. Leaves (``shards/<k>/tenants/<id>``), unsharded
+    roots (``tenants/<id>``) and earlier in-process stores (recipes at
+    the root, ``tenants/<id>/shards/<k>``) all parse this one way.
     """
-    candidates = [root]
-    tenants = root / "tenants"
-    if tenants.is_dir():
-        candidates.extend(sorted(p for p in tenants.iterdir() if p.is_dir()))
-    return [
-        p
-        for p in candidates
-        if any(
-            (p / name).is_dir()
-            for name in ("containers", "index", SHARDS_DIRNAME)
-        )
-    ]
+    parts = store.relative_to(root).parts
+    for at in range(len(parts) - 1):
+        # A tenant may be called "shards"; a leaf is "shards/<digits>".
+        if parts[at] == SHARDS_DIRNAME and parts[at + 1].isdigit():
+            return int(parts[at + 1]), parts[:at] + parts[at + 2 :]
+    return None, parts
 
 
-def _provider_sources(
-    data_root: Path, old_ring: Optional[HashRing]
-) -> List[Tuple[Optional[int], Path]]:
-    if old_ring is None:
-        return [(None, data_root)]
-    return [
-        (shard, data_root / SHARDS_DIRNAME / str(shard))
-        for shard in old_ring.shards
-        if (data_root / SHARDS_DIRNAME / str(shard)).is_dir()
-    ]
+def _home(root: Path, shard: int, namespace: Tuple[str, ...]) -> Path:
+    """Where a namespace's store lives on leaf ``shard``."""
+    return root.joinpath(SHARDS_DIRNAME, str(shard), *namespace)
+
+
+def _is_home(root: Path, store: Path, ring: HashRing) -> bool:
+    """True when ``store`` is a leaf store that ``ring`` keeps in place."""
+    owner, namespace = _placement(root, store)
+    return owner in ring.shards and store == _home(root, owner, namespace)
+
+
+class _Opened(dict):
+    """Engines and recipe stores, opened once per path, closed together."""
+
+    def __init__(self, container_bytes: int) -> None:
+        super().__init__()
+        self.container_bytes = container_bytes
+
+    def __call__(self, path: Path, kind: type):
+        if (path, kind) not in self:
+            self[path, kind] = (
+                DedupEngine(path, container_bytes=self.container_bytes)
+                if kind is DedupEngine
+                else KVStore(path / RECIPES_DIRNAME)
+            )
+        return self[path, kind]
+
+    def __enter__(self) -> "_Opened":
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        # Closing seals and flushes; a failed pass leaves the stores as
+        # a killed process would, so a crash point simulates one.
+        if exc_type is None:
+            for store in self.values():
+                store.close()
+
+
+def _entries(root: Path, ring: HashRing, opened: _Opened):
+    """``(store, source, key, home)`` for every chunk and recipe under root.
+
+    ``source`` is the engine or recipe store opened at ``store``;
+    ``home`` is the store of the same namespace on the leaf ``ring``
+    places the entry on — by cipher fingerprint for chunks, by
+    :func:`~repro.tedstore.ring.recipe_key` for recipes, the placement
+    the fleet client routes by.
+    """
+    for store in store_directories(root):
+        _, namespace = _placement(root, store)
+        if holds_engine(store):
+            engine = opened(store, DedupEngine)
+            for fingerprint in sorted(fp for fp, _ in engine.index.items()):
+                shard = ring.shard_for_key(fingerprint)
+                yield store, engine, fingerprint, _home(root, shard, namespace)
+        if (store / RECIPES_DIRNAME).is_dir():
+            recipes = opened(store, KVStore)
+            for name, _ in list(recipes.items()):
+                shard = ring.shard_for_key(recipe_key(name))
+                yield store, recipes, name, _home(root, shard, namespace)
 
 
 def _provider_sweep(
-    data_root: Path,
-    old_ring: Optional[HashRing],
-    new_ring: HashRing,
-    container_bytes: int,
-) -> int:
-    """One idempotent copy pass; returns chunks newly copied."""
-    engines: Dict[Path, DedupEngine] = {}
+    root: Path, ring: HashRing, container_bytes: int
+) -> Tuple[int, int]:
+    """One idempotent copy pass; returns (chunks, recipes) newly copied.
 
-    def engine_at(path: Path) -> DedupEngine:
-        if path not in engines:
-            engines[path] = DedupEngine(
-                path, container_bytes=container_bytes
-            )
-        return engines[path]
-
-    for shard in new_ring.shards:
-        engine_at(data_root / SHARDS_DIRNAME / str(shard))
-    moved = 0
-    for src_shard, src_path in _provider_sources(data_root, old_ring):
-        source = engine_at(src_path)
-        for fingerprint in sorted(
-            fp for fp, _ in source.index.items()
-        ):
-            dest_shard = new_ring.shard_for_key(fingerprint)
-            if dest_shard == src_shard:
+    Every entry not yet in its home store is copied there; dedup and
+    equal recipes make a repeated pass copy nothing.
+    """
+    chunks = recipes = 0
+    for shard in ring.shards:
+        _home(root, shard, ()).mkdir(parents=True, exist_ok=True)
+    with _Opened(container_bytes) as opened:
+        for store, source, key, home in _entries(root, ring, opened):
+            if home == store:
                 continue
-            dest = engine_at(data_root / SHARDS_DIRNAME / str(dest_shard))
-            if not dest.contains(fingerprint):
+            if isinstance(source, DedupEngine):
+                dest = opened(home, DedupEngine)
+                if dest.contains(key):
+                    continue
                 crash.crash_point("reshard.provider.copy")
-                dest.store(fingerprint, source.load(fingerprint))
-                moved += 1
-                _MIGRATED_KEYS.labels(side="provider").inc()
-    for engine in engines.values():
-        engine.flush()
-        engine.close()
-    return moved
+                dest.store(key, source.load(key))
+                chunks += 1
+            else:
+                dest, blob = opened(home, KVStore), source.get(key)
+                if dest.get(key) == blob:
+                    continue
+                crash.crash_point("reshard.provider.copy")
+                dest.put(key, blob)
+                recipes += 1
+            _MIGRATED_KEYS.labels(side="provider").inc()
+    return chunks, recipes
 
 
-def _provider_gc(
-    data_root: Path,
-    old_ring: Optional[HashRing],
-    new_ring: HashRing,
-    container_bytes: int,
-) -> None:
-    for src_shard, src_path in _provider_sources(data_root, old_ring):
+def _provider_gc(root: Path, ring: HashRing, container_bytes: int) -> None:
+    """Drop every copy the sweep made redundant.
+
+    Stores outside the new ring's leaves were copied home whole and are
+    deleted, as are removed leaves and the directories left empty; the
+    stores that stay drop only the entries that moved away.
+    """
+    for store in store_directories(root):
         crash.crash_point("reshard.provider.gc")
-        if src_shard is None:
-            # Legacy single-engine layout: everything moved into
-            # shards/<k>; drop the root engine's containers and index.
-            for name in ("containers", "index"):
-                target = data_root / name
-                if target.is_dir():
-                    shutil.rmtree(target)
-            continue
-        if src_shard not in new_ring.shards:
-            shutil.rmtree(src_path)
-            continue
-        engine = DedupEngine(src_path, container_bytes=container_bytes)
-        for fingerprint in sorted(fp for fp, _ in engine.index.items()):
-            if new_ring.shard_for_key(fingerprint) != src_shard:
-                engine.index.delete(fingerprint)
-        engine.flush()
-        engine.close()
+        if not _is_home(root, store, ring):
+            for name in ("containers", "index", RECIPES_DIRNAME):
+                if (store / name).is_dir():
+                    shutil.rmtree(store / name)
+    for shard, path in shard_directories(root):
+        if shard not in ring.shards:
+            shutil.rmtree(path)
+    _prune_empty(root / TENANTS_DIRNAME)
+    with _Opened(container_bytes) as opened:
+        for store, source, key, home in _entries(root, ring, opened):
+            if home != store:
+                if isinstance(source, DedupEngine):
+                    source = source.index
+                source.delete(key)
+
+
+def _prune_empty(directory: Path) -> None:
+    """Remove ``directory`` and its subdirectories that hold no files."""
+    if not directory.is_dir():
+        return
+    for child in directory.iterdir():
+        _prune_empty(child)
+    if not any(directory.iterdir()):
+        directory.rmdir()
 
 
 def reshard_provider(
@@ -317,7 +410,14 @@ def reshard_provider(
     vnodes: Optional[int] = None,
     container_bytes: int = 8 << 20,
 ) -> Dict[str, object]:
-    """Migrate a (stopped) provider storage root to ``shards`` shards."""
+    """Migrate a (stopped) provider storage root to ``shards`` leaves.
+
+    Sources are a sharded root (``ring.json`` + ``shards/<k>/`` leaves),
+    an unsharded provider root, or an earlier release's in-process
+    sharded store; the result is always a sharded root whose every leaf
+    is a complete provider root. Converting an in-process store runs
+    even at its current shard count.
+    """
     root = Path(root)
     if not root.is_dir():
         raise ReshardError(f"no provider storage at {root}")
@@ -325,8 +425,12 @@ def reshard_provider(
     try:
         ring_path = root / RING_FILENAME
         disk_ring = load_ring(ring_path) if ring_path.exists() else None
+        convert = disk_ring is not None and not all(
+            _is_home(root, store, disk_ring)
+            for store in store_directories(root)
+        )
         old_ring, new_ring = _resolve_plan(
-            log, disk_ring, shards, ring_seed, vnodes
+            log, disk_ring, shards, ring_seed, vnodes, convert=convert
         )
         gauge = _MIGRATION_PROGRESS.labels(side="provider")
         log.record(
@@ -335,34 +439,22 @@ def reshard_provider(
             new=new_ring.to_dict(),
         )
         gauge.set(0.0)
-        data_roots = _engine_data_roots(root)
 
         if "snapshot" not in log.phases:
-            for data_root in data_roots:
-                for _, src_path in _provider_sources(data_root, old_ring):
-                    engine = DedupEngine(
-                        src_path, container_bytes=container_bytes
-                    )
-                    engine.flush()
-                    engine.close()
+            for path in engine_roots(root):
+                DedupEngine(path, container_bytes=container_bytes).close()
             crash.crash_point("reshard.provider.snapshot")
             log.record("snapshot")
         gauge.set(0.2)
 
-        moved = 0
+        moved = (0, 0)
         if "copied" not in log.phases:
-            for data_root in data_roots:
-                moved += _provider_sweep(
-                    data_root, old_ring, new_ring, container_bytes
-                )
+            moved = _provider_sweep(root, new_ring, container_bytes)
             log.record("copied")
         gauge.set(0.6)
 
         if "drained" not in log.phases:
-            for data_root in data_roots:
-                _provider_sweep(
-                    data_root, old_ring, new_ring, container_bytes
-                )
+            _provider_sweep(root, new_ring, container_bytes)
             crash.crash_point("reshard.provider.drain")
             log.record("drained")
         gauge.set(0.7)
@@ -374,20 +466,12 @@ def reshard_provider(
         gauge.set(0.8)
 
         if "gc" not in log.phases:
-            for data_root in data_roots:
-                _provider_gc(
-                    data_root, old_ring, new_ring, container_bytes
-                )
+            _provider_gc(root, new_ring, container_bytes)
             log.record("gc")
         gauge.set(1.0)
         log.finish()
-        return {
-            "side": "provider",
-            "root": str(root),
-            "shards": list(new_ring.shards),
-            "epoch": new_ring.epoch,
-            "moved_chunks": moved,
-        }
+        return _summary("provider", root, new_ring, moved_chunks=moved[0],
+                        moved_recipes=moved[1])
     finally:
         log.close()
 
@@ -573,13 +657,7 @@ def reshard_km(
             log.record("gc")
         gauge.set(1.0)
         log.finish()
-        return {
-            "side": "km",
-            "root": str(state_root),
-            "shards": list(new_ring.shards),
-            "epoch": new_ring.epoch,
-            "sources": len(sources),
-        }
+        return _summary("km", state_root, new_ring, sources=len(sources))
     finally:
         log.close()
 
@@ -656,7 +734,7 @@ def run_reshard(
     shards: int,
     storage=None,
     km_state=None,
-    ring_seed: Optional[int] = None,
+    seed: Optional[int] = None,
     vnodes: Optional[int] = None,
     container_bytes: int = 8 << 20,
 ) -> List[Dict[str, object]]:
@@ -669,16 +747,14 @@ def run_reshard(
             reshard_provider(
                 storage,
                 shards,
-                ring_seed=ring_seed,
+                ring_seed=seed,
                 vnodes=vnodes,
                 container_bytes=container_bytes,
             )
         )
     if km_state is not None:
         results.append(
-            reshard_km(
-                km_state, shards, ring_seed=ring_seed, vnodes=vnodes
-            )
+            reshard_km(km_state, shards, ring_seed=seed, vnodes=vnodes)
         )
     return results
 
@@ -687,6 +763,7 @@ __all__ = [
     "RESHARD_LOG",
     "ReshardError",
     "pending_reshard",
+    "refuse_pending_reshard",
     "reshard_km",
     "reshard_provider",
     "run_reshard",

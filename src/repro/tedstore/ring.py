@@ -260,6 +260,17 @@ class HashRing:
         )
 
 
+def recipe_key(file_name: bytes) -> bytes:
+    """The ring key a file's recipes are placed by (DESIGN.md §17).
+
+    Recipes ride the same ring as chunks under a distinct prefix, so a
+    file's recipe placement is deterministic but uncorrelated with any
+    single chunk's placement. ``file_name`` is the UTF-8 name, the key
+    of the provider's recipe store.
+    """
+    return b"recipe:" + file_name
+
+
 def store_ring(path, ring: HashRing) -> None:
     """Atomically persist ``ring`` as JSON (torn-write safe)."""
     crash.atomic_write_bytes(
@@ -276,5 +287,6 @@ __all__ = [
     "DEFAULT_VNODES",
     "HashRing",
     "load_ring",
+    "recipe_key",
     "store_ring",
 ]

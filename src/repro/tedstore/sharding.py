@@ -280,12 +280,7 @@ class ShardedKeyManager(KeyManagerService):
             self._state_root.mkdir(parents=True, exist_ok=True)
             from repro.tedstore import reshard as reshard_mod
 
-            if reshard_mod.pending_reshard(self._state_root):
-                raise RuntimeError(
-                    "unfinished reshard in KM state dir "
-                    f"{self._state_root}; run `repro reshard` to complete "
-                    "the migration before serving"
-                )
+            reshard_mod.refuse_pending_reshard(self._state_root)
             ring_path = self._state_root / RING_FILENAME
             if ring_path.exists():
                 persisted = load_ring(ring_path)

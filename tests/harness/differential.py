@@ -40,6 +40,7 @@ from repro.core.ted import TedKeyManager
 from repro.crypto.cipher import get_profile
 from repro.storage.dedup import FingerprintCache
 from repro.tedstore.client import TedStoreClient, UploadResult
+from repro.tedstore.fleet import LocalFleet
 from repro.tedstore.inprocess import LocalKeyManager, LocalProvider
 from repro.tedstore.keymanager import KeyManagerService
 from repro.tedstore.messages import GetRecipes
@@ -55,17 +56,32 @@ _SKETCH_WIDTH = 2**16
 
 @dataclass
 class Deployment:
-    """One isolated client/key-manager/provider trio."""
+    """One isolated client/key-manager/provider trio.
+
+    A sharded deployment has a :class:`LocalFleet` instead of one
+    ``provider_service``; ``provider`` is the (unwrapped) transport the
+    client talks to either way.
+    """
 
     mode: str
     directory: Path
     ted: TedKeyManager
     key_service: KeyManagerService
-    provider_service: ProviderService
+    provider_service: Optional[ProviderService]
     client: "TedStoreClient | ReferenceClient"
+    provider: object = None
+    fleet: Optional[LocalFleet] = None
+
+    @property
+    def leaves(self) -> List[ProviderService]:
+        """Every provider service, one per leaf for a fleet."""
+        if self.fleet is not None:
+            return list(self.fleet.leaves.values())
+        return [self.provider_service]
 
     def close(self) -> None:
-        self.provider_service.flush()
+        for service in self.leaves:
+            service.flush()
 
 
 def make_key_manager(
@@ -128,7 +144,7 @@ def make_deployment(
     key_service = KeyManagerService(ted)
     provider_service = ProviderService(directory=directory)
     key_transport = LocalKeyManager(key_service)
-    provider_transport = LocalProvider(provider_service)
+    provider = provider_transport = LocalProvider(provider_service)
     if key_manager_wrap is not None:
         key_transport = key_manager_wrap(key_transport)
     if provider_wrap is not None:
@@ -165,6 +181,7 @@ def make_deployment(
         key_service=key_service,
         provider_service=provider_service,
         client=client,
+        provider=provider,
     )
 
 
@@ -188,10 +205,11 @@ def make_sharded_deployment(
     today's on-disk layout) so the parity gate proves byte-compatibility
     of the N=1 path for free. For N > 1 the key manager is a
     :class:`~repro.tedstore.sharding.ShardedKeyManager` front over N
-    sketch shards and the provider is ring-routed across N engines —
-    ``Deployment.ted`` is the *front* key manager, so every existing
-    state probe (``sketch_state``'s ``t``/requests/tracked map) reads
-    the authoritative copy.
+    sketch shards and the provider is a :class:`LocalFleet` — N
+    provider leaves under ``shards/<k>/`` behind the fleet client's
+    routing — and ``Deployment.ted`` is the *front* key manager, so
+    every existing state probe (``sketch_state``'s ``t``/requests/
+    tracked map) reads the authoritative copy.
     """
     if shards == 1:
         return make_deployment(
@@ -215,11 +233,9 @@ def make_sharded_deployment(
     key_service = ShardedKeyManager(
         ted, HashRing.build(shards, seed=ring_seed)
     )
-    provider_service = ProviderService(
-        directory=directory, shards=shards, ring_seed=ring_seed
-    )
+    fleet = LocalFleet(directory, HashRing.build(shards, seed=ring_seed))
     key_transport = LocalKeyManager(key_service)
-    provider_transport = LocalProvider(provider_service)
+    provider = provider_transport = fleet.transport()
     if key_manager_wrap is not None:
         key_transport = key_manager_wrap(key_transport)
     if provider_wrap is not None:
@@ -238,8 +254,10 @@ def make_sharded_deployment(
         directory=directory,
         ted=ted,
         key_service=key_service,
-        provider_service=provider_service,
+        provider_service=None,
         client=client,
+        provider=provider,
+        fleet=fleet,
     )
 
 
@@ -317,9 +335,7 @@ def recipes_state(
     master_key = deployment.client.master_key
     state = {}
     for name in file_names:
-        recipes = deployment.provider_service.handle_get_recipes(
-            GetRecipes(file_name=name)
-        )
+        recipes = deployment.provider.get_recipes(GetRecipes(file_name=name))
         file_plain = unseal(master_key, recipes.sealed_file_recipe)
         key_plain = (
             unseal(master_key, recipes.sealed_key_recipe)
@@ -363,17 +379,15 @@ def sketch_state(deployment: Deployment) -> Dict[str, object]:
 
 
 def chunk_union_state(deployment: Deployment) -> Dict[str, str]:
-    """``fingerprint-hex -> chunk digest`` union over all engine shards.
+    """``fingerprint-hex -> chunk digest`` union over all leaf engines.
 
     Also asserts the routing invariant: no fingerprint may appear in two
-    shards under one ring epoch (double storage would silently erode the
+    leaves under one ring epoch (double storage would silently erode the
     dedup ratio the paper's Eq. 1 measures).
     """
-    deployment.provider_service.flush()
-    engine = deployment.provider_service.engine
-    leaves = getattr(engine, "shard_engines", None) or [engine]
+    deployment.close()
     union: Dict[str, str] = {}
-    for leaf in leaves:
+    for leaf in (service.engine for service in deployment.leaves):
         for fingerprint, _location in leaf.index.items():
             key = fingerprint.hex()
             assert key not in union, (
@@ -421,9 +435,15 @@ def union_sketch_state(deployment: Deployment) -> Dict[str, object]:
 
 
 #: Provider counters that are placement artifacts, not logical state:
-#: container counts differ with shard boundaries, and only sharded
-#: deployments report ring membership.
-_PLACEMENT_COUNTERS = ("containers", "shards", "ring_epoch")
+#: container counts differ with shard boundaries, every leaf
+#: materializes the default tenant, and only the fleet client reports
+#: its shards.
+_PLACEMENT_COUNTERS = (
+    "containers",
+    "tenants",
+    "fleet_shards",
+    "fleet_shards_reachable",
+)
 
 
 def assert_shard_parity(
@@ -447,8 +467,8 @@ def assert_shard_parity(
         f"sketch state diverged ({single.mode}): "
         f"{union_sketch_state(single)} != {union_sketch_state(sharded)}"
     )
-    single_counters = dict(single.provider_service.stats())
-    sharded_counters = dict(sharded.provider_service.stats())
+    single_counters = dict(single.provider.stats())
+    sharded_counters = dict(sharded.provider.stats())
     for key in _PLACEMENT_COUNTERS:
         single_counters.pop(key, None)
         sharded_counters.pop(key, None)

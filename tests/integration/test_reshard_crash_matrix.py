@@ -9,10 +9,10 @@ logical end state as a never-crashed migration when the reshard is
 re-run.
 
 Logical state is what is compared, not container-file bytes: recovery
-may re-pack or quarantine physical artifacts, but per-shard
-fingerprint→chunk content, ring config, per-shard sketch counters,
-requests, tracked frequencies, and client sequence floors must all
-converge exactly.
+may re-pack or quarantine physical artifacts, but per-leaf
+fingerprint→chunk content and recipe plaintexts, ring config, per-shard
+sketch counters, requests, tracked frequencies, and client sequence
+floors must all converge exactly.
 """
 
 from __future__ import annotations
@@ -28,8 +28,14 @@ from repro.core.ted import TedKeyManager
 from repro.storage import crash
 from repro.storage.crash import InjectedCrash
 from repro.storage.dedup import DedupEngine
+from repro.storage.kvstore import KVStore
+from repro.storage.recipe import unseal
 from repro.storage.scrub import fsck_path
-from repro.storage.sharded import shard_directories
+from repro.storage.sharded import (
+    holds_engine,
+    shard_directories,
+    store_directories,
+)
 from repro.tedstore.km_state import KeyManagerStateStore
 from repro.tedstore.messages import KeyGenRequest
 from repro.tedstore.reshard import (
@@ -89,29 +95,49 @@ def _build_provider_template(root, shards: int) -> None:
     run_workload(
         deployment,
         make_workload(
-            files=2, chunks_per_file=300, distinct_blocks=24, seed=3
+            files=6, chunks_per_file=100, distinct_blocks=24, seed=3
         ),
     )
-    deployment.provider_service.close()
+    for service in deployment.leaves:
+        service.close()
 
 
 def provider_logical_state(root) -> dict:
-    """Placement + content state, independent of physical packing."""
-    sources = shard_directories(root) or [(None, root)]
-    per_shard: dict = {}
-    for shard_id, path in sources:
-        engine = DedupEngine(path)
-        chunks = {
-            fingerprint.hex(): hashlib.sha256(
-                engine.load(fingerprint)
-            ).hexdigest()
-            for fingerprint, _ in engine.index.items()
-        }
-        engine.close()
-        per_shard[str(shard_id)] = chunks
+    """Placement + content state, independent of physical packing.
+
+    Per store directory (each leaf, and each tenant inside it): the
+    fingerprint→chunk digests of its engine and the recipe plaintexts
+    of its recipe store — sealing draws a fresh nonce, so the sealed
+    bytes are compared through what they seal.
+    """
+    from repro.tedstore.provider import _decode_recipes
+
+    per_store: dict = {}
+    for path in store_directories(root):
+        state: dict = {}
+        if holds_engine(path):
+            engine = DedupEngine(path)
+            state["chunks"] = {
+                fingerprint.hex(): hashlib.sha256(
+                    engine.load(fingerprint)
+                ).hexdigest()
+                for fingerprint, _ in engine.index.items()
+            }
+            engine.close()
+        if (path / "recipes").is_dir():
+            recipes = KVStore(path / "recipes")
+            state["recipes"] = {
+                name.decode(): [
+                    hashlib.sha256(unseal(b"\x01" * 32, sealed)).hexdigest()
+                    for sealed in _decode_recipes(blob)
+                ]
+                for name, blob in recipes.items()
+            }
+            recipes.close()
+        per_store[path.relative_to(root).as_posix()] = state
     ring_path = root / "ring.json"
     ring = json.loads(ring_path.read_text()) if ring_path.exists() else None
-    return {"shards": per_shard, "ring": ring}
+    return {"stores": per_store, "ring": ring}
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +187,8 @@ def test_provider_crash_converges(tmp_path, provider_world, point, hits):
 
 def test_provider_crash_blocks_serving(tmp_path, provider_world):
     """After a durable barrier record, startup refuses until reshard."""
-    from repro.tedstore.provider import ProviderService
+    from repro.tedstore.fleet import LocalFleet
+    from repro.tedstore.provider import ProviderService, ShardedStoreError
 
     template, _ = provider_world
     root = tmp_path / "store"
@@ -174,10 +201,15 @@ def test_provider_crash_blocks_serving(tmp_path, provider_world):
     assert pending_reshard(root)
     with pytest.raises(RuntimeError, match="unfinished reshard"):
         ProviderService(directory=root)
+    with pytest.raises(RuntimeError, match="unfinished reshard"):
+        LocalFleet(root)
     reshard_provider(root, 3)
-    service = ProviderService(directory=root)
-    assert len(service.ring) == 3
-    service.close()
+    # A sharded root is served leaf by leaf, never as one provider.
+    with pytest.raises(ShardedStoreError, match="serve-shard"):
+        ProviderService(directory=root)
+    fleet = LocalFleet(root)
+    assert sorted(fleet.leaves) == [0, 1, 2]
+    fleet.close()
 
 
 def test_legacy_provider_crash_converges(tmp_path):

@@ -1,15 +1,16 @@
 """Shard-parity differential gate (DESIGN.md §15).
 
-An N-shard deployment — ring-routed KM sketch shards plus ring-routed
-provider engines — must be *logically identical* to the single-engine
-deployment for the same workload: the union of per-shard chunks (per
-cipher fingerprint), the recipe plaintexts, the logical dedup counters,
-and the reassembled sketch state (elementwise sum of the per-shard
-Count-Min matrices) all byte-match N=1, for every one of the paper's
-operating points, with and without transport delay faults.
+An N-shard deployment — ring-routed KM sketch shards plus N provider
+leaves (``ProviderService`` roots under ``shards/<k>/``) behind the
+fleet client — must be *logically identical* to the single-engine
+deployment for the same workload: the union of per-leaf chunks (per
+cipher fingerprint), the recipe plaintexts, the summed provider
+counters, and the reassembled sketch state (elementwise sum of the
+per-shard Count-Min matrices) all byte-match N=1, for every one of the
+paper's operating points, with and without transport delay faults.
 
 N=1 additionally proves byte-compatibility of the unsharded path: a
-``shards=1`` service writes no ring config and the on-disk layout is
+one-shard deployment writes no ring config and the on-disk layout is
 file-for-file identical to today's.
 """
 
@@ -101,7 +102,7 @@ def test_n1_is_byte_compatible(tmp_path, mode):
 def test_every_shard_sees_traffic(tmp_path, shards):
     """The workload is wide enough that no shard sits idle (balance sanity)."""
     sharded, _ = _run(tmp_path, "bted", shards)
-    leaves = sharded.provider_service.engine.shard_engines
+    leaves = [service.engine for service in sharded.leaves]
     assert len(leaves) == shards
     assert all(leaf.stats.unique_chunks > 0 for leaf in leaves)
     union = chunk_union_state(sharded)

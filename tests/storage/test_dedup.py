@@ -8,7 +8,8 @@ from collections import Counter
 import pytest
 
 from repro.storage.dedup import DedupEngine
-from repro.storage.sharded import ShardedDedupEngine
+from repro.tedstore.fleet import LocalFleet
+from repro.tedstore.messages import GetChunks, PutChunks
 from repro.tedstore.ring import HashRing
 
 
@@ -111,15 +112,26 @@ class TestConcurrentStores:
     def test_racing_stores_keep_one_copy(self, tmp_path, shards):
         """8 threads store the same 64 fingerprints: the engine's stripes
         make each check-then-append atomic, so every chunk is stored
-        exactly once (per shard, under the ring's routing)."""
+        exactly once (per leaf of a fleet, under the ring's routing)."""
         if shards == 1:
             engine = DedupEngine(tmp_path, container_bytes=1024)
             leaves = [engine]
+            store, load_many = engine.store, engine.load_many
+            close = engine.close
         else:
-            engine = ShardedDedupEngine(
+            fleet = LocalFleet(
                 tmp_path, HashRing.build(shards), container_bytes=1024
             )
-            leaves = engine.shard_engines
+            leaves = [service.engine for service in fleet.leaves.values()]
+            transport = fleet.transport()
+
+            def store(fp, chunk):
+                transport.put_chunks(PutChunks(chunks=[(fp, chunk)]))
+
+            def load_many(fps):
+                return transport.get_chunks(GetChunks(fingerprints=fps)).chunks
+
+            close = fleet.close
         chunks = [bytes([i]) * (40 + i) for i in range(64)]
         fps = [hashlib.sha256(c).digest() for c in chunks]
         start = threading.Barrier(8)
@@ -129,7 +141,7 @@ class TestConcurrentStores:
             try:
                 start.wait()
                 for fp, chunk in zip(fps, chunks):
-                    engine.store(fp, chunk)
+                    store(fp, chunk)
             except Exception as exc:
                 errors.append(exc)
 
@@ -144,9 +156,10 @@ class TestConcurrentStores:
         finally:
             sys.setswitchinterval(interval)
         assert errors == []
-        engine.flush()
-        assert engine.stats.unique_chunks == 64
-        assert engine.stats.logical_chunks == 8 * 64
+        for leaf in leaves:
+            leaf.flush()
+        assert sum(leaf.stats.unique_chunks for leaf in leaves) == 64
+        assert sum(leaf.stats.logical_chunks for leaf in leaves) == 8 * 64
         copies = Counter(
             entry.fingerprint
             for leaf in leaves
@@ -154,5 +167,5 @@ class TestConcurrentStores:
             for entry in leaf.containers.toc(container_id)
         )
         assert copies == Counter(fps)
-        assert engine.load_many(fps) == chunks
-        engine.close()
+        assert load_many(fps) == chunks
+        close()

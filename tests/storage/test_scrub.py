@@ -131,6 +131,31 @@ class TestFsck:
         report = fsck_path(tmp_path)
         assert report.clean
 
+    @pytest.mark.parametrize("leaf", ["", "shards/1"])
+    def test_fsck_path_checks_private_tenant_engines(self, tmp_path, leaf):
+        """A corrupt chunk in a private tenant engine dirties the verdict,
+        at an unsharded root and inside a leaf of a sharded root."""
+        root = tmp_path / leaf
+        service = ProviderService(
+            directory=root, cross_user_dedup=False, container_bytes=1024
+        )
+        for tenant in ("default", "alice"):
+            service.handle_put_chunks(
+                m.PutChunks(chunks=[
+                    (hashlib.sha256(tenant.encode() + bytes([i])).digest(),
+                     tenant.encode() * 100 + bytes([i]))
+                    for i in range(6)
+                ]),
+                tenant=tenant,
+            )
+        service.close()
+        assert fsck_path(tmp_path).clean
+        _flip_data_byte(root / "tenants" / "alice", container_id=0)
+        report = fsck_path(tmp_path)
+        assert not report.clean
+        assert len(report.bad_chunks) == 1
+        assert report.index_entries_checked == 12
+
 
 class TestLiveFsck:
     def test_serving_store_is_clean_before_its_first_seal(self, tmp_path):

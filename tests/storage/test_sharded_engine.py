@@ -1,12 +1,9 @@
-"""ShardedDedupEngine routing + FingerprintCache ring-epoch invalidation.
+"""FingerprintCache ring-epoch invalidation and the shard fan-out meter.
 
-Unit coverage for the provider half of DESIGN.md §15: the ring-routed
-engine must present the single-engine API while keeping every
-fingerprint on exactly one shard, and the client fingerprint cache must
-drop placement knowledge whenever the provider's ring epoch advances —
-the in-flight alias-suppression audit (a cached "duplicate" verdict
-from a pre-reshard epoch must never suppress an upload the fingerprint's
-new owning shard has not seen).
+The client fingerprint cache must drop placement knowledge whenever the
+provider's ring epoch advances — the in-flight alias-suppression audit
+(a cached "duplicate" verdict from a pre-reshard epoch must never
+suppress an upload the fingerprint's new owning leaf has not seen).
 """
 
 from __future__ import annotations
@@ -16,12 +13,7 @@ import hashlib
 import pytest
 
 from repro.storage.dedup import FingerprintCache
-from repro.storage.sharded import (
-    ShardedDedupEngine,
-    ShardFanout,
-    shard_directories,
-)
-from repro.tedstore.ring import HashRing
+from repro.storage.sharded import ShardFanout, shard_directories
 
 
 def _chunks(count: int, prefix: bytes = b"block"):
@@ -30,72 +22,21 @@ def _chunks(count: int, prefix: bytes = b"block"):
         yield hashlib.sha256(chunk).digest(), chunk
 
 
-@pytest.fixture
-def engine(tmp_path):
-    eng = ShardedDedupEngine(tmp_path, HashRing.build(3, seed=2))
-    yield eng
-    eng.close()
+def test_shard_directories_layout(tmp_path):
+    """Each leaf of a sharded root is a complete provider root."""
+    from repro.tedstore.fleet import LocalFleet
+    from repro.tedstore.messages import PutChunks
+    from repro.tedstore.ring import HashRing
 
-
-def test_round_trip_and_single_owner(engine, tmp_path):
-    stored = dict(_chunks(60))
-    for fingerprint, chunk in stored.items():
-        assert engine.store(fingerprint, chunk)
-    engine.flush()
-    for fingerprint, chunk in stored.items():
-        assert engine.contains(fingerprint)
-        assert engine.load(fingerprint) == chunk
-    # Routing invariant: each fingerprint lives in exactly one shard.
-    seen = {}
-    for leaf in engine.shard_engines:
-        for fingerprint, _ in leaf.index.items():
-            assert fingerprint not in seen
-            seen[fingerprint] = leaf
-    assert set(seen) == set(stored)
-    # And physically in the shard the ring names.
-    for fingerprint in stored:
-        owner = engine.shard_of(fingerprint)
-        assert seen[fingerprint] is engine.shard_engines[owner]
-
-
-def test_duplicate_store_is_deduped(engine):
-    fingerprint, chunk = next(_chunks(1))
-    assert engine.store(fingerprint, chunk)
-    assert not engine.store(fingerprint, chunk)
-    stats = engine.stats
-    assert stats.logical_chunks == 2
-    assert stats.unique_chunks == 1
-
-
-def test_load_many_preserves_request_order(engine):
-    pairs = list(_chunks(40))
-    for fingerprint, chunk in pairs:
-        engine.store(fingerprint, chunk)
-    engine.flush()
-    order = [fp for fp, _ in reversed(pairs)]
-    results = engine.load_many(order)
-    assert results == [dict(pairs)[fp] for fp in order]
-
-
-def test_stats_aggregate_across_shards(engine):
-    for fingerprint, chunk in _chunks(30):
-        engine.store(fingerprint, chunk)
-    per_shard = [leaf.stats.unique_chunks for leaf in engine.shard_engines]
-    assert sum(per_shard) == engine.stats.unique_chunks == 30
-    assert engine.physical_bytes() > 0
-    counts = engine.routed_counts()
-    assert sum(counts.values()) == 30
-
-
-def test_shard_directories_layout(engine, tmp_path):
-    for fingerprint, chunk in _chunks(30):
-        engine.store(fingerprint, chunk)
-    engine.flush()
+    fleet = LocalFleet(tmp_path, HashRing.build(3, seed=2))
+    fleet.transport().put_chunks(PutChunks(chunks=list(_chunks(30))))
+    fleet.close()
     pairs = shard_directories(tmp_path)
     assert [shard for shard, _ in pairs] == [0, 1, 2]
     for shard, path in pairs:
         assert (path / "containers").is_dir()
         assert (path / "index").is_dir()
+        assert (path / "recipes").is_dir()
     assert shard_directories(tmp_path / "nope") == []
 
 
@@ -157,13 +98,14 @@ def test_client_cache_invalidated_across_reshard(tmp_path):
     """
     from repro.crypto.cipher import get_profile
     from repro.tedstore.client import TedStoreClient
-    from repro.tedstore.inprocess import LocalKeyManager, LocalProvider
+    from repro.tedstore.fleet import LocalFleet
+    from repro.tedstore.inprocess import LocalKeyManager
     from repro.tedstore.keymanager import KeyManagerService
-    from repro.tedstore.provider import ProviderService
     from repro.tedstore.reshard import reshard_provider
+    from repro.tedstore.ring import HashRing
     from repro.core.ted import TedKeyManager
 
-    def make_client(provider_service, cache):
+    def make_client(provider, cache):
         return TedStoreClient(
             LocalKeyManager(
                 KeyManagerService(
@@ -175,7 +117,7 @@ def test_client_cache_invalidated_across_reshard(tmp_path):
                     )
                 )
             ),
-            LocalProvider(provider_service),
+            provider,
             profile=get_profile("shactr"),
             sketch_width=2**16,
             batch_size=64,
@@ -185,16 +127,15 @@ def test_client_cache_invalidated_across_reshard(tmp_path):
     cache = FingerprintCache(capacity=1024)
     chunks = [chunk for _, chunk in _chunks(40)]
 
-    provider = ProviderService(
-        directory=tmp_path, shards=2, cross_user_dedup=True
-    )
-    make_client(provider, cache).upload_chunks("before", chunks)
+    fleet = LocalFleet(tmp_path, HashRing.build(2))
+    make_client(fleet.transport(), cache).upload_chunks("before", chunks)
     assert cache.epoch == 0 and len(cache) > 0
-    provider.close()
+    fleet.close()
 
     reshard_provider(tmp_path, 3)
 
-    provider = ProviderService(directory=tmp_path)
+    fleet = LocalFleet(tmp_path)
+    provider = fleet.transport()
     assert provider.ring_epoch() == 1
     result = make_client(provider, cache).upload_chunks("after", chunks)
     assert cache.epoch == 1
@@ -204,11 +145,11 @@ def test_client_cache_invalidated_across_reshard(tmp_path):
     assert result.duplicate_chunks == result.chunk_count
     # Routing invariant post-reshard: one owner per fingerprint.
     seen = set()
-    for leaf in provider.engine.shard_engines:
-        for fingerprint, _ in leaf.index.items():
+    for service in fleet.leaves.values():
+        for fingerprint, _ in service.engine.index.items():
             assert fingerprint not in seen
             seen.add(fingerprint)
-    provider.close()
+    fleet.close()
 
 
 def test_backwards_epoch_error_is_typed_and_carries_context():

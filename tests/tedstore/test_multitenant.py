@@ -480,16 +480,11 @@ class TestCloseSemantics:
 
 
 class TestPartitionedFlush:
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_default_engine_flushes_under_its_tenant_lock(
-        self, tmp_path, shards
-    ):
+    def test_default_engine_flushes_under_its_tenant_lock(self, tmp_path):
         """Partitioned mode: the default tenant's engine is the service's
         own, and its chunk requests hold the tenant lock — so must the
         flush that seals it."""
-        service = ProviderService(
-            directory=tmp_path, cross_user_dedup=False, shards=shards
-        )
+        service = ProviderService(directory=tmp_path, cross_user_dedup=False)
         service.handle_put_chunks(m.PutChunks(chunks=[(b"f" * 32, b"x")]))
         default_lock = service._tenant("default").lock
         held = []

@@ -24,9 +24,10 @@ End-of-run verification (provider target):
    byte-identical through the healed fleet.
 2. **Serial parity** — replaying the exact attempt log (including the
    failed attempts, which consumed key-generation draws) against a
-   fresh in-process deployment yields a bit-identical KM sketch, equal
-   recipes for every acked file, and an equal unique-chunk count: the
-   chaos run converged to the state a failure-free run produces.
+   fresh in-process fleet of the same shape yields a bit-identical KM
+   sketch, equal recipes for every acked file, and an equal
+   unique-chunk count: the chaos run converged to the state a
+   failure-free run produces.
 3. **Clean fsck** — each shard leaf passes ``fsck`` after a SIGTERM
    shutdown (the serve-shard close path seals containers).
 4. **Failure-domain metrics** — ``ted_shard_failover_total`` recorded
@@ -72,6 +73,7 @@ from repro.obs import metrics as obs_metrics
 from repro.storage.recipe import FileRecipe, unseal
 from repro.storage.scrub import fsck_path
 from repro.tedstore.client import TedStoreClient
+from repro.tedstore.fleet import LocalFleet, MultiShardProvider
 from repro.tedstore.health import ShardUnavailableError
 from repro.tedstore.inprocess import LocalKeyManager, LocalProvider
 from repro.tedstore.keymanager import KeyManagerService
@@ -495,8 +497,6 @@ def run_chaos(
             io_timeout=2.0,
         )
         if target == "provider":
-            from repro.tedstore.fleet import MultiShardProvider
-
             fleet_provider = MultiShardProvider(ring, **fleet_tuning)
             km_service = KeyManagerService(front)
             client = _make_client(
@@ -591,15 +591,15 @@ def run_chaos(
         # -- verification 2: serial-replay parity (provider target) ------
         if target == "provider":
             serial_front = _make_front()
-            serial_service = ProviderService(
-                directory=workdir / "serial",
-                shards=shards,
-                ring_seed=RING_SEED,
+            serial_fleet = LocalFleet(
+                workdir / "serial",
+                HashRing.build(shards, seed=RING_SEED),
                 container_bytes=4 << 20,
             )
+            serial_provider = serial_fleet.transport()
             serial_client = _make_client(
                 LocalKeyManager(KeyManagerService(serial_front)),
-                LocalProvider(serial_service),
+                serial_provider,
             )
             for attempt in workload.attempts:
                 serial_client.upload(
@@ -611,7 +611,6 @@ def run_chaos(
                 raise HarnessError("KM sketch diverged from serial run")
             if front.sketch.total != serial_front.sketch.total:
                 raise HarnessError("KM sketch totals diverged")
-            serial_provider = LocalProvider(serial_service)
             referenced: set = set()
             for name in sorted(workload.data):
                 fleet_recipes = fleet_provider.get_recipes(
@@ -637,7 +636,7 @@ def run_chaos(
                 "recipes": len(workload.data),
                 "referenced_chunks": len(referenced),
             }
-            serial_service.close()
+            serial_fleet.close()
 
         # -- shutdown + verification 3: SIGTERM then clean fsck ----------
         if fleet_provider is not None and hasattr(fleet_provider, "close"):
