@@ -56,11 +56,6 @@ _CHUNK_BYTES = _REGISTRY.counter(
 _CHUNK_COUNT = _REGISTRY.counter(
     "ted_chunking_chunks_total", "Chunks produced by content-defined chunking"
 )
-_CHUNK_SECONDS = _REGISTRY.histogram(
-    "ted_chunking_call_seconds",
-    "Wall-clock time of one chunk() pass (includes consumer time when the "
-    "iterator is consumed lazily)",
-)
 
 
 def _build_gear_table(seed: int = 0) -> List[int]:
@@ -135,7 +130,6 @@ class ContentDefinedChunker:
 
     def chunk(self, data: bytes) -> Iterator[bytes]:
         """Yield consecutive chunks whose concatenation equals ``data``."""
-        start = time.perf_counter()
         produced = 0
         try:
             if self.algorithm == "gear":
@@ -146,9 +140,8 @@ class ContentDefinedChunker:
                 produced += 1
                 yield piece
         finally:
-            # Throughput accounting covers only what was actually consumed
-            # (an abandoned iterator must not claim the whole input).
-            _CHUNK_SECONDS.observe(time.perf_counter() - start)
+            # Accounting covers only what was actually consumed (an
+            # abandoned iterator must not claim the whole input).
             _CHUNK_COUNT.inc(produced)
             if produced:
                 _CHUNK_BYTES.inc(len(data))

@@ -34,18 +34,8 @@ DEFAULT_SKETCH_ROWS = 4
 DEFAULT_SKETCH_WIDTH = 2**20
 
 _REGISTRY = obs_metrics.get_registry()
-_KEYGEN_REQUESTS = _REGISTRY.counter(
-    "ted_keymanager_keygen_requests_total",
-    "Key-seed generation requests handled",
-)
-_TUNES = _REGISTRY.counter(
-    "ted_keymanager_tunes_total", "Automated parameter-tuning rounds"
-)
 _TUNE_SECONDS = _REGISTRY.histogram(
     "ted_keymanager_tune_seconds", "Latency of one Eq. 6 tuning solve"
-)
-_CURRENT_T = _REGISTRY.gauge(
-    "ted_keymanager_t", "Balance parameter t chosen by the last tune"
 )
 _PREDICTED_KLD = _REGISTRY.gauge(
     "ted_keymanager_kld",
@@ -157,7 +147,6 @@ class TedKeyManager:
             self._freq_by_identity[tuple(short_hashes)] = frequency
         seed = self._seeder.select_seed(short_hashes, frequency, self.t)
         self.stats.requests += 1
-        _KEYGEN_REQUESTS.inc()
         if self.batch_size is not None:
             self._requests_in_batch += 1
             if self._requests_in_batch >= self.batch_size:
@@ -194,8 +183,6 @@ class TedKeyManager:
                     self._retune_from_tracked()
                     self._requests_in_batch = 0
         self.stats.requests += len(batch)
-        if select:
-            _KEYGEN_REQUESTS.inc(len(batch))
         return seeds
 
     def generate_seeds(
@@ -224,9 +211,8 @@ class TedKeyManager:
         The crash-recovery replay path (km_state) and, as
         :meth:`estimate_batch`, the observer-shard path (DESIGN.md §15):
         the state mutations of :meth:`generate_seeds` minus seed draws
-        (which touch only the selection RNG) and the served-seed
-        counter. Observers are built with ``batch_size=None``, so they
-        never retune. Returns the per-request frequency estimates.
+        (which touch only the selection RNG). Observers are built with
+        ``batch_size=None``, so they never retune. Returns the per-request frequency estimates.
         """
         estimates = self.sketch.update_batch(batch)
         self._apply_batch(batch, estimates, select=False)
@@ -255,9 +241,7 @@ class TedKeyManager:
         self.t = solution.t
         self.stats.batches_tuned += 1
         self.stats.t_history.append(solution.t)
-        _TUNES.inc()
         _TUNE_SECONDS.observe(time.perf_counter() - start)
-        _CURRENT_T.set(solution.t)
         _PREDICTED_KLD.set(solution.predicted_kld)
         return solution.t
 

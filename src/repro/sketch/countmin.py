@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.crypto.murmur3 import short_hashes
 from repro.obs import metrics as obs_metrics
-from repro.utils import kernels
 
 _REGISTRY = obs_metrics.get_registry()
 _SKETCH_UPDATES = _REGISTRY.counter(
@@ -205,9 +204,7 @@ class CountMinSketch:
         np.add.at(counters, (rows_idx, idx), 1)
         self.total += n
         _SKETCH_UPDATES.inc(n)
-        elapsed = time.perf_counter() - start
-        _SKETCH_UPDATE_SECONDS.observe(elapsed)
-        kernels.observe("sketch_update", n, int(idx.size) * 4, elapsed)
+        _SKETCH_UPDATE_SECONDS.observe(time.perf_counter() - start)
         return estimates.tolist()
 
     def estimate(self, indices: Sequence[int]) -> int:

@@ -321,7 +321,6 @@ class ContainerStore:
         crash.fsync_dir(quarantine_dir)
         crash.fsync_dir(self.directory)
         _RECOVERY_QUARANTINED.inc()
-        _CONTAINER_EVENTS.labels(event="quarantined").inc()
 
     def quarantine_container(self, container_id: int) -> None:
         """Quarantine one sealed container (used by fsck ``--repair``).

@@ -24,24 +24,6 @@ from repro.storage.container import ContainerStore, ChunkLocation
 from repro.storage.kvstore import KVStore
 
 _REGISTRY = obs_metrics.get_registry()
-_DEDUP_LOGICAL_CHUNKS = _REGISTRY.counter(
-    "ted_dedup_logical_chunks_total", "Chunks offered for storage"
-)
-_DEDUP_LOGICAL_BYTES = _REGISTRY.counter(
-    "ted_dedup_logical_bytes_total", "Bytes offered for storage"
-)
-_DEDUP_UNIQUE_CHUNKS = _REGISTRY.counter(
-    "ted_dedup_unique_chunks_total", "Chunks physically written (first copy)"
-)
-_DEDUP_UNIQUE_BYTES = _REGISTRY.counter(
-    "ted_dedup_unique_bytes_total", "Bytes physically written (first copy)"
-)
-_DEDUP_DUPLICATE_CHUNKS = _REGISTRY.counter(
-    "ted_dedup_duplicate_chunks_total", "Chunks removed by deduplication"
-)
-_DEDUP_RATIO = _REGISTRY.gauge(
-    "ted_dedup_ratio", "Logical/physical byte ratio (process-wide)"
-)
 _RECOVERY_INDEX_DROPPED = _REGISTRY.counter(
     "ted_recovery_index_entries_dropped_total",
     "Fingerprint-index entries dropped because they referenced "
@@ -69,24 +51,6 @@ class RingEpochRegressionError(ValueError):
         )
         self.reported = reported
         self.current = current
-
-
-def _record_store(size: int, unique: bool) -> None:
-    """Record one store decision on the process-wide dedup instruments.
-
-    Shared by :class:`DedupEngine` and :class:`InMemoryDedupEngine` so
-    ``ted_dedup_*`` reflects deduplication regardless of backend.
-    """
-    _DEDUP_LOGICAL_CHUNKS.inc()
-    _DEDUP_LOGICAL_BYTES.inc(size)
-    if unique:
-        _DEDUP_UNIQUE_CHUNKS.inc()
-        _DEDUP_UNIQUE_BYTES.inc(size)
-    else:
-        _DEDUP_DUPLICATE_CHUNKS.inc()
-    physical = _DEDUP_UNIQUE_BYTES.value
-    if physical:
-        _DEDUP_RATIO.set(_DEDUP_LOGICAL_BYTES.value / physical)
 
 
 _CACHE_EVENTS = _REGISTRY.counter(
@@ -359,7 +323,6 @@ class DedupEngine:
                 if unique:
                     self.stats.unique_chunks += 1
                     self.stats.unique_bytes += len(chunk)
-        _record_store(len(chunk), unique)
         return unique
 
     def contains(self, fingerprint: bytes) -> bool:
@@ -482,7 +445,6 @@ class InMemoryDedupEngine:
                 self.stats.unique_bytes += len(chunk)
             self.stats.logical_chunks += 1
             self.stats.logical_bytes += len(chunk)
-        _record_store(len(chunk), unique)
         return unique
 
     def load_many(

@@ -273,22 +273,13 @@ class TedStoreClient:
         ``client_retries`` / ``client_reconnects`` / ``client_timeouts``
         and the server-side ``server_*`` guards — so tests and operators
         can see recoveries that the request/response API papers over.
-
-        Transports without their own ``stats()`` (e.g. in-process local
-        transports) fall back to a snapshot of the process-global metrics
-        registry, tagged with the transport class name — never a silent
-        empty dict, so misconfigured wiring stays visible.
         """
         stats = {}
         for name, transport in (
             ("key_manager", self.key_manager),
             ("provider", self.provider),
         ):
-            getter = getattr(transport, "stats", None)
-            if getter is not None:
-                entry = dict(getter())
-            else:
-                entry = dict(_REGISTRY.snapshot_pairs())
+            entry = dict(transport.stats())
             entry["transport"] = type(transport).__name__
             stats[name] = entry
         return stats
@@ -362,6 +353,13 @@ class TedStoreClient:
             )
             key_recipe = KeyRecipe.deserialize(
                 unseal(self.master_key, recipes.sealed_key_recipe)
+            )
+        if file_recipe.file_name != file_name:
+            # A provider serving another file's recipes must not get
+            # that file restored under this name.
+            raise ValueError(
+                f"recipe for {file_recipe.file_name!r} served for "
+                f"{file_name!r}"
             )
         if len(file_recipe.entries) != len(key_recipe.keys):
             raise ValueError(

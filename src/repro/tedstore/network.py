@@ -43,14 +43,6 @@ from repro.tedstore.retry import RetryPolicy
 DEFAULT_IDLE_TIMEOUT = 300.0
 
 _REGISTRY = obs_metrics.get_registry()
-# Legacy wire-counter names map 1:1 onto these registry instruments; the
-# per-server/per-connection dicts remain the source for the legacy stats
-# keys, while the registry aggregates across all connections of a process.
-_SERVER_WIRE = _REGISTRY.counter(
-    "ted_wire_server_events_total",
-    "Server-side wire events (connections, timeouts, rejections)",
-    labelnames=("entity", "event"),
-)
 _SERVER_REQUEST_SECONDS = _REGISTRY.histogram(
     "ted_wire_server_request_seconds",
     "Server-side request dispatch latency",
@@ -114,17 +106,12 @@ class _Server(socketserver.ThreadingTCPServer):
             "forced_disconnects": 0,
         }
 
-    def _mirror(self, name: str, amount: int = 1) -> None:
-        """Registry copy of a wire-counter increment."""
-        _SERVER_WIRE.labels(entity=self.entity, event=name).inc(amount)
-
     # -- connection / request accounting --------------------------------------
 
     def register_connection(self, sock: socket.socket) -> None:
         with self._state:
             self._active_sockets.add(sock)
             self.wire_counters["connections"] += 1
-        self._mirror("connections")
 
     def unregister_connection(self, sock: socket.socket) -> None:
         with self._state:
@@ -133,7 +120,6 @@ class _Server(socketserver.ThreadingTCPServer):
     def count(self, name: str) -> None:
         with self._state:
             self.wire_counters[name] += 1
-        self._mirror(name)
 
     def try_begin_request(self) -> bool:
         """Claim an in-flight slot; False means reply ``MSG_BUSY``."""
@@ -145,7 +131,6 @@ class _Server(socketserver.ThreadingTCPServer):
                 and self._inflight >= self.max_inflight
             ):
                 self.wire_counters["busy_rejections"] += 1
-                self._mirror("busy_rejections")
                 return False
             self._inflight += 1
             return True
@@ -168,8 +153,6 @@ class _Server(socketserver.ThreadingTCPServer):
             victims = list(self._active_sockets)
             self._active_sockets.clear()
             self.wire_counters["forced_disconnects"] += len(victims)
-        if victims:
-            self._mirror("forced_disconnects", len(victims))
         for sock in victims:
             try:
                 sock.shutdown(socket.SHUT_RDWR)

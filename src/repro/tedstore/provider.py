@@ -88,9 +88,6 @@ _RECIPE_QUARANTINED = _REGISTRY.counter(
     "ted_provider_recipe_quarantined_total",
     "Durable recipe blobs that failed to decode at startup",
 )
-_TENANT_GAUGE = _REGISTRY.gauge(
-    "ted_provider_tenants", "Tenant namespaces currently materialized"
-)
 
 
 class QuotaExceededError(RuntimeError):
@@ -328,7 +325,6 @@ class ProviderService:
                 )
                 self._load_recipes(state)
             self._tenants[tenant] = state
-            _TENANT_GAUGE.set(len(self._tenants))
             return state
 
     def _load_recipes(self, state: _TenantState) -> None:

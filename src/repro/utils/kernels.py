@@ -4,9 +4,11 @@ The data-path inner loops (AES rounds, SHA-CTR keystream, gear/Rabin
 boundary scans, Count-Min batch updates — DESIGN.md §16) are table-driven
 and batched (``memoryview``/``bytearray``/numpy) so interpreter overhead
 is paid per batch instead of per byte. The ``ted_kernel_*`` instruments
-record batch sizes, bytes, and per-call latency for every kernel,
-labelled by kernel name, so the throughput of each kernel is visible in
-``repro stats`` and the generated docs/METRICS.md.
+record batch sizes, bytes, and per-call latency for the cipher and scan
+kernels, labelled by kernel name, so the throughput of each kernel is
+visible in ``repro stats`` and the generated docs/METRICS.md. The
+Count-Min batch update records once, on its own
+``ted_sketch_updates_total`` and ``ted_sketch_update_seconds``.
 """
 
 from __future__ import annotations

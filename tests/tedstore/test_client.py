@@ -204,6 +204,47 @@ class TestSecurity:
         # No 64-byte window of the plaintext appears in storage.
         assert data[:64] not in stored
 
+    @pytest.mark.parametrize("metadata_dedup", [False, True])
+    def test_recipe_served_for_another_name_fails(self, metadata_dedup):
+        # A hostile provider answers "A" with B's (authentic) recipes.
+        from repro.tedstore.messages import GetRecipes, PutRecipes
+
+        requested = []
+
+        class SpyProvider:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+            def get_chunks(self, request):
+                requested.extend(request.fingerprints)
+                return self.inner.get_chunks(request)
+
+        client = _make_client()
+        client.metadata_dedup = metadata_dedup
+        client.upload("A", unique_file(20_000, client_id=1))
+        client.upload("B", unique_file(20_000, client_id=2))
+        data_fingerprints = {
+            fingerprint
+            for name in ("A", "B")
+            for fingerprint, _size in client._fetch_recipes(name)[0].entries
+        }
+        provider = client.provider
+        stolen = provider.get_recipes(GetRecipes(file_name="B"))
+        provider.put_recipes(
+            PutRecipes(
+                file_name="A",
+                sealed_file_recipe=stolen.sealed_file_recipe,
+                sealed_key_recipe=stolen.sealed_key_recipe,
+            )
+        )
+        client.provider = SpyProvider(provider)
+        with pytest.raises(ValueError, match="served for 'A'"):
+            client.download("A")
+        assert not data_fingerprints & set(requested)
+
     def test_key_manager_never_sees_fingerprints(self):
         # The client only ever sends short hashes (ints < sketch width).
         captured = []

@@ -15,7 +15,6 @@ import random
 
 import pytest
 
-from repro.core import ted
 from repro.core.ted import TedKeyManager
 from repro.crypto.murmur3 import short_hashes
 from repro.storage.wal import WriteAheadLog
@@ -364,10 +363,9 @@ class _StubObserverTransport:
 
 @pytest.mark.parametrize("remote", [False, True], ids=["local", "remote"])
 def test_front_counts_each_served_seed_once(remote):
-    """``ted_keymanager_keygen_requests_total`` counts the seeds a front
-    serves, in the front's own process: N per N requests, whether the
-    observers live elsewhere or in this process (which must not count
-    them a second time)."""
+    """The front's ``requests`` pair counts the seeds it serves: N per N
+    requests, whether the observers live elsewhere or in this process
+    (which must not count them a second time)."""
     ring = HashRing.build(3, seed=1)
     pool = None
     if remote:
@@ -378,13 +376,11 @@ def test_front_counts_each_served_seed_once(remote):
             ring, transport_factory=lambda _: _StubObserverTransport()
         )
     sharded = ShardedKeyManager(_front("fted"), ring, shard_pool=pool)
-    before = ted._KEYGEN_REQUESTS.value
     sharded.handle_keygen(KeyGenRequest(hash_vectors=_vectors(30)))
     sharded.handle_keygen_batched(
         BatchedKeyGenRequest(sequence=1, hash_vectors=_vectors(20)),
         stream=KeygenStream(),
     )
-    assert ted._KEYGEN_REQUESTS.value - before == 50
     assert dict(sharded.stats())["requests"] == 50
     sharded.close()
 

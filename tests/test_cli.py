@@ -1,10 +1,28 @@
 """Command-line interface: offline subcommands end to end."""
 
 import hashlib
+import json
 
 import pytest
 
 from repro.cli import build_parser, main
+
+#: Registry instruments that only copied a number a service already
+#: reports in its own stats pairs (or that timed the consumer too).
+_DELETED_REGISTRY_COPIES = (
+    "ted_dedup_logical_chunks_total",
+    "ted_dedup_logical_bytes_total",
+    "ted_dedup_unique_chunks_total",
+    "ted_dedup_unique_bytes_total",
+    "ted_dedup_duplicate_chunks_total",
+    "ted_dedup_ratio",
+    "ted_provider_tenants",
+    "ted_keymanager_keygen_requests_total",
+    "ted_keymanager_tunes_total",
+    "ted_keymanager_t",
+    "ted_wire_server_events_total",
+    "ted_chunking_call_seconds",
+)
 
 
 class TestParser:
@@ -146,7 +164,23 @@ class TestNetworkedCommands:
             ) == 0
             out = capsys.readouterr().out
             assert 'entity="key_manager"' in out
+
+            assert main(
+                ["stats", "--km", km_addr, "--provider", pr_addr,
+                 "--format", "json"]
+            ) == 0
+            sections = json.loads(capsys.readouterr().out)
         assert restored.read_bytes() == source.read_bytes()
+        # Each number comes from one source: the services' own pairs.
+        prov, keys = sections["provider"], sections["key_manager"]
+        assert prov["logical_bytes"] >= prov["unique_bytes"] > 0
+        assert prov["tenants"] == 1 and prov["server_connections"] >= 1
+        assert keys["requests"] > 0 and keys["current_t"] >= 1
+        assert "batches_tuned" in keys
+        for section in (prov, keys):
+            names = {key.split("{", 1)[0] for key in section}
+            for gone in _DELETED_REGISTRY_COPIES:
+                assert gone not in names and f"{gone}_count" not in names
 
     def test_stats_requires_a_target(self, capsys):
         assert main(["stats"]) == 2

@@ -4,7 +4,7 @@ Runs the two doc tools exactly as CI does:
 
 * ``tools/gen_metrics_doc.py --check`` — the committed
   ``docs/METRICS.md`` must match the live metrics registry (freshness
-  gate);
+  gate), and the checked docs may name only registered instruments;
 * ``tools/check_docs.py`` — every markdown link and anchor across the
   default doc set must resolve.
 
@@ -13,6 +13,7 @@ Count-Min sketch); environments without it skip rather than fail
 tier-1.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,28 @@ def test_metrics_doc_covers_restore_instruments(tmp_path):
         "ted_pipeline_chunks_total",
     ):
         assert f"`{name}`" in text, f"{name} missing from generated doc"
+
+
+def test_metrics_check_catches_dangling_instrument(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "gen_metrics_doc", ROOT / "tools" / "gen_metrics_doc.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    doc = tmp_path / "DOC.md"
+    doc.write_text(
+        "Live: `ted_wal_fsyncs_total`, "
+        "`ted_stage_seconds{stage=...}`, `ted_kernel_*`, "
+        "`ted_sketch_{updates,estimates}_total`, "
+        "`ted_shard_health{side,shard}`.\n"
+        "Gone: `ted_keymanager_t`, `ted_sketch_{updates,removed}_total`, "
+        "`ted_nosuch_*`.\n"
+    )
+    assert [token for _doc, token in tool.dangling_names([doc])] == [
+        "ted_keymanager_t",
+        "ted_sketch_{updates,removed}_total",
+        "ted_nosuch_*",
+    ]
 
 
 def test_all_doc_links_resolve():

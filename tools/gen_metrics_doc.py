@@ -14,7 +14,10 @@ Usage::
     python tools/gen_metrics_doc.py --check    # exit 1 if out of date
 
 CI runs ``--check`` so the committed reference can never drift from the
-code (the freshness gate next to the markdown link checker).
+code (the freshness gate next to the markdown link checker). ``--check``
+also fails when a checked doc (:data:`CHECKED_DOCS`) names, in
+backticks, a ``ted_*`` instrument the registry does not register, so a
+deleted instrument cannot live on in the prose.
 """
 
 from __future__ import annotations
@@ -22,11 +25,31 @@ from __future__ import annotations
 import argparse
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
+from typing import Iterable, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = ROOT / "docs" / "METRICS.md"
+
+#: Docs whose backticked ``ted_*`` names must be registered instruments.
+CHECKED_DOCS = (
+    "README.md",
+    "DESIGN.md",
+    "ARCHITECTURE.md",
+    "EXPERIMENTS.md",
+    "docs/*.md",
+)
+
+#: Backticked ``ted_``-prefixed names that are not instruments.
+NOT_INSTRUMENTS = frozenset(
+    {"ted_<subsystem>_<name>", "ted_<subsystem>_<name>[_total]"}
+)
+
+_BACKTICKED_NAME = re.compile(r"`(ted_[^`\s]*)")
+_TRAILING_LABELS = re.compile(r"\{[^{}]*\}$")
+_ALTERNATIVES = re.compile(r"\{([^{}]*)\}")
 
 _HEADER = """\
 # Metrics reference
@@ -75,6 +98,54 @@ def render() -> str:
     return "".join(lines)
 
 
+def _expand(name: str) -> List[str]:
+    """``a_{x,y}_b`` → ``[a_x_b, a_y_b]`` (every brace group)."""
+    group = _ALTERNATIVES.search(name)
+    if group is None:
+        return [name]
+    head, tail = name[: group.start()], name[group.end() :]
+    return [
+        expanded
+        for choice in group.group(1).split(",")
+        for expanded in _expand(head + choice + tail)
+    ]
+
+
+def dangling_names(docs: Iterable[Path]) -> List[Tuple[Path, str]]:
+    """Backticked ``ted_*`` names in ``docs`` that name no instrument.
+
+    A trailing brace group is a label set and is dropped; any other brace
+    group lists alternatives. A name ending in ``_`` or ``_*`` is a
+    family prefix and must match at least one instrument.
+    """
+    _register_all_instruments()
+    from repro.obs.metrics import get_registry
+
+    names = {instrument.name for instrument in get_registry().instruments()}
+
+    def known(name: str) -> bool:
+        if name.endswith("_*") or name.endswith("_"):
+            prefix = name.rstrip("*")
+            return any(n.startswith(prefix) for n in names)
+        return name in names
+
+    found = []
+    for doc in docs:
+        for token in _BACKTICKED_NAME.findall(doc.read_text()):
+            if token in NOT_INSTRUMENTS:
+                continue
+            stem = _TRAILING_LABELS.sub("", token)
+            if not all(known(name) for name in _expand(stem)):
+                found.append((doc, token))
+    return found
+
+
+def _checked_docs() -> List[Path]:
+    return [
+        path for pattern in CHECKED_DOCS for path in sorted(ROOT.glob(pattern))
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -102,6 +173,15 @@ def main(argv=None) -> int:
                 f"Regenerate with: python tools/gen_metrics_doc.py",
                 file=sys.stderr,
             )
+            return 1
+        dangling = dangling_names(_checked_docs())
+        for doc, token in dangling:
+            print(
+                f"{doc.relative_to(ROOT)}: `{token}` names no registered "
+                f"instrument",
+                file=sys.stderr,
+            )
+        if dangling:
             return 1
         print(f"{args.out} is up to date "
               f"({content.count('| `ted_')} instruments).")
