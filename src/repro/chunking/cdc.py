@@ -17,6 +17,8 @@ Two rolling hashes are available:
 
 from __future__ import annotations
 
+import bisect
+import functools
 import hashlib
 import time
 from dataclasses import dataclass
@@ -39,14 +41,19 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 #: at any position is a function of at most the last 64 bytes.
 _GEAR_WINDOW = 64
 
-#: Scan-kernel segment length (positions per vectorized pass). Segments
-#: give the vectorized scan the reference loop's early-exit behaviour at
-#: batch granularity: a boundary in the first segment stops the scan
-#: before the rest of the region is touched.
+#: Positions per gear candidate pass. Candidates are found a block at a
+#: time, as the chunk boundaries reach it, so memory stays bounded on
+#: large inputs and an abandoned iterator stops scanning.
+_GEAR_BLOCK = 1 << 20
+
+#: Rabin scan-kernel segment length (positions per vectorized pass).
+#: Segments give the vectorized scan the reference loop's early-exit
+#: behaviour at batch granularity: a boundary in the first segment stops
+#: the scan before the rest of the region is touched.
 _SEGMENT = 4096
 
 #: Below this many scan positions the numpy call overhead exceeds the
-#: per-byte loop; fall through to the reference implementation.
+#: per-byte Rabin loop; fall through to the reference implementation.
 _MIN_KERNEL_SCAN = 256
 
 _REGISTRY = obs_metrics.get_registry()
@@ -72,6 +79,18 @@ def _build_gear_table(seed: int = 0) -> List[int]:
 _GEAR_TABLE = _build_gear_table()
 _GEAR_TABLE_NP = np.array(_GEAR_TABLE, dtype=np.uint64)
 _GEAR_TABLE_NP.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=None)
+def _gear_table_low(bits: int) -> np.ndarray:
+    """The gear table cut to the narrowest unsigned dtype of ``bits`` bits."""
+    dtype = next(
+        t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+        if np.iinfo(t).bits >= bits
+    )
+    table = _GEAR_TABLE_NP.astype(dtype)
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -130,7 +149,7 @@ class ContentDefinedChunker:
 
     def chunk(self, data: bytes) -> Iterator[bytes]:
         """Yield consecutive chunks whose concatenation equals ``data``."""
-        produced = 0
+        produced = produced_bytes = 0
         try:
             if self.algorithm == "gear":
                 inner = self._chunk_gear(data)
@@ -138,40 +157,111 @@ class ContentDefinedChunker:
                 inner = self._chunk_rabin(data)
             for piece in inner:
                 produced += 1
+                produced_bytes += len(piece)
                 yield piece
         finally:
             # Accounting covers only what was actually consumed (an
             # abandoned iterator must not claim the whole input).
             _CHUNK_COUNT.inc(produced)
-            if produced:
-                _CHUNK_BYTES.inc(len(data))
+            _CHUNK_BYTES.inc(produced_bytes)
 
     def chunk_sizes(self, data: bytes) -> List[int]:
         """Return only the chunk sizes (cheap path for analysis)."""
         return [len(c) for c in self.chunk(data)]
 
     def _chunk_gear(self, data: bytes) -> Iterator[bytes]:
+        """Cut at the first candidate in each chunk's scan region.
+
+        The cut test reads the low ``bits = mask.bit_length()`` bits of
+        the fingerprint, and those depend only on the last ``bits``
+        bytes (older terms are shifted above them). Once a chunk is
+        ``bits - 1`` bytes long, whether a position is a candidate no
+        longer depends on where the chunk started, so candidates are
+        found once per buffer (:meth:`_gear_candidates`) and each cut is
+        the first of them in ``[scan_from, end)``. Only the positions
+        nearer than that to the chunk start, which exist when
+        ``min_size < bits - 1``, are tested per chunk.
+        """
         params = self.params
         length = len(data)
+        head = max(0, params.mask.bit_length() - 1 - params.min_size)
+        cuts: List[int] = []  # candidate cut offsets (position + 1)
+        pos = 0  # first entry of ``cuts`` not yet passed
+        covered = 0  # candidates are known for positions below this
         start = 0
         while start < length:
             end = min(start + params.max_size, length)
             scan_from = start + params.min_size
-            if scan_from >= end:
-                yield data[start:end]
-                start = end
-                continue
-            if end - scan_from >= _MIN_KERNEL_SCAN:
-                cut = self._gear_cut_kernel(data, start, scan_from, end)
-            else:
-                cut = self._gear_cut_reference(data, start, scan_from, end)
+            cut = end
+            if scan_from < end:
+                cut = self._gear_head_cut(
+                    data, start, scan_from, min(scan_from + head, end)
+                )
+                if cut is None:
+                    while covered < end:
+                        cuts = cuts[pos:] + self._gear_candidates(data, covered)
+                        pos = 0
+                        covered = min(covered + _GEAR_BLOCK, length)
+                    pos = bisect.bisect_right(cuts, scan_from + head, pos)
+                    found = pos < len(cuts) and cuts[pos] <= end
+                    cut = cuts[pos] if found else end
             yield data[start:cut]
             start = cut
+
+    def _gear_candidates(self, data: bytes, block_start: int) -> List[int]:
+        """Cut offsets of every candidate in one block of ``data``.
+
+        ``fp_i mod 2^bits = Σ_{k<bits} g[data[i-k]] << k`` is evaluated
+        for the whole block by doubling (``acc[n:] += acc[:-n] << n``) in
+        the narrowest dtype that holds ``bits`` bits — uint16 and four
+        steps for the default 8 KiB average. Bytes before the buffer
+        contribute nothing, exactly as in the reference's warm-up.
+        """
+        started = time.perf_counter()
+        mask = self.params.mask
+        bits = mask.bit_length()
+        table = _gear_table_low(bits)
+        block_end = min(block_start + _GEAR_BLOCK, len(data))
+        lo = max(0, block_start - max(bits - 1, 0))
+        acc = np.take(
+            table,
+            np.frombuffer(data, dtype=np.uint8, count=block_end - lo, offset=lo),
+        )
+        n = 1
+        while n < bits:
+            acc[n:] += acc[:-n] << table.dtype.type(n)
+            n <<= 1
+        low = acc[block_start - lo :] & table.dtype.type(mask)
+        hits = np.flatnonzero(low == mask)
+        scanned = block_end - block_start
+        kernels.observe(
+            "gear_scan", scanned, scanned, time.perf_counter() - started
+        )
+        return (hits + (block_start + 1)).tolist()
+
+    def _gear_head_cut(
+        self, data: bytes, start: int, scan_from: int, stop: int
+    ) -> int | None:
+        """First cut in ``[scan_from, stop)``, or None, rolled from ``start``.
+
+        These positions' low-bit window reaches back before the chunk,
+        where the buffer-wide candidates would see the previous chunk's
+        bytes.
+        """
+        if stop <= scan_from:
+            return None
+        mask = self.params.mask
+        fp = 0
+        for i in range(start, stop):
+            fp = ((fp << 1) + _GEAR_TABLE[data[i]]) & mask
+            if i >= scan_from and fp == mask:
+                return i + 1
+        return None
 
     def _gear_cut_reference(
         self, data: bytes, start: int, scan_from: int, end: int
     ) -> int:
-        """Per-byte gear scan — the semantic spec for the kernel."""
+        """Per-byte gear scan — the semantic spec for :meth:`_chunk_gear`."""
         mask = self.params.mask
         table = _GEAR_TABLE
         fp = 0
@@ -184,50 +274,6 @@ class ContentDefinedChunker:
             if fp & mask == mask:
                 return i + 1
         return end
-
-    def _gear_cut_kernel(
-        self, data: bytes, start: int, scan_from: int, end: int
-    ) -> int:
-        """Vectorized gear scan (DESIGN.md §16), identical to reference.
-
-        ``fp_i = Σ_{k<64} g[data[i-k]] << k (mod 2^64)`` — the rolling
-        recurrence unrolled into a 64-term shifted sum, evaluated for a
-        whole segment of positions at once. Zero-padding the *mapped*
-        array realizes the shorter warm-up window near ``start`` (absent
-        bytes contribute nothing).
-        """
-        started = time.perf_counter()
-        mask = np.uint64(self.params.mask)
-        table = _GEAR_TABLE_NP
-        warm = max(start, scan_from - _GEAR_WINDOW)
-        horizon = _GEAR_WINDOW - 1
-        cut = end
-        scanned = 0
-        for seg_start in range(scan_from, end, _SEGMENT):
-            seg_end = min(seg_start + _SEGMENT, end)
-            out_len = seg_end - seg_start
-            lo = max(warm, seg_start - horizon)
-            pad = horizon - (seg_start - lo)
-            acc = np.zeros(horizon + out_len, dtype=np.uint64)
-            acc[pad:] = table[
-                np.frombuffer(
-                    data, dtype=np.uint8, count=seg_end - lo, offset=lo
-                )
-            ]
-            # Shifted-sum by doubling: after the log2(64) = 6 steps,
-            # acc[j] = Σ_{k<64} g[data[j-k]] << k (mod 2^64) — six whole-
-            # segment operations instead of one per window position.
-            for n in (1, 2, 4, 8, 16, 32):
-                acc[n:] += acc[:-n] << np.uint64(n)
-            hits = np.nonzero((acc[horizon:] & mask) == mask)[0]
-            scanned += out_len
-            if hits.size:
-                cut = seg_start + int(hits[0]) + 1
-                break
-        kernels.observe(
-            "gear_scan", scanned, scanned, time.perf_counter() - started
-        )
-        return cut
 
     def _chunk_rabin(self, data: bytes) -> Iterator[bytes]:
         params = self.params

@@ -19,6 +19,8 @@ from __future__ import annotations
 import hashlib
 import time
 
+import numpy as np
+
 from repro.utils import kernels
 
 _DIGEST_SIZE = 32
@@ -77,8 +79,9 @@ def encrypt(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """XOR ``data`` with the (key, nonce) keystream."""
     stream = keystream(key, nonce, len(data))
     return (
-        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-    ).to_bytes(len(data), "big") if data else b""
+        np.frombuffer(data, dtype=np.uint8)
+        ^ np.frombuffer(stream, dtype=np.uint8)
+    ).tobytes()
 
 
 def decrypt(key: bytes, nonce: bytes, data: bytes) -> bytes:

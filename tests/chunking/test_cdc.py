@@ -5,6 +5,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chunking import cdc
 from repro.chunking.cdc import ChunkerParams, ContentDefinedChunker
 
 
@@ -109,3 +110,26 @@ class TestChunking:
         for algorithm in ("gear", "rabin"):
             chunker = ContentDefinedChunker(params, algorithm=algorithm)
             assert b"".join(chunker.chunk(data)) == data
+
+
+class TestAccounting:
+    @pytest.mark.parametrize("algorithm", ["gear", "rabin"])
+    def test_abandoned_iterator_counts_only_yielded_bytes(self, algorithm):
+        # Regression: once one chunk was out, the byte counter claimed the
+        # whole input, so a failed upload over-reported what it chunked.
+        data = _pseudo_random(1 << 20 if algorithm == "gear" else 40_000)
+        bytes_before = cdc._CHUNK_BYTES.value
+        chunks_before = cdc._CHUNK_COUNT.value
+        pieces = ContentDefinedChunker(algorithm=algorithm).chunk(data)
+        first = next(pieces)
+        pieces.close()
+        assert len(first) < len(data)
+        assert cdc._CHUNK_BYTES.value - bytes_before == len(first)
+        assert cdc._CHUNK_COUNT.value - chunks_before == 1
+
+    def test_full_pass_counts_every_byte(self):
+        data = _pseudo_random(100_000)
+        bytes_before = cdc._CHUNK_BYTES.value
+        chunks = list(ContentDefinedChunker().chunk(data))
+        assert cdc._CHUNK_BYTES.value - bytes_before == len(data)
+        assert len(chunks) > 1

@@ -1,5 +1,7 @@
 """SHA-256 counter-mode stream cipher (the throughput-path substitute)."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -51,3 +53,60 @@ class TestEncrypt:
     def test_ciphertext_differs_from_plaintext(self):
         data = b"not the identity map" * 4
         assert shactr.encrypt(_KEY, _NONCE, data) != data
+
+
+# Known-answer vectors. Stores written under the ``shactr`` profile stay
+# readable only while these bytes never change, whatever the keystream
+# or XOR implementation underneath. Plaintext byte i is (7·i + 3) mod 256.
+_KAT_KEY = bytes(range(32))
+_KAT_NONCE = bytes(range(100, 116))
+
+_KAT_SHORT = {
+    0: "",
+    1: "5e",
+    31: "5e367eb1db279e8652af1e12fdbc3838a5adb46ab2746ee8c1dee52094bce2",
+    32: "5e367eb1db279e8652af1e12fdbc3838a5adb46ab2746ee8c1dee52094bce201",
+    33: "5e367eb1db279e8652af1e12fdbc3838a5adb46ab2746ee8c1dee52094bce20112",
+}
+
+# Long vectors: literal head, middle and tail 32-byte windows plus the
+# SHA-256 of the whole ciphertext (pins every byte without 40 KB of hex).
+_KAT_LONG = {
+    4096: (
+        "5e367eb1db279e8652af1e12fdbc3838a5adb46ab2746ee8c1dee52094bce201",
+        "a3822e4a1be5aca10c7fe9d53ca2451a84bf63b4d8e0857a0bf868d08cce5e85",
+        "18b9539894e164babf493f543449be18726bc0bd33691a518f945eec3fd3551b",
+        "9de3205f319f3b21933d390449d47aefc361e38a7d2f2f93ea4e593eec7595d1",
+    ),
+    16384: (
+        "5e367eb1db279e8652af1e12fdbc3838a5adb46ab2746ee8c1dee52094bce201",
+        "f72f24fed74d21574813cb2c658df8fb723b2a9d0ca18f0f10e058bcffa96a05",
+        "5068cca77151bcd0feda57a92021181c0f969f72167791acbf6de5b9ef7094a5",
+        "03ca8a4c8df23410d6798e4744ebbd71788a25828e370a43d5e1a29980ac8c99",
+    ),
+}
+
+
+def _kat_plaintext(n):
+    return bytes((7 * i + 3) & 0xFF for i in range(n))
+
+
+class TestKnownAnswers:
+    @pytest.mark.parametrize("n", sorted(_KAT_SHORT))
+    def test_short(self, n):
+        plain = _kat_plaintext(n)
+        cipher = shactr.encrypt(_KAT_KEY, _KAT_NONCE, plain)
+        assert cipher.hex() == _KAT_SHORT[n]
+        assert shactr.decrypt(_KAT_KEY, _KAT_NONCE, cipher) == plain
+
+    @pytest.mark.parametrize("n", sorted(_KAT_LONG))
+    def test_long(self, n):
+        head, middle, tail, digest = _KAT_LONG[n]
+        plain = _kat_plaintext(n)
+        cipher = shactr.encrypt(_KAT_KEY, _KAT_NONCE, plain)
+        assert len(cipher) == n
+        assert cipher[:32].hex() == head
+        assert cipher[n // 2 - 16 : n // 2 + 16].hex() == middle
+        assert cipher[-32:].hex() == tail
+        assert hashlib.sha256(cipher).hexdigest() == digest
+        assert shactr.decrypt(_KAT_KEY, _KAT_NONCE, cipher) == plain
