@@ -7,7 +7,7 @@ upload speed stays roughly stable while the index grows (LevelDB/LSM
 compaction overhead keeps it from improving despite rising dedup ratios),
 and download speed *declines* for later snapshots because their chunks are
 fragmented across containers written by earlier snapshots (more container
-fetches per restored MB).
+opens and scattered reads per restored MB).
 
 Also runs the DESIGN.md §6 ablation: the LSM index vs a single-table
 configuration with compaction effectively disabled.
@@ -68,48 +68,6 @@ def test_b5_fsl_series(benchmark):
     first = points[0].download_mb_s
     tail = sum(p.download_mb_s for p in points[-2:]) / 2
     assert tail <= first * 1.5  # noisy at this scale; no *improvement* trend
-
-
-def test_b5_restore_ablation(benchmark):
-    # DESIGN.md §6 / paper §5.3.2 future work: look-ahead container
-    # scheduling on the restore path vs the prototype's naive per-chunk
-    # reads through a small LRU cache.
-    snapshots = _series("b5res", seed=23, snapshots=4)
-
-    def run():
-        naive = experiment_b5(
-            snapshots,
-            directory=tempfile.mkdtemp(prefix="repro-b5n-"),
-            batch_size=2000,
-            container_bytes=512 << 10,
-        )
-        lookahead = experiment_b5(
-            snapshots,
-            directory=tempfile.mkdtemp(prefix="repro-b5a-"),
-            batch_size=2000,
-            container_bytes=512 << 10,
-            lookahead_window=2000,
-        )
-        return naive, lookahead
-
-    naive, lookahead = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        {
-            "snapshot": i + 1,
-            "naive download (MB/s)": round(a.download_mb_s, 2),
-            "look-ahead download (MB/s)": round(b.download_mb_s, 2),
-        }
-        for i, (a, b) in enumerate(zip(naive, lookahead))
-    ]
-    print_table("Ablation: look-ahead restore scheduling", rows)
-    naive_tail = naive[-1].download_mb_s
-    lookahead_tail = lookahead[-1].download_mb_s
-    print(
-        f"final-snapshot restore: naive {naive_tail:.2f} MB/s vs "
-        f"look-ahead {lookahead_tail:.2f} MB/s"
-    )
-    # Look-ahead must not be slower on the most fragmented snapshot.
-    assert lookahead_tail >= naive_tail * 0.8
 
 
 def test_b5_index_ablation(benchmark):

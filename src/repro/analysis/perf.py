@@ -341,7 +341,6 @@ def experiment_b5(
     batch_size: int = 2000,
     container_bytes: int = 1 << 20,
     kvstore_options: Optional[Dict] = None,
-    lookahead_window: Optional[int] = None,
 ) -> List[SeriesPoint]:
     """Figure 9: upload all snapshots in order, then download them.
 
@@ -357,7 +356,7 @@ def experiment_b5(
         container_bytes=container_bytes,
         kvstore_options=kvstore_options,
     )
-    provider = ProviderService(engine=engine, lookahead_window=lookahead_window)
+    provider = ProviderService(engine=engine)
 
     key_manager = KeyManagerService(
         TedKeyManager(

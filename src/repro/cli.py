@@ -244,7 +244,6 @@ def cmd_serve_provider(args: argparse.Namespace) -> int:
         service = ProviderService(
             directory=args.storage,
             container_bytes=args.container_mb << 20,
-            lookahead_window=args.lookahead_window or None,
             scrub_interval=args.scrub_interval or None,
             cross_user_dedup=args.cross_user_dedup,
             quota_bytes=args.quota_bytes or None,
@@ -938,12 +937,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=9402)
     p.add_argument("--storage", required=True)
     p.add_argument("--container-mb", type=int, default=8)
-    p.add_argument(
-        "--lookahead-window", type=int, default=0, metavar="CHUNKS",
-        help="serve GetChunks with look-ahead container scheduling and "
-             "an LRU container cache (0 = naive per-chunk reads, the "
-             "paper's Figure 9 baseline)",
-    )
     p.add_argument(
         "--scrub-interval", type=float, default=0.0, metavar="SECONDS",
         help="background scrub cadence: verify every chunk checksum this "

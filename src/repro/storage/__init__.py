@@ -5,11 +5,7 @@ from repro.storage.metadedup import (
     pack_metadata_chunks,
     unpack_metadata_chunks,
 )
-from repro.storage.restore import (
-    FragmentationAnalyzer,
-    FragmentationReport,
-    LookaheadRestorer,
-)
+from repro.storage.restore import FragmentationAnalyzer, FragmentationReport
 from repro.storage.container import ChunkLocation, ContainerStore
 from repro.storage.dedup import DedupEngine, DedupStats
 from repro.storage.kvstore import KVStore
@@ -24,7 +20,6 @@ __all__ = [
     "unpack_metadata_chunks",
     "FragmentationAnalyzer",
     "FragmentationReport",
-    "LookaheadRestorer",
     "ChunkLocation",
     "ContainerStore",
     "DedupEngine",

@@ -8,10 +8,10 @@ reference chunks scattered across many old containers, so restores touch
 more containers and slow down.
 
 Chunks are addressed by ``ChunkLocation(container_id, offset, length)``
-where ``offset`` indexes into the container's *data section*. Reads of
-sealed containers fetch whole containers through a small LRU cache,
-mirroring how a real provider amortizes disk seeks; a read from the
-still-open container copies just that chunk out of the open buffer.
+where ``offset`` indexes into the container's *data section*. A read of a
+sealed container is one positioned read (``os.pread``) of exactly that
+chunk, through a small LRU of checked open container files; a read from
+the still-open container copies just that chunk out of the open buffer.
 
 Crash consistency (DESIGN.md §12). Sealed containers are self-verifying
 and atomically published:
@@ -25,10 +25,12 @@ and atomically published:
   is ``data_len u64 || toc_len u64 || toc_crc u32 || chunk_count u32 ||
   magic``. Every chunk is individually checksummed and the TOC itself is
   checksummed, so torn writes and bit rot are always detectable
-  (``repro fsck`` / the background scrubber verify them). Every fetch
-  runs the *frame check* (magic, trailer, length geometry, TOC CRC); the
-  *TOC check* (decode + entry bounds) runs once per distinct TOC+trailer
-  bytes per container per process, keyed by their SHA-256.
+  (``repro fsck`` / the background scrubber verify them). Every fetch —
+  an open of a container file that is not in the LRU — runs the *frame
+  check* (magic, trailer, length geometry, TOC CRC), reading only the
+  magic, the trailer and the TOC; the *TOC check* (decode + entry
+  bounds) runs once per distinct TOC+trailer bytes per container per
+  process, keyed by their SHA-256.
 
 * **Atomic seal**: temp file → fsync → rename → directory fsync via the
   :mod:`repro.storage.crash` shim. A crash at any barrier leaves either
@@ -51,12 +53,14 @@ and atomically published:
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import BinaryIO, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.storage import crash
@@ -71,7 +75,8 @@ _TRAILER = struct.Struct("<QQII8s")
 _REGISTRY = obs_metrics.get_registry()
 _CONTAINER_EVENTS = _REGISTRY.counter(
     "ted_container_events_total",
-    "Container store activity (sealed flushes, disk reads, cache hits)",
+    "Container store activity (sealed flushes, checked opens of sealed "
+    "container files, chunk reads through an already-open file)",
     labelnames=("event",),
 )
 _CONTAINER_SEAL_BYTES = _REGISTRY.counter(
@@ -170,54 +175,70 @@ def encode_container(data: bytes, entries: List[TocEntry]) -> bytes:
     return _MAGIC + data + toc + trailer
 
 
-def _check_frame(blob: bytes) -> Tuple[int, int]:
+def _check_frame(
+    pread: Callable[[int, int], bytes], size: int
+) -> Tuple[int, bytes, int]:
     """The frame check: magic, trailer magic, length geometry, TOC CRC.
 
-    Returns ``(toc_start, chunk_count)``; the TOC runs from ``toc_start``
-    to the trailer.
+    ``pread(length, offset)`` reads an image of ``size`` bytes: a slice
+    of an image in memory, or a positioned read of an open file
+    (:func:`_check_file`). Only the magic, the trailer and the TOC are
+    read. Returns ``(data_len, tail, chunk_count)``; ``tail`` is the TOC
+    followed by the trailer, the bytes the TOC check reads.
 
     Raises:
         ContainerIntegrityError: on any structural or checksum failure.
     """
-    minimum = len(_MAGIC) + _TRAILER.size
-    if len(blob) < minimum:
+    if size < len(_MAGIC) + _TRAILER.size:
         raise ContainerIntegrityError("container shorter than header+trailer")
-    if blob[: len(_MAGIC)] != _MAGIC:
+    if pread(len(_MAGIC), 0) != _MAGIC:
         raise ContainerIntegrityError("bad container magic")
-    data_len, toc_len, toc_crc, count, magic = _TRAILER.unpack(
-        blob[-_TRAILER.size :]
-    )
+    trailer = pread(_TRAILER.size, size - _TRAILER.size)
+    data_len, toc_len, toc_crc, count, magic = _TRAILER.unpack(trailer)
     if magic != _MAGIC:
         raise ContainerIntegrityError("bad container trailer magic")
-    if len(_MAGIC) + data_len + toc_len + _TRAILER.size != len(blob):
+    if len(_MAGIC) + data_len + toc_len + _TRAILER.size != size:
         raise ContainerIntegrityError("container length mismatch")
-    toc_start = len(_MAGIC) + data_len
-    if zlib.crc32(blob[toc_start : len(blob) - _TRAILER.size]) != toc_crc:
+    toc = pread(toc_len, len(_MAGIC) + data_len)
+    if zlib.crc32(toc) != toc_crc:
         raise ContainerIntegrityError("container TOC checksum failure")
-    return toc_start, count
+    return data_len, toc + trailer, count
 
 
-def _check_toc(blob: bytes, toc_start: int, count: int) -> List[TocEntry]:
+def _pread(fh: BinaryIO, length: int, offset: int) -> bytes:
+    """Exactly ``length`` bytes of an open container file at ``offset``.
+
+    Raises:
+        ContainerIntegrityError: the file ends first (it was truncated).
+    """
+    data = os.pread(fh.fileno(), length, offset)
+    if len(data) != length:
+        raise ContainerIntegrityError(
+            f"short container read: {len(data)} of {length} bytes "
+            f"at offset {offset}"
+        )
+    return data
+
+
+def _check_file(fh: BinaryIO) -> Tuple[int, bytes, int]:
+    """:func:`_check_frame` of an open container file, by preads."""
+    return _check_frame(partial(_pread, fh), os.fstat(fh.fileno()).st_size)
+
+
+def _check_toc(tail: bytes, data_len: int, count: int) -> List[TocEntry]:
     """The TOC check of a framed image: decode, then bound every entry.
 
     Raises:
         ContainerIntegrityError: malformed TOC or an out-of-bounds entry.
     """
-    data_len = toc_start - len(_MAGIC)
-    toc = blob[toc_start : len(blob) - _TRAILER.size]
     try:
-        entries = _decode_toc(toc, count)
+        entries = _decode_toc(tail[: -_TRAILER.size], count)
     except (ValueError, IndexError) as exc:
         raise ContainerIntegrityError(f"malformed container TOC: {exc}")
     for entry in entries:
         if entry.offset + entry.length > data_len:
             raise ContainerIntegrityError("TOC entry exceeds data section")
     return entries
-
-
-def _toc_digest(blob: bytes, toc_start: int) -> bytes:
-    """SHA-256 of an image's TOC and trailer (what the TOC check reads)."""
-    return hashlib.sha256(memoryview(blob)[toc_start:]).digest()
 
 
 def parse_container(blob: bytes) -> Tuple[bytes, List[TocEntry]]:
@@ -229,9 +250,11 @@ def parse_container(blob: bytes) -> Tuple[bytes, List[TocEntry]]:
     Raises:
         ContainerIntegrityError: on any structural or checksum failure.
     """
-    toc_start, count = _check_frame(blob)
-    entries = _check_toc(blob, toc_start, count)
-    return blob[len(_MAGIC) : toc_start], entries
+    data_len, tail, count = _check_frame(
+        lambda length, offset: blob[offset : offset + length], len(blob)
+    )
+    entries = _check_toc(tail, data_len, count)
+    return blob[len(_MAGIC) : len(_MAGIC) + data_len], entries
 
 
 @dataclass
@@ -254,7 +277,8 @@ class ContainerStore:
         container_bytes: data capacity per container (the paper uses 8 MB;
             tests scale this down). Capacity covers chunk payload only —
             the TOC and trailer ride on top.
-        cache_containers: number of containers kept in the read LRU cache.
+        cache_containers: number of checked open container files kept
+            in the read LRU (at least 1).
     """
 
     def __init__(
@@ -265,6 +289,8 @@ class ContainerStore:
     ) -> None:
         if container_bytes <= 0:
             raise ValueError("container_bytes must be positive")
+        if cache_containers < 1:
+            raise ValueError("cache_containers must be at least 1")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.container_bytes = container_bytes
@@ -279,7 +305,9 @@ class ContainerStore:
         self._open_id = self._discover_next_id()
         self._open_buffer = bytearray()
         self._open_toc: List[TocEntry] = []
-        self._cache: OrderedDict[int, bytes] = OrderedDict()
+        # container id -> (open file, data_len) of fetched sealed
+        # containers, least recently used first.
+        self._files: OrderedDict[int, Tuple[BinaryIO, int]] = OrderedDict()
         self.stats: Dict[str, int] = {
             "containers_sealed": 0,
             "container_reads": 0,
@@ -300,7 +328,8 @@ class ContainerStore:
         for path in sorted(self.directory.glob("container-*.bin")):
             container_id = int(path.stem.split("-")[1])
             try:
-                self._check_sealed(container_id, path.read_bytes())
+                with self._open_file(container_id) as fh:
+                    self._check_sealed(container_id, fh)
             except ContainerIntegrityError:
                 self._quarantine(path)
                 report.quarantined.append(container_id)
@@ -331,7 +360,7 @@ class ContainerStore:
         path = self._container_path(container_id)
         if not path.exists():
             raise KeyError(f"container {container_id} does not exist")
-        self._cache.pop(container_id, None)
+        self._close_file(container_id)
         self._toc_checked.pop(container_id, None)
         self._quarantine(path)
         self.stats["containers_quarantined"] += 1
@@ -422,9 +451,9 @@ class ContainerStore:
         self._commit_id(sealed_id)
         # The image's TOC was just encoded from entries append() bounded,
         # and _decode_toc inverts _encode_toc: these bytes pass the check.
-        self._toc_checked[sealed_id] = _toc_digest(
-            image, len(_MAGIC) + sealed_bytes
-        )
+        self._toc_checked[sealed_id] = hashlib.sha256(
+            memoryview(image)[len(_MAGIC) + sealed_bytes :]
+        ).digest()
         self._open_buffer = bytearray()
         self._open_toc = []
         self._open_id += 1
@@ -451,81 +480,108 @@ class ContainerStore:
         return len(self._open_buffer)
 
     def load_container(self, container_id: int) -> bytes:
-        """Fetch one whole container's data section (open buffer or file).
+        """Read one whole container's data section (open buffer or file).
 
-        Sealed containers go through the store's LRU read cache; the
+        A whole-image read for scrub and fsck: nothing is cached. The
         open container is snapshotted fresh on every call.
 
         Raises:
             KeyError: unknown container.
             ContainerIntegrityError: the container file is corrupt.
         """
-        return self._load_container(container_id)
-
-    def _load_container(self, container_id: int) -> bytes:
         if container_id == self._open_id:
             return bytes(self._open_buffer)
-        cached = self._cache.get(container_id)
-        if cached is not None:
-            self._cache.move_to_end(container_id)
-            self.stats["cache_hits"] += 1
-            _CONTAINER_EVENTS.labels(event="cache_hit").inc()
-            return cached
-        blob = self._container_image(container_id)
-        data = blob[len(_MAGIC) : self._check_sealed(container_id, blob)]
-        self.stats["container_reads"] += 1
-        _CONTAINER_EVENTS.labels(event="read").inc()
-        self._cache[container_id] = data
-        while len(self._cache) > self.cache_containers:
-            self._cache.popitem(last=False)
+        data, _ = parse_container(self._container_image(container_id))
         return data
 
-    def _check_sealed(self, container_id: int, blob: bytes) -> int:
-        """Frame-check an image; TOC-check it unless its TOC already passed.
-
-        Returns the TOC's start offset. The frame check runs every time.
-        The TOC check's outcome is a pure function of the TOC and trailer
-        bytes, so it runs only when their SHA-256 differs from the one
-        that last passed for this id (DESIGN.md §12).
-
-        Raises:
-            ContainerIntegrityError: on any structural or checksum failure.
-        """
-        toc_start, count = _check_frame(blob)
-        digest = _toc_digest(blob, toc_start)
-        if self._toc_checked.get(container_id) != digest:
-            _check_toc(blob, toc_start, count)
-            self._toc_checked[container_id] = digest
-        return toc_start
-
     def _container_image(self, container_id: int) -> bytes:
+        """The whole file of a sealed container (one read)."""
         path = self._container_path(container_id)
         if not path.exists():
             raise KeyError(f"container {container_id} does not exist")
         return path.read_bytes()
 
+    def _open_file(self, container_id: int) -> BinaryIO:
+        try:
+            return open(self._container_path(container_id), "rb", buffering=0)
+        except FileNotFoundError:
+            raise KeyError(f"container {container_id} does not exist")
+
+    def _check_sealed(self, container_id: int, fh: BinaryIO) -> int:
+        """Frame-check a file; TOC-check it unless its TOC already passed.
+
+        Returns the data section's length. The frame check runs every
+        time. The TOC check's outcome is a pure function of the TOC and
+        trailer bytes, so it runs only when their SHA-256 differs from
+        the one that last passed for this id (DESIGN.md §12).
+
+        Raises:
+            ContainerIntegrityError: on any structural or checksum failure.
+        """
+        data_len, tail, count = _check_file(fh)
+        digest = hashlib.sha256(tail).digest()
+        if self._toc_checked.get(container_id) != digest:
+            _check_toc(tail, data_len, count)
+            self._toc_checked[container_id] = digest
+        return data_len
+
+    def _fetch(self, container_id: int) -> Tuple[BinaryIO, int]:
+        """``(open file, data_len)`` of a sealed container, through the LRU.
+
+        A miss opens and checks the file (:meth:`_check_sealed`); the
+        least recently used file beyond ``cache_containers`` is closed.
+        """
+        cached = self._files.get(container_id)
+        if cached is not None:
+            self._files.move_to_end(container_id)
+            self.stats["cache_hits"] += 1
+            _CONTAINER_EVENTS.labels(event="cache_hit").inc()
+            return cached
+        fh = self._open_file(container_id)
+        try:
+            data_len = self._check_sealed(container_id, fh)
+        except BaseException:
+            fh.close()
+            raise
+        self.stats["container_reads"] += 1
+        _CONTAINER_EVENTS.labels(event="read").inc()
+        self._files[container_id] = (fh, data_len)
+        while len(self._files) > self.cache_containers:
+            self._close_file(next(iter(self._files)))
+        return fh, data_len
+
+    def _close_file(self, container_id: int) -> None:
+        cached = self._files.pop(container_id, None)
+        if cached is not None:
+            cached[0].close()
+
     def read(self, location: ChunkLocation) -> bytes:
         """Fetch one chunk by location.
 
         A chunk of the open container is sliced straight out of the open
-        buffer; only sealed containers are fetched whole.
+        buffer; a chunk of a sealed container is one ``pread`` of its
+        bytes from the container's checked open file.
 
         Raises:
             KeyError: unknown container.
             ValueError: location out of the container's bounds.
-            ContainerIntegrityError: the container file is corrupt.
+            ContainerIntegrityError: the container file is corrupt, or
+                shorter than when it was checked.
         """
-        if location.container_id == self._open_id:
-            data = self._open_buffer
-        else:
-            data = self._load_container(location.container_id)
         end = location.offset + location.length
-        if end > len(data):
+        if location.container_id == self._open_id:
+            if end > len(self._open_buffer):
+                raise ValueError(f"chunk location out of bounds: {location}")
+            return bytes(self._open_buffer[location.offset : end])
+        fh, data_len = self._fetch(location.container_id)
+        if end > data_len:
             raise ValueError(f"chunk location out of bounds: {location}")
-        return bytes(data[location.offset : end])
+        return _pread(fh, location.length, len(_MAGIC) + location.offset)
 
     def toc(self, container_id: int) -> List[TocEntry]:
         """TOC entries for one container (open or sealed).
+
+        Reads only the magic, the trailer and the TOC of a sealed file.
 
         Raises:
             KeyError: unknown container.
@@ -533,14 +589,17 @@ class ContainerStore:
         """
         if container_id == self._open_id:
             return list(self._open_toc)
-        _, entries = parse_container(self._container_image(container_id))
-        return entries
+        with self._open_file(container_id) as fh:
+            data_len, tail, count = _check_file(fh)
+        return _check_toc(tail, data_len, count)
 
-    def verify_container(self, container_id: int) -> List[TocEntry]:
-        """Deep-verify one sealed container; returns the bad TOC entries.
+    def verify_container(
+        self, container_id: int
+    ) -> Tuple[List[TocEntry], List[TocEntry]]:
+        """Deep-verify one sealed container in one whole-image read.
 
-        Re-reads the file (bypassing the cache) and checks every chunk's
-        checksum against its TOC record.
+        Checks every chunk's checksum against its TOC record. Returns
+        ``(entries, bad)``: the TOC and the entries that failed.
 
         Raises:
             KeyError: unknown container.
@@ -548,7 +607,7 @@ class ContainerStore:
                 verdict is possible).
         """
         data, entries = parse_container(self._container_image(container_id))
-        return [
+        return entries, [
             entry
             for entry in entries
             if zlib.crc32(data[entry.offset : entry.offset + entry.length])
@@ -607,5 +666,7 @@ class ContainerStore:
         return sealed + len(self._open_buffer)
 
     def close(self) -> None:
-        """Release the id-allocation log handle."""
+        """Close the cached container files and the id-allocation log."""
+        while self._files:
+            self._close_file(next(iter(self._files)))
         self._idalloc.close()

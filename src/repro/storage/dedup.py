@@ -22,6 +22,10 @@ from typing import Dict, Optional
 from repro.obs import metrics as obs_metrics
 from repro.storage.container import ContainerStore, ChunkLocation
 from repro.storage.kvstore import KVStore
+from repro.storage.restore import (
+    FragmentationAnalyzer,
+    _RESTORE_FRAGMENTATION,
+)
 
 _REGISTRY = obs_metrics.get_registry()
 _RECOVERY_INDEX_DROPPED = _REGISTRY.counter(
@@ -271,11 +275,6 @@ class DedupEngine:
         self.container_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._stripes = tuple(threading.Lock() for _ in range(STRIPES))
-        # Look-ahead restorers, keyed by window size. Persistent so the
-        # container LRU stays warm across the recipe-ordered GetChunks
-        # batches of one restore (and across restores of overlapping
-        # snapshots) instead of starting cold on every call.
-        self._restorers: Dict[int, "LookaheadRestorer"] = {}
 
     def _reconcile_index(self) -> int:
         """Drop index entries that no longer resolve to durable chunks."""
@@ -355,20 +354,14 @@ class DedupEngine:
             raise KeyError(f"unknown fingerprint: {fingerprint.hex()}")
         return ChunkLocation.from_bytes(raw)
 
-    def load_many(
-        self, fingerprints, lookahead_window: Optional[int] = None
-    ):
-        """Fetch a batch of chunks, optionally with look-ahead scheduling.
+    def load_many(self, fingerprints):
+        """Fetch a batch of chunks in request order.
 
-        With ``lookahead_window`` set, container reads are batched through
-        :class:`repro.storage.restore.LookaheadRestorer`, so a fragmented
-        restore touches each container roughly once per window instead of
-        once per cache miss (the B.5 restore-optimization ablation).
-
-        Holds the index and container locks for the whole batch: the
-        look-ahead restorer mutates a shared container LRU, and reads of
-        the open container race appends. Restores therefore serialize
-        against stores, but not against the index-only duplicate path.
+        Each chunk is one :meth:`ContainerStore.read`. Holds the index
+        and container locks for the whole batch: reads share the
+        container store's LRU of open files, and reads of the open
+        container race appends. Restores therefore serialize against
+        stores, but not against the index-only duplicate path.
 
         Raises:
             KeyError: any unknown fingerprint.
@@ -376,24 +369,9 @@ class DedupEngine:
         with self.index_lock, self.container_lock:
             locations = [self._locate(fp) for fp in fingerprints]
             if locations:
-                from repro.storage.restore import (
-                    FragmentationAnalyzer,
-                    _RESTORE_FRAGMENTATION,
-                )
-
                 report = FragmentationAnalyzer.analyze(locations)
                 _RESTORE_FRAGMENTATION.set(report.fragmentation_factor)
-            if lookahead_window is None:
-                return [self.containers.read(loc) for loc in locations]
-            restorer = self._restorers.get(lookahead_window)
-            if restorer is None:
-                from repro.storage.restore import LookaheadRestorer
-
-                restorer = LookaheadRestorer(
-                    self.containers, window_chunks=lookahead_window
-                )
-                self._restorers[lookahead_window] = restorer
-            return restorer.restore_all(locations)
+            return [self.containers.read(loc) for loc in locations]
 
     def flush(self) -> None:
         """Seal the open container and flush the index."""
@@ -447,9 +425,7 @@ class InMemoryDedupEngine:
             self.stats.logical_bytes += len(chunk)
         return unique
 
-    def load_many(
-        self, fingerprints, lookahead_window: Optional[int] = None
-    ):
+    def load_many(self, fingerprints):
         """Fetch a batch of chunks in request order.
 
         Raises:

@@ -9,8 +9,9 @@ pure read-side pass:
 
 * :func:`fsck` — one full check of a dedup engine's storage root. The
   structural pass validates each sealed container's framing (magic,
-  trailer, TOC checksum); the deep pass re-reads every chunk and checks
-  its CRC against the TOC; the index pass proves every fingerprint-index
+  trailer, TOC checksum) from its TOC and trailer alone; the deep pass
+  reads each container once, whole, and checks every chunk's CRC against
+  the TOC; the index pass proves every fingerprint-index
   entry resolves into a valid container. With ``repair=True`` it also
   heals: structurally-corrupt containers are quarantined, bad chunks are
   re-pointed at a verified redundant copy when some other container
@@ -160,27 +161,25 @@ def _find_redundant_copy(
     Deduplication normally stores one copy per fingerprint, but GC
     copy-forward, crash replays, and pre-quarantine duplicates can leave
     extras; any copy whose CRC checks out is byte-identical by content
-    addressing.
+    addressing. Reads each candidate container's TOC, and only the
+    chunks whose fingerprint matches.
     """
-    for container_id in engine.containers.container_ids():
+    containers = engine.containers
+    for container_id in containers.container_ids():
         if container_id == bad_container or container_id in structural_bad:
             continue
         try:
             with engine.container_lock:
-                data = engine.containers.load_container(container_id)
-                entries = engine.containers.toc(container_id)
+                for entry in containers.toc(container_id):
+                    if entry.fingerprint != fingerprint:
+                        continue
+                    location = ChunkLocation(
+                        container_id, entry.offset, entry.length
+                    )
+                    if zlib.crc32(containers.read(location)) == entry.crc:
+                        return location
         except (ContainerIntegrityError, KeyError):
             continue
-        for entry in entries:
-            if entry.fingerprint != fingerprint:
-                continue
-            chunk = data[entry.offset : entry.offset + entry.length]
-            if zlib.crc32(chunk) == entry.crc:
-                return ChunkLocation(
-                    container_id=container_id,
-                    offset=entry.offset,
-                    length=entry.length,
-                )
     return None
 
 
@@ -235,10 +234,12 @@ def fsck(
         report.containers_checked += 1
         try:
             with engine.container_lock:
-                entries = containers.toc(container_id)
-                bad_entries = (
-                    containers.verify_container(container_id) if deep else []
-                )
+                if deep:
+                    entries, bad_entries = containers.verify_container(
+                        container_id
+                    )
+                else:
+                    containers.toc(container_id)
         except ContainerIntegrityError:
             report.structural_errors.append(container_id)
             _SCRUB_STRUCTURAL.inc()

@@ -71,7 +71,7 @@ class ShardFanout:
         so fail-fast never manufactures partial cross-shard state.
         Then calls ``call(shard, sub_items)`` in shard-id order;
         ``sub_items`` keeps arrival order, which is all a shard's
-        determinism (container look-ahead, Count-Min update order)
+        determinism (chunk read order, Count-Min update order)
         needs. Returns ``(positions, result)`` per visited shard for
         the caller to sum or :meth:`scatter`.
         """

@@ -167,9 +167,6 @@ class ProviderService:
         auth_tokens: optional ``{tenant: token}`` map; a tenant listed
             here must present its token in HELLO. Unlisted tenants are
             admitted without a token.
-        lookahead_window: restore look-ahead scheduling (off by default —
-            the paper's prototype restores naively, which is what produces
-            Figure 9's declining download curve; see the B.5 ablation).
         scrub_interval: run the background scrubber (read-only per-chunk
             verification; DESIGN.md §12) every this many seconds over the
             default/shared engine; ``None`` disables it. Requires the
@@ -186,7 +183,6 @@ class ProviderService:
         container_bytes: int = 8 << 20,
         in_memory: bool = False,
         engine: Optional[DedupEngine] = None,
-        lookahead_window: Optional[int] = None,
         scrub_interval: Optional[float] = None,
         cross_user_dedup: bool = True,
         quota_bytes: Optional[int] = None,
@@ -202,7 +198,6 @@ class ProviderService:
         self.quota_bytes = quota_bytes
         self.quota_files = quota_files
         self.auth_tokens = dict(auth_tokens or {})
-        self.lookahead_window = lookahead_window
         self.container_bytes = container_bytes
         self._directory = Path(directory) if directory is not None else None
         self._closed = False
@@ -440,10 +435,7 @@ class ProviderService:
             },
         ):
             return Chunks(
-                chunks=state.engine.load_many(
-                    request.fingerprints,
-                    lookahead_window=self.lookahead_window,
-                )
+                chunks=state.engine.load_many(request.fingerprints)
             )
 
     # -- recipe path -------------------------------------------------------------

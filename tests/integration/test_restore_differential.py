@@ -96,16 +96,6 @@ class TestByteIdentity:
                 twin = client_twin(deployment, **scheduling)
                 assert twin.download(name) == EXPECTED[name]
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_with_provider_lookahead(self, tmp_path, mode):
-        """Container read-ahead on the provider must not change bytes."""
-        deployment = _stored_by_oracle(mode, tmp_path)
-        deployment.provider_service.lookahead_window = 64
-        for name in FILE_NAMES:
-            for scheduling in SCHEDULINGS.values():
-                twin = client_twin(deployment, **scheduling)
-                assert twin.download(name) == EXPECTED[name]
-
     def test_metadata_dedup_layout(self, tmp_path):
         deployment = _stored_by_oracle("bted", tmp_path, metadata_dedup=True)
         for name in FILE_NAMES:

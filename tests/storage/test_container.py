@@ -1,8 +1,12 @@
-"""Container store: packing, sealing, reads, cache, the TOC memo."""
+"""Container store: packing, sealing, reads, the open-file cache, the TOC
+memo."""
 
 import hashlib
+import os
+import random
 import sys
 import threading
+import tracemalloc
 import zlib
 
 import pytest
@@ -58,7 +62,9 @@ def _store(path, cache=2):
 
 @pytest.fixture
 def store(tmp_path):
-    return _store(tmp_path)
+    store = _store(tmp_path)
+    yield store
+    store.close()
 
 
 class TestChunkLocation:
@@ -228,6 +234,158 @@ class TestTocMemo:
                 assert cold.read(loc) == bytes([locs.index(loc)]) * 100
         assert cold.stats["container_reads"] > 6  # containers re-fetched
         assert len(decode_calls) <= 6
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture
+def pread_lengths(monkeypatch):
+    """Lengths of every positioned read of a container file."""
+    lengths = []
+    real = container_mod._pread
+
+    def counting(fh, length, offset):
+        lengths.append(length)
+        return real(fh, length, offset)
+
+    monkeypatch.setattr(container_mod, "_pread", counting)
+    return lengths
+
+
+class TestOpenFileCache:
+    """A sealed read is one pread through at most ``cache_containers``
+    checked open files; nothing holds a container image."""
+
+    def test_eviction_quarantine_and_close_release_fds(self, tmp_path):
+        baseline = _open_fds()
+        store = _store(tmp_path, cache=2)
+        locs = _seal_containers(store, 6)
+        idle = _open_fds()
+        for _ in range(2):  # fragmented: 6 containers through 2 files
+            for loc in locs[0::2] + locs[1::2]:
+                assert store.read(loc) == bytes([locs.index(loc)]) * 100
+                assert _open_fds() <= idle + 2
+        assert store.stats["container_reads"] == 24
+        assert store.stats["cache_hits"] == 0
+        assert store.read(locs[10]) == bytes([10]) * 100  # the newest file
+        assert _open_fds() == idle + 2
+        store.quarantine_container(5)
+        assert _open_fds() == idle + 1
+        store.close()
+        assert _open_fds() == baseline
+
+    def test_sequential_reads_share_one_open(self, store):
+        locs = _seal_containers(store, 1)
+        for loc in locs:
+            store.read(loc)
+        assert store.stats["container_reads"] == 1
+        assert store.stats["cache_hits"] == 1
+
+    def test_a_read_preads_only_the_chunk(self, store, pread_lengths):
+        locs = _seal_containers(store, 1)
+        store.read(locs[0])  # fetch: magic, trailer, TOC, then the chunk
+        del pread_lengths[:]
+        assert store.read(locs[1]) == bytes([1]) * 100
+        assert pread_lengths == [100]
+
+    def test_recovery_and_toc_read_no_chunk_data(
+        self, tmp_path, pread_lengths, monkeypatch
+    ):
+        store = _store(tmp_path)
+        _seal_containers(store, 3)
+        store.close()
+        whole = []
+        monkeypatch.setattr(
+            ContainerStore, "_container_image", lambda *a: whole.append(a)
+        )
+        reopened = _store(tmp_path)
+        frames = sum(
+            (tmp_path / f"container-{i}.bin").stat().st_size
+            - reopened.container_data_bytes(i)
+            for i in range(3)
+        )
+        assert sum(pread_lengths) == frames
+        assert reopened.recovery.quarantined == []
+        del pread_lengths[:]
+        assert [e.offset for e in reopened.toc(1)] == [0, 100]
+        assert sum(pread_lengths) == frames // 3
+        assert whole == []
+        reopened.close()
+
+    def test_evicted_replaced_image_is_checked_again(
+        self, tmp_path, decode_calls
+    ):
+        store = _store(tmp_path, cache=1)
+        locs = _seal_containers(store, 2)
+        assert store.read(locs[0]) == bytes([0]) * 100
+        assert store.read(locs[2]) == bytes([2]) * 100  # evicts container 0
+        assert decode_calls == []
+        replacement = tmp_path / "replacement.bin"
+        replacement.write_bytes((tmp_path / "container-1.bin").read_bytes())
+        os.replace(replacement, tmp_path / "container-0.bin")
+        assert store.read(locs[0]) == bytes([2]) * 100  # a new open
+        assert len(decode_calls) == 1  # different TOC bytes: checked again
+        store.close()
+
+    @pytest.mark.parametrize("keep", [4, 50, -4])
+    def test_truncated_file_fails_typed_on_fetch(self, tmp_path, keep):
+        store = _store(tmp_path)
+        locs = _seal_containers(store, 1)
+        path = tmp_path / "container-0.bin"
+        path.write_bytes(path.read_bytes()[:keep])
+        before = _open_fds()
+        with pytest.raises(ContainerIntegrityError):
+            store.read(locs[0])
+        assert _open_fds() == before  # the failed fetch closed its file
+        store.close()
+
+    def test_file_truncated_after_fetch_fails_typed(self, tmp_path):
+        store = _store(tmp_path)
+        locs = _seal_containers(store, 1)
+        assert store.read(locs[0]) == bytes([0]) * 100
+        os.truncate(tmp_path / "container-0.bin", len(_MAGIC) + 150)
+        assert store.read(locs[0]) == bytes([0]) * 100
+        with pytest.raises(ContainerIntegrityError, match="short container"):
+            store.read(locs[1])
+        store.close()
+
+    def test_rejects_an_empty_cache(self, tmp_path):
+        with pytest.raises(ValueError):
+            _store(tmp_path, cache=0)
+
+    def test_cold_fragmented_load_many_retains_chunks_not_containers(
+        self, tmp_path
+    ):
+        """16 sealed 256 KiB containers, one 4 KiB chunk in four from
+        each, in container-interleaved order: what the batch leaves
+        allocated is about the chunks it returns, not containers."""
+        per_container, size = 64, 4096
+        rng = random.Random(40)
+        chunks = [rng.randbytes(size) for _ in range(16 * per_container)]
+        fps = [hashlib.sha256(chunk).digest() for chunk in chunks]
+        engine = DedupEngine(tmp_path, container_bytes=per_container * size)
+        for fp, chunk in zip(fps, chunks):
+            engine.store(fp, chunk)
+        engine.close()
+        engine = DedupEngine(tmp_path, container_bytes=per_container * size)
+        assert engine.container_count() == 16
+        order = [
+            c * per_container + i
+            for i in range(0, per_container, 4)
+            for c in range(16)
+        ]
+        tracemalloc.start()
+        try:
+            got = engine.load_many([fps[i] for i in order])
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == [chunks[i] for i in order]
+        wanted = len(order) * size  # 1 MiB of chunks
+        assert retained < wanted + (256 << 10)  # < one container of slack
+        engine.close()
 
 
 class TestOpenContainerReads:

@@ -86,15 +86,6 @@ class TestBatchLoad:
         fps = [b"fp-%d" % i for i in (5, 17, 5, 29)]
         assert engine.load_many(fps) == [engine.load(fp) for fp in fps]
 
-    def test_load_many_lookahead_matches_plain(self, engine):
-        for i in range(40):
-            engine.store(b"fp-%d" % i, bytes([i]) * 60)
-        engine.flush()
-        fps = [b"fp-%d" % (i * 7 % 40) for i in range(80)]
-        plain = engine.load_many(fps)
-        scheduled = engine.load_many(fps, lookahead_window=16)
-        assert scheduled == plain
-
     def test_load_many_unknown_fingerprint(self, engine):
         with pytest.raises(KeyError):
             engine.load_many([b"nope"])

@@ -1,35 +1,7 @@
-"""Look-ahead restore scheduling and fragmentation metrics."""
+"""Restore fragmentation metrics."""
 
-import random
-
-import pytest
-
-from repro.storage.container import ChunkLocation, ContainerStore
-from repro.storage.restore import (
-    FragmentationAnalyzer,
-    FragmentationReport,
-    LookaheadRestorer,
-)
-
-
-@pytest.fixture
-def fragmented_store(tmp_path):
-    """A store whose logical stream is scattered across many containers.
-
-    Writes 40 chunks into small containers, then builds a restore order
-    that ping-pongs between early and late containers — the fragmentation
-    pattern aged snapshots exhibit.
-    """
-    store = ContainerStore(tmp_path, container_bytes=256, cache_containers=1)
-    locations = []
-    for i in range(40):
-        locations.append(store.append(bytes([i]) * 100))
-    store.seal()
-    order = []
-    for i in range(20):
-        order.append(locations[i])
-        order.append(locations[39 - i])
-    return store, order, locations
+from repro.storage.container import ChunkLocation
+from repro.storage.restore import FragmentationAnalyzer, FragmentationReport
 
 
 class TestFragmentationAnalyzer:
@@ -54,99 +26,3 @@ class TestFragmentationAnalyzer:
         report = FragmentationAnalyzer.analyze([ChunkLocation(3, 0, 5)])
         assert report.fragmentation_factor == 0.0
         assert report.chunks_per_container == 1.0
-
-
-class TestLookaheadRestorer:
-    def test_correct_order_and_content(self, fragmented_store):
-        store, order, _ = fragmented_store
-        restorer = LookaheadRestorer(store, window_chunks=8)
-        chunks = restorer.restore_all(order)
-        expected = [store.read(loc) for loc in order]
-        assert chunks == expected
-
-    def test_fewer_fetches_than_naive(self, fragmented_store):
-        store, order, _ = fragmented_store
-        # Naive: read chunk-by-chunk through the store's 1-container cache.
-        store.stats["container_reads"] = 0
-        for loc in order:
-            store.read(loc)
-        naive_fetches = store.stats["container_reads"]
-
-        restorer = LookaheadRestorer(store, window_chunks=len(order))
-        restorer.restore_all(order)
-        assert restorer.stats["container_fetches"] < naive_fetches
-
-    def test_window_bounds_fetches(self, fragmented_store):
-        store, order, _ = fragmented_store
-        restorer = LookaheadRestorer(store, window_chunks=4)
-        restorer.restore_all(order)
-        report = FragmentationAnalyzer.analyze(order)
-        # Each window fetches each needed container at most once.
-        assert restorer.stats["container_fetches"] <= (
-            restorer.stats["window_count"] * report.containers_touched
-        )
-
-    def test_random_access_pattern(self, fragmented_store):
-        store, _, locations = fragmented_store
-        rng = random.Random(5)
-        order = [rng.choice(locations) for _ in range(100)]
-        restorer = LookaheadRestorer(store, window_chunks=16)
-        assert restorer.restore_all(order) == [
-            store.read(loc) for loc in order
-        ]
-
-    def test_empty_restore(self, fragmented_store):
-        store, _, _ = fragmented_store
-        assert LookaheadRestorer(store).restore_all([]) == []
-
-    def test_out_of_bounds_detected(self, fragmented_store):
-        store, _, _ = fragmented_store
-        restorer = LookaheadRestorer(store)
-        with pytest.raises(ValueError):
-            restorer.restore_all([ChunkLocation(0, 0, 10_000)])
-
-    def test_validation(self, fragmented_store):
-        store, _, _ = fragmented_store
-        with pytest.raises(ValueError):
-            LookaheadRestorer(store, window_chunks=0)
-        with pytest.raises(ValueError):
-            LookaheadRestorer(store, cache_containers=-1)
-
-    def test_cache_persists_across_calls(self, fragmented_store):
-        """A second restore of the same locations hits the cross-call
-        container cache instead of refetching (the pipelined download
-        path issues one restore call per GetChunks batch)."""
-        store, order, _ = fragmented_store
-        restorer = LookaheadRestorer(
-            store, window_chunks=len(order), cache_containers=64
-        )
-        restorer.restore_all(order)
-        first_fetches = restorer.stats["container_fetches"]
-        assert restorer.restore_all(order) == [
-            store.read(loc) for loc in order
-        ]
-        assert restorer.stats["container_fetches"] == first_fetches
-        assert restorer.stats["cache_hits"] > 0
-
-    def test_open_container_never_served_stale(self, tmp_path):
-        """Appends after a restore must be visible in the next one: the
-        still-open container bypasses the persistent cache."""
-        store = ContainerStore(
-            tmp_path, container_bytes=1 << 20, cache_containers=4
-        )
-        first = store.append(b"a" * 100)
-        restorer = LookaheadRestorer(store, cache_containers=8)
-        assert restorer.restore_all([first]) == [b"a" * 100]
-        second = store.append(b"b" * 100)  # same (open) container
-        assert restorer.restore_all([first, second]) == [
-            b"a" * 100,
-            b"b" * 100,
-        ]
-
-    def test_cache_budget_enforced(self, fragmented_store):
-        store, order, _ = fragmented_store
-        restorer = LookaheadRestorer(
-            store, window_chunks=4, cache_containers=2
-        )
-        restorer.restore_all(order)
-        assert len(restorer._cache) <= 2

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.storage import scrub
+from repro.storage.container import ContainerStore
 from repro.storage.dedup import DedupEngine
 from repro.storage.scrub import BackgroundScrubber, fsck, fsck_path
 from repro.tedstore import messages as m
@@ -155,6 +156,64 @@ class TestFsck:
         assert not report.clean
         assert len(report.bad_chunks) == 1
         assert report.index_entries_checked == 12
+
+
+def _record(monkeypatch, method):
+    """Record the argument of every call of a ContainerStore method."""
+    calls = []
+    real = getattr(ContainerStore, method)
+
+    def recording(self, arg):
+        calls.append(arg)
+        return real(self, arg)
+
+    monkeypatch.setattr(ContainerStore, method, recording)
+    return calls
+
+
+class TestFsckReads:
+    """fsck reads each container whole at most once, and healing reads
+    TOCs plus the matching candidate chunk only."""
+
+    def test_deep_fsck_reads_each_container_once(self, tmp_path, monkeypatch):
+        engine = DedupEngine(tmp_path, container_bytes=1024)
+        _fill(engine)
+        whole = _record(monkeypatch, "_container_image")
+        report = fsck(engine)
+        assert report.clean and report.chunks_verified == 12
+        assert sorted(whole) == engine.containers.container_ids()
+        engine.close()
+
+    def test_shallow_fsck_reads_no_container_whole(
+        self, tmp_path, monkeypatch
+    ):
+        engine = DedupEngine(tmp_path, container_bytes=1024)
+        _fill(engine)
+        whole = _record(monkeypatch, "_container_image")
+        assert fsck(engine, deep=False).clean
+        assert whole == []
+        engine.close()
+
+    def test_healing_reads_tocs_and_the_candidate_chunk(
+        self, tmp_path, monkeypatch
+    ):
+        engine = DedupEngine(tmp_path, container_bytes=1024)
+        chunk = b"\xabhealme" * 60
+        fingerprint = hashlib.sha256(chunk).digest()
+        engine.store(fingerprint, chunk)
+        engine.containers.seal()
+        _fill(engine)  # containers without the fingerprint
+        copy = engine.containers.append(chunk, fingerprint)
+        engine.flush()
+        _flip_data_byte(tmp_path, container_id=0)
+        whole = _record(monkeypatch, "_container_image")
+        reads = _record(monkeypatch, "read")
+        report = fsck(engine, repair=True)
+        assert report.healed == 1 and report.dropped == 0
+        assert sorted(whole) == engine.containers.container_ids()
+        assert reads == [copy]
+        assert engine.load(fingerprint) == chunk
+        engine.close()
 
 
 class TestLiveFsck:

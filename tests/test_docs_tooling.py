@@ -6,7 +6,8 @@ Runs the two doc tools exactly as CI does:
   ``docs/METRICS.md`` must match the live metrics registry (freshness
   gate), and the checked docs may name only registered instruments;
 * ``tools/check_docs.py`` — every markdown link and anchor across the
-  default doc set must resolve.
+  default doc set must resolve, and the runbook's flag tables must match
+  the ``repro`` CLI parsers.
 
 Both tools import the full ``repro`` tree, which needs numpy (the
 Count-Min sketch); environments without it skip rather than fail
@@ -52,18 +53,23 @@ def test_metrics_doc_covers_restore_instruments(tmp_path):
     # Spot checks: one instrument per subsystem this PR touches.
     for name in (
         "ted_restore_fragmentation_factor",
-        "ted_restore_container_events_total",
+        "ted_container_events_total",
         "ted_pipeline_chunks_total",
     ):
         assert f"`{name}`" in text, f"{name} missing from generated doc"
 
 
-def test_metrics_check_catches_dangling_instrument(tmp_path):
+def _tool(name):
     spec = importlib.util.spec_from_file_location(
-        "gen_metrics_doc", ROOT / "tools" / "gen_metrics_doc.py"
+        name, ROOT / "tools" / f"{name}.py"
     )
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_metrics_check_catches_dangling_instrument(tmp_path):
+    tool = _tool("gen_metrics_doc")
     doc = tmp_path / "DOC.md"
     doc.write_text(
         "Live: `ted_wal_fsyncs_total`, "
@@ -98,3 +104,38 @@ def test_link_checker_catches_breakage(tmp_path):
     assert result.returncode == 1
     assert "no-such-file.md" in result.stderr
     assert "nowhere" in result.stderr
+
+
+def test_flag_table_gate_catches_stale_and_missing_flags(tmp_path):
+    tool = _tool("check_docs")
+    doc = tmp_path / "RUNBOOK.md"
+    doc.write_text(
+        "### `fsck` — verify\n\n"
+        "| Flag | Meaning |\n|---|---|\n"
+        "| `--storage DIR` | root |\n"
+        "| `--json` / `--repair` / `--shallow` | modes |\n"
+        "| `--lookahead-window` | gone |\n\n"
+        "### `serve-keymanager` — run a TED key manager\n\n"
+        "| Flag | Default | Meaning |\n|---|---|---|\n"
+        "| `--host` / `--port` | | |\n\n"
+        "### `loadgen` / `top` — load\n\n"
+        "| `top` flag | Default | Meaning |\n|---|---|---|\n"
+        "| `--replay` | | |\n\n"
+        "## Performance knobs\n\n"
+        "| Flag | Default | Meaning |\n|---|---|---|\n"
+        "| `--no-such-flag` | | not under a subcommand heading |\n"
+    )
+    problems = tool.flag_table_problems(doc, tool._cli_parsers())
+    text = "\n".join(problems)
+    assert "the table of fsck names --lookahead-window" in text
+    assert "serve-keymanager --heartbeat-interval is missing" in text
+    assert "serve-keymanager --secret is missing" in text
+    assert "top --follow is missing" in text
+    assert "--no-such-flag" not in text
+    assert "fsck --" not in text  # every fsck flag has its row
+    assert "loadgen" not in text  # the table names `top` only
+
+
+def test_runbook_flag_tables_match_the_cli():
+    tool = _tool("check_docs")
+    assert tool.flag_table_problems(tool.RUNBOOK, tool._cli_parsers()) == []

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Markdown link-and-anchor checker for the repo's documentation.
+"""Markdown link-and-anchor checker, plus the runbook's flag-table gate.
 
 Validates every inline markdown link (``[text](target)``) in the given
 documents:
@@ -15,12 +15,19 @@ Fenced code blocks and inline code spans are stripped first, so command
 examples never produce false positives. Citation brackets like
 ``[46] (Lillibridge...)`` don't match — only ``](`` adjacency counts.
 
+When ``docs/RUNBOOK.md`` is among the documents, its flag tables are
+checked against the ``repro`` CLI parser (:func:`flag_table_problems`):
+a row may name only flags its subcommand's parser has, and every flag
+of a subcommand with a table must have a row. This needs the ``repro``
+package importable (``src/`` next to ``tools/``, and numpy).
+
 Usage::
 
     python tools/check_docs.py README.md DESIGN.md ...
     python tools/check_docs.py            # the default doc set
 
-Exits 1 listing every broken link, 0 when all resolve.
+Exits 1 listing every broken link or flag-table mismatch, 0 when there
+is none.
 """
 
 from __future__ import annotations
@@ -29,9 +36,10 @@ import argparse
 import re
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, Iterator, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
+RUNBOOK = ROOT / "docs" / "RUNBOOK.md"
 
 DEFAULT_DOCS = (
     "README.md",
@@ -47,6 +55,8 @@ _LINK = re.compile(r"\[([^\]]*)\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"^(```|~~~).*?^\1\s*$", re.M | re.S)
 _INLINE_CODE = re.compile(r"`[^`\n]*`")
 _HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$", re.M)
+_CODE_NAME = re.compile(r"`([^`]+)`")
+_FLAG = re.compile(r"--[A-Za-z0-9][\w-]*")
 
 
 def _strip_code(text: str) -> str:
@@ -111,6 +121,78 @@ def check_document(path: Path) -> List[str]:
     return problems
 
 
+def _cli_parsers() -> Dict[str, argparse.ArgumentParser]:
+    """``repro``'s subcommand parsers by name."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.cli import build_parser
+
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return dict(subparsers.choices)
+
+
+def _long_flags(parser: argparse.ArgumentParser) -> List[str]:
+    return [
+        option
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    ]
+
+
+def _flag_tables(text: str) -> Iterator[Tuple[str, List[str]]]:
+    """``(heading, rows)`` of every markdown table whose first header
+    cell says "flag"; a row is its first cell."""
+    heading = ""
+    table: List[str] = []
+    for line in _FENCE.sub("", text).splitlines() + [""]:
+        if line.startswith("|"):
+            table.append(line.strip("|").split("|")[0])
+            continue
+        if table and "flag" in table[0].lower():
+            yield heading, table
+        table = []
+        match = _HEADING.match(line)
+        if match:
+            heading = match.group(2)
+
+
+def flag_table_problems(
+    path: Path, parsers: Dict[str, argparse.ArgumentParser]
+) -> List[str]:
+    """Runbook flag-table rows that disagree with the CLI parsers.
+
+    A table belongs to the subcommands its header cell names in
+    backticks (`` `loadgen` flag ``), else to those its section heading
+    names (`` ### `upload` / `download` ``). Each flag in a row's first
+    cell must belong to one of them, and each of their ``--`` flags must
+    appear in some row.
+    """
+    problems: List[str] = []
+    for heading, rows in _flag_tables(path.read_text()):
+        owners = [
+            name for name in _CODE_NAME.findall(rows[0]) if name in parsers
+        ] or [name for name in _CODE_NAME.findall(heading) if name in parsers]
+        if not owners:
+            continue
+        tabled = {flag for row in rows[2:] for flag in _FLAG.findall(row)}
+        known = {flag for name in owners for flag in _long_flags(parsers[name])}
+        for flag in sorted(tabled - known):
+            problems.append(
+                f"{path}: the table of {' / '.join(owners)} names {flag}, "
+                f"which no such repro parser has"
+            )
+        for name in owners:
+            for flag in sorted(set(_long_flags(parsers[name])) - tabled):
+                problems.append(
+                    f"{path}: repro {name} {flag} is missing from its table"
+                )
+    return problems
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -131,11 +213,12 @@ def main(argv=None) -> int:
             continue
         checked += 1
         problems.extend(check_document(path))
+        if path.resolve() == RUNBOOK:
+            problems.extend(flag_table_problems(path, _cli_parsers()))
     if problems:
         print("\n".join(problems), file=sys.stderr)
         print(
-            f"\n{len(problems)} broken link(s) across "
-            f"{checked} document(s).",
+            f"\n{len(problems)} problem(s) across {checked} document(s).",
             file=sys.stderr,
         )
         return 1
