@@ -1,14 +1,11 @@
 """Chunking substrate: Rabin fingerprinting and content-defined chunking."""
 
 from repro.chunking.cdc import ChunkerParams, ContentDefinedChunker
-from repro.chunking.fixed import fixed_chunks, split_by_sizes
 from repro.chunking.rabin import RabinFingerprint, find_irreducible, is_irreducible
 
 __all__ = [
     "ChunkerParams",
     "ContentDefinedChunker",
-    "fixed_chunks",
-    "split_by_sizes",
     "RabinFingerprint",
     "find_irreducible",
     "is_irreducible",

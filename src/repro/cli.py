@@ -124,7 +124,6 @@ def _make_client(args: argparse.Namespace) -> TedStoreClient:
         profile=get_profile(args.profile),
         sketch_width=args.sketch_width,
         batch_size=args.batch_size,
-        metadata_dedup=getattr(args, "metadedup", False),
         workers=workers,
         pipeline_depth=getattr(args, "pipeline_depth", 4),
         fingerprint_cache=cache,
@@ -1008,16 +1007,12 @@ def build_parser() -> argparse.ArgumentParser:
     common_client(p)
     p.add_argument("file")
     p.add_argument("--name", default=None)
-    p.add_argument("--metadedup", action="store_true",
-                   help="deduplicate recipe metadata (Metadedup-style)")
     p.set_defaults(func=cmd_upload)
 
     p = sub.add_parser("download", help="download a file")
     common_client(p)
     p.add_argument("name")
     p.add_argument("--out", required=True)
-    p.add_argument("--metadedup", action="store_true",
-                   help="(accepted for symmetry; layout is auto-detected)")
     p.set_defaults(func=cmd_download)
 
     p = sub.add_parser("generate-trace", help="write synthetic snapshots")

@@ -1,6 +1,5 @@
-"""Frequency-counting substrate: Count-Min Sketch and an exact baseline."""
+"""Frequency-counting substrate: the Count-Min Sketch."""
 
 from repro.sketch.countmin import CountMinSketch
-from repro.sketch.exact import ExactCounter
 
-__all__ = ["CountMinSketch", "ExactCounter"]
+__all__ = ["CountMinSketch"]

@@ -1,10 +1,5 @@
 """Deduplicated-storage substrate: LSM index, containers, recipes, dedup."""
 
-from repro.storage.metadedup import (
-    MetaDedupStore,
-    pack_metadata_chunks,
-    unpack_metadata_chunks,
-)
 from repro.storage.restore import FragmentationAnalyzer, FragmentationReport
 from repro.storage.container import ChunkLocation, ContainerStore
 from repro.storage.dedup import DedupEngine, DedupStats
@@ -15,9 +10,6 @@ from repro.storage.sstable import SSTable, write_sstable
 from repro.storage.wal import WriteAheadLog
 
 __all__ = [
-    "MetaDedupStore",
-    "pack_metadata_chunks",
-    "unpack_metadata_chunks",
     "FragmentationAnalyzer",
     "FragmentationReport",
     "ChunkLocation",

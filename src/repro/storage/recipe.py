@@ -16,6 +16,7 @@ tampering detectable.
 
 from __future__ import annotations
 
+import hmac
 import os
 from dataclasses import dataclass, field
 from typing import List, Tuple
@@ -139,15 +140,7 @@ def unseal(master_key: bytes, sealed: bytes) -> bytes:
     ciphertext = sealed[_NONCE_BYTES:-_MAC_BYTES]
     mac = sealed[-_MAC_BYTES:]
     expected = hmac_digest(master_key, nonce + ciphertext)
-    if not _constant_time_eq(mac, expected):
+    if not hmac.compare_digest(mac, expected):
         raise ValueError("recipe authentication failed")
     return shactr.decrypt(master_key, nonce, ciphertext)
 
-
-def _constant_time_eq(a: bytes, b: bytes) -> bool:
-    if len(a) != len(b):
-        return False
-    result = 0
-    for x, y in zip(a, b):
-        result |= x ^ y
-    return result == 0

@@ -32,7 +32,6 @@ from repro.storage.recipe import FileRecipe, KeyRecipe, seal, unseal
 from repro.tedstore.messages import (
     GetChunks,
     GetRecipes,
-    PutChunks,
     PutRecipes,
 )
 from repro.tedstore.pipeline import PipelinedUploader, batched
@@ -121,8 +120,6 @@ class TedStoreClient:
         batch_size: int = DEFAULT_BATCH_SIZE,
         chunker: Optional[ContentDefinedChunker] = None,
         timer: Optional[StageTimer] = None,
-        metadata_dedup: bool = False,
-        metadata_entries_per_chunk: int = 128,
         workers: int = 1,
         pipeline_depth: int = 4,
         fingerprint_cache: Optional["FingerprintCache"] = None,
@@ -145,12 +142,6 @@ class TedStoreClient:
         self.batch_size = batch_size
         self.chunker = chunker or ContentDefinedChunker(ChunkerParams())
         self.timer = timer or StageTimer()
-        # Metadata deduplication (Metadedup-style, DESIGN.md §6): recipes
-        # are split into content-keyed metadata chunks that ride the normal
-        # chunk path and deduplicate across snapshots; only a compact meta
-        # recipe stays sealed per file.
-        self.metadata_dedup = metadata_dedup
-        self.metadata_entries_per_chunk = metadata_entries_per_chunk
         self.workers = workers
         self.pipeline_depth = pipeline_depth
         self.fingerprint_cache = fingerprint_cache
@@ -232,37 +223,17 @@ class TedStoreClient:
         key_recipe: KeyRecipe,
     ) -> None:
         """Seal and upload recipes."""
-        if self.metadata_dedup:
-            from repro.storage.metadedup import pack_metadata_chunks
-
-            meta_chunks, meta_plain = pack_metadata_chunks(
-                file_recipe,
-                key_recipe,
-                self.metadata_entries_per_chunk,
+        self.provider.put_recipes(
+            PutRecipes(
+                file_name=file_name,
+                sealed_file_recipe=seal(
+                    self.master_key, file_recipe.serialize()
+                ),
+                sealed_key_recipe=seal(
+                    self.master_key, key_recipe.serialize()
+                ),
             )
-            if meta_chunks:
-                self.provider.put_chunks(PutChunks(chunks=meta_chunks))
-            # An empty sealed key recipe marks the metadata-dedup
-            # layout; the file slot carries the sealed meta recipe.
-            self.provider.put_recipes(
-                PutRecipes(
-                    file_name=file_name,
-                    sealed_file_recipe=seal(self.master_key, meta_plain),
-                    sealed_key_recipe=b"",
-                )
-            )
-        else:
-            self.provider.put_recipes(
-                PutRecipes(
-                    file_name=file_name,
-                    sealed_file_recipe=seal(
-                        self.master_key, file_recipe.serialize()
-                    ),
-                    sealed_key_recipe=seal(
-                        self.master_key, key_recipe.serialize()
-                    ),
-                )
-            )
+        )
 
     # -- observability ----------------------------------------------------------
 
@@ -295,8 +266,9 @@ class TedStoreClient:
                 retried).
             KeyError: a recipe names a chunk the provider does not hold.
             ValueError: recipe authentication failure (wrong master key or
-                tampering), a chunk whose ciphertext does not match its
-                fingerprint, or a chunk that decrypts to the wrong size.
+                tampering), a recipe in the retired metadata-dedup layout,
+                a chunk whose ciphertext does not match its fingerprint,
+                or a chunk that decrypts to the wrong size.
         """
         with tracing.get_tracer().span(
             "client.download", attributes={"file": file_name}
@@ -332,28 +304,27 @@ class TedStoreClient:
     def _fetch_recipes(
         self, file_name: str
     ) -> Tuple[FileRecipe, KeyRecipe]:
-        """Fetch and unseal a file's recipes (either storage layout)."""
+        """Fetch and unseal a file's recipes.
+
+        Raises:
+            ValueError: the recipe is in the retired metadata-dedup
+                layout (an empty sealed key recipe), refused before any
+                chunk is fetched; or the checks below fail.
+        """
         recipes = self.provider.get_recipes(
             GetRecipes(file_name=file_name)
         )
         if not recipes.sealed_key_recipe:
-            # Metadata-dedup layout: the file slot holds a meta recipe
-            # whose metadata chunks live on the normal chunk path.
-            from repro.storage.metadedup import unpack_metadata_chunks
-
-            meta_plain = unseal(
-                self.master_key, recipes.sealed_file_recipe
+            raise ValueError(
+                f"{file_name!r} is stored in the retired metadata-dedup "
+                f"recipe layout: restore it with an older build"
             )
-            file_recipe, key_recipe = unpack_metadata_chunks(
-                meta_plain, fetch=self._get_chunks_checked
-            )
-        else:
-            file_recipe = FileRecipe.deserialize(
-                unseal(self.master_key, recipes.sealed_file_recipe)
-            )
-            key_recipe = KeyRecipe.deserialize(
-                unseal(self.master_key, recipes.sealed_key_recipe)
-            )
+        file_recipe = FileRecipe.deserialize(
+            unseal(self.master_key, recipes.sealed_file_recipe)
+        )
+        key_recipe = KeyRecipe.deserialize(
+            unseal(self.master_key, recipes.sealed_key_recipe)
+        )
         if file_recipe.file_name != file_name:
             # A provider serving another file's recipes must not get
             # that file restored under this name.

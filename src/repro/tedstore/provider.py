@@ -443,7 +443,7 @@ class ProviderService:
     def handle_put_recipes(
         self, request: PutRecipes, tenant: str = DEFAULT_TENANT
     ) -> None:
-        """Store sealed recipes verbatim (no metadata dedup, §2.2).
+        """Store a file's sealed file and key recipes verbatim (§2.2).
 
         Directory-backed providers write through to the tenant's durable
         recipe store before the recipes become visible: a failed durable

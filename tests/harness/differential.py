@@ -122,7 +122,6 @@ def make_deployment(
     client_batch_size: int = 500,
     km_batch_size: int = 1024,
     rng_seed: int = 7,
-    metadata_dedup: bool = False,
     crypto_workers: int = 0,
     oracle: bool = False,
     key_manager_wrap=None,
@@ -159,7 +158,6 @@ def make_deployment(
         profile=get_profile("shactr"),
         sketch_rows=4,
         sketch_width=_SKETCH_WIDTH,
-        metadata_dedup=metadata_dedup,
     )
     if oracle:
         client = ReferenceClient(key_transport, provider_transport, **common)
@@ -327,26 +325,30 @@ def recipes_state(
     Sealing uses a random nonce, so the sealed bytes are never
     comparable across runs; the confidentiality-irrelevant plaintext
     (ciphertext fingerprints, sizes, per-chunk keys) is what equivalence
-    is defined over. The empty sealed key recipe of the metadata-dedup
-    layout hashes as the empty string on both sides.
+    is defined over.
     """
+    master_key = deployment.client.master_key
+    return {
+        name: _recipe_digests(
+            master_key,
+            deployment.provider.get_recipes(GetRecipes(file_name=name)),
+        )
+        for name in file_names
+    }
+
+
+def _recipe_digests(master_key: bytes, recipes) -> Tuple[str, str]:
+    """SHA-256 of the unsealed file and key recipes."""
     from repro.storage.recipe import unseal
 
-    master_key = deployment.client.master_key
-    state = {}
-    for name in file_names:
-        recipes = deployment.provider.get_recipes(GetRecipes(file_name=name))
-        file_plain = unseal(master_key, recipes.sealed_file_recipe)
-        key_plain = (
+    return (
+        hashlib.sha256(
+            unseal(master_key, recipes.sealed_file_recipe)
+        ).hexdigest(),
+        hashlib.sha256(
             unseal(master_key, recipes.sealed_key_recipe)
-            if recipes.sealed_key_recipe
-            else b""
-        )
-        state[name] = (
-            hashlib.sha256(file_plain).hexdigest(),
-            hashlib.sha256(key_plain).hexdigest(),
-        )
-    return state
+        ).hexdigest(),
+    )
 
 
 def sketch_state(deployment: Deployment) -> Dict[str, object]:
@@ -692,22 +694,13 @@ def tenant_recipes_state(
     file_names: Sequence[str],
 ) -> Dict[str, Tuple[str, str]]:
     """Per-file recipe *plaintext* digests in one tenant's namespace."""
-    from repro.storage.recipe import unseal
-
     master_key = hashlib.sha256(tenant.encode()).digest()
-    state = {}
-    for name in file_names:
-        recipes = provider_service.handle_get_recipes(
-            GetRecipes(file_name=name), tenant=tenant
+    return {
+        name: _recipe_digests(
+            master_key,
+            provider_service.handle_get_recipes(
+                GetRecipes(file_name=name), tenant=tenant
+            ),
         )
-        file_plain = unseal(master_key, recipes.sealed_file_recipe)
-        key_plain = (
-            unseal(master_key, recipes.sealed_key_recipe)
-            if recipes.sealed_key_recipe
-            else b""
-        )
-        state[name] = (
-            hashlib.sha256(file_plain).hexdigest(),
-            hashlib.sha256(key_plain).hexdigest(),
-        )
-    return state
+        for name in file_names
+    }

@@ -11,7 +11,6 @@ with ``src/`` and none of the client data path.
 from repro.core.keygen import derive_key
 from repro.crypto.hashes import digest
 from repro.crypto.murmur3 import short_hashes
-from repro.storage.metadedup import pack_metadata_chunks, unpack_metadata_chunks
 from repro.storage.recipe import FileRecipe, KeyRecipe, seal, unseal
 from repro.tedstore import messages as m
 from repro.tedstore.client import UploadResult
@@ -19,11 +18,10 @@ from repro.tedstore.client import UploadResult
 
 class ReferenceClient:
     def __init__(self, key_manager, provider, *, master_key, profile,
-                 sketch_rows, sketch_width, metadata_dedup=False):
+                 sketch_rows, sketch_width):
         self.key_manager, self.provider = key_manager, provider
         self.master_key, self.profile = master_key, profile
         self.rows, self.width = sketch_rows, sketch_width
-        self.metadata_dedup = metadata_dedup
 
     def upload_chunks(self, name, chunks):
         algorithm = self.profile.hash_algorithm
@@ -43,11 +41,6 @@ class ReferenceClient:
             key_recipe.add(key)
         sealed_file = seal(self.master_key, file_recipe.serialize())
         sealed_keys = seal(self.master_key, key_recipe.serialize())
-        if self.metadata_dedup:
-            meta_chunks, meta_plain = pack_metadata_chunks(file_recipe, key_recipe, 128)
-            for meta_chunk in meta_chunks:
-                self.provider.put_chunks(m.PutChunks(chunks=[meta_chunk]))
-            sealed_file, sealed_keys = seal(self.master_key, meta_plain), b""
         self.provider.put_recipes(m.PutRecipes(
             file_name=name, sealed_file_recipe=sealed_file, sealed_key_recipe=sealed_keys
         ))
@@ -63,14 +56,12 @@ class ReferenceClient:
 
     def download(self, name):
         sealed = self.provider.get_recipes(m.GetRecipes(file_name=name))
-        plain = unseal(self.master_key, sealed.sealed_file_recipe)
-        if sealed.sealed_key_recipe:
-            file_recipe = FileRecipe.deserialize(plain)
-            key_recipe = KeyRecipe.deserialize(
-                unseal(self.master_key, sealed.sealed_key_recipe)
-            )
-        else:
-            file_recipe, key_recipe = unpack_metadata_chunks(plain, fetch=self._get)
+        file_recipe = FileRecipe.deserialize(
+            unseal(self.master_key, sealed.sealed_file_recipe)
+        )
+        key_recipe = KeyRecipe.deserialize(
+            unseal(self.master_key, sealed.sealed_key_recipe)
+        )
         ciphertexts = self._get([fp for fp, _size in file_recipe.entries])
         return b"".join(
             self.profile.decrypt(key, ciphertext)

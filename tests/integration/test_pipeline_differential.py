@@ -47,19 +47,15 @@ def _run(tmp_path, mode, **client_kwargs):
 
 @pytest.fixture(scope="module")
 def oracle_runs(tmp_path_factory):
-    """One oracle run per (mode, metadata_dedup), shared by the module."""
+    """One oracle run per mode, shared by the module."""
     runs = {}
 
-    def get(mode, metadata_dedup=False):
-        key = (mode, metadata_dedup)
-        if key not in runs:
-            runs[key] = _run(
-                tmp_path_factory.mktemp(f"oracle-{mode}"),
-                mode,
-                oracle=True,
-                metadata_dedup=metadata_dedup,
+    def get(mode):
+        if mode not in runs:
+            runs[mode] = _run(
+                tmp_path_factory.mktemp(f"oracle-{mode}"), mode, oracle=True
             )
-        return runs[key]
+        return runs[mode]
 
     return get
 
@@ -104,19 +100,6 @@ def test_cached_upload_matches_oracle_storage(
     )
     for name, chunks in WORKLOAD:
         assert cached.client.download(name) == b"".join(chunks)
-
-
-@pytest.mark.parametrize("scheduling", SCHEDULINGS)
-def test_metadata_dedup_matches_oracle(tmp_path, oracle_runs, scheduling):
-    """The metadata-dedup recipe layout is the same from every scheduling."""
-    oracle, oracle_results = oracle_runs("fted", metadata_dedup=True)
-    candidate, results = _run(
-        tmp_path, "fted", metadata_dedup=True, **SCHEDULINGS[scheduling]
-    )
-    assert_equivalent(oracle, candidate, FILE_NAMES, oracle_results, results)
-    for name, chunks in WORKLOAD:
-        assert candidate.client.download(name) == b"".join(chunks)
-        assert oracle.client.download(name) == b"".join(chunks)
 
 
 @pytest.mark.parametrize("workers", [1, 4])

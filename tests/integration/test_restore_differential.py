@@ -72,7 +72,6 @@ def client_twin(deployment, batch_size=120, **scheduling) -> TedStoreClient:
         profile=base.profile,
         sketch_width=base.width,
         batch_size=batch_size,
-        metadata_dedup=base.metadata_dedup,
         **scheduling,
     )
 
@@ -90,14 +89,6 @@ class TestByteIdentity:
         self, tmp_path, mode
     ):
         deployment = _stored_by_oracle(mode, tmp_path)
-        for name in FILE_NAMES:
-            assert deployment.client.download(name) == EXPECTED[name]
-            for scheduling in SCHEDULINGS.values():
-                twin = client_twin(deployment, **scheduling)
-                assert twin.download(name) == EXPECTED[name]
-
-    def test_metadata_dedup_layout(self, tmp_path):
-        deployment = _stored_by_oracle("bted", tmp_path, metadata_dedup=True)
         for name in FILE_NAMES:
             assert deployment.client.download(name) == EXPECTED[name]
             for scheduling in SCHEDULINGS.values():

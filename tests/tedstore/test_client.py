@@ -15,6 +15,31 @@ from repro.traces.workload import unique_file
 
 _W = 2**14
 
+#: Recipe of a 20,000-byte file "f" stored in the retired metadata-dedup
+#: layout, sealed under ``b"\x01" * 32``: the file slot holds a sealed
+#: ``MDR1`` meta recipe and the key slot is empty.
+_METADEDUP_SEALED_RECIPE = bytes.fromhex(
+    "ef26a862bfe16c9c33393b8b99aea1920687bc222b2397568712ec6b16f0c70f"
+    "035902056d581bda8fe17addd0d608f50f0344a3d9bd1bb177ca94765ed59ed0"
+    "6ce65b750a4de9bdb5abb297855e48d04b0e660a1dacf4b232089b68e680594b"
+    "b7fac35c6b674a6fc73bdfdd371d7063fe385d3a86e6eb4c2d"
+)
+
+
+class _SpyProvider:
+    """Passes every call through; records each ``GetChunks`` request."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.chunk_requests = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def get_chunks(self, request):
+        self.chunk_requests.append(request)
+        return self.inner.get_chunks(request)
+
 
 def _make_client(
     tmp_path=None,
@@ -139,53 +164,6 @@ class TestUploadDownload:
             result.chunk_count
 
 
-class TestMetadataDedup:
-    def _meta_client(self, provider):
-        key_manager = KeyManagerService(
-            TedKeyManager(secret=b"s", t=10_000, sketch_width=_W)
-        )
-        return TedStoreClient(
-            LocalKeyManager(key_manager),
-            LocalProvider(provider),
-            profile=SHACTR,
-            sketch_width=_W,
-            batch_size=200,
-            metadata_dedup=True,
-            metadata_entries_per_chunk=16,
-        )
-
-    def test_roundtrip(self):
-        client = self._meta_client(ProviderService(in_memory=True))
-        data = unique_file(60_000)
-        client.upload("f", data)
-        assert client.download("f") == data
-
-    def test_empty_file(self):
-        client = self._meta_client(ProviderService(in_memory=True))
-        client.upload("empty", b"")
-        assert client.download("empty") == b""
-
-    def test_recipe_chunks_dedup_across_identical_uploads(self):
-        provider = ProviderService(in_memory=True)
-        client = self._meta_client(provider)
-        data = unique_file(60_000)
-        client.upload("day-0", data)
-        unique_after_first = len(provider.engine.chunks)
-        client.upload("day-1", data)
-        # With t = 10,000 (MLE regime) the data chunks fully dedup AND the
-        # metadata chunks dedup too: no new unique chunks at all.
-        assert len(provider.engine.chunks) == unique_after_first
-
-    def test_wrong_master_key_still_locked_out(self):
-        provider = ProviderService(in_memory=True)
-        uploader = self._meta_client(provider)
-        uploader.upload("f", unique_file(20_000))
-        thief = self._meta_client(provider)
-        thief.master_key = b"\x09" * 32
-        with pytest.raises(ValueError):
-            thief.download("f")
-
-
 class TestSecurity:
     def test_wrong_master_key_cannot_download(self):
         provider = ProviderService(in_memory=True)
@@ -204,26 +182,11 @@ class TestSecurity:
         # No 64-byte window of the plaintext appears in storage.
         assert data[:64] not in stored
 
-    @pytest.mark.parametrize("metadata_dedup", [False, True])
-    def test_recipe_served_for_another_name_fails(self, metadata_dedup):
+    def test_recipe_served_for_another_name_fails(self):
         # A hostile provider answers "A" with B's (authentic) recipes.
         from repro.tedstore.messages import GetRecipes, PutRecipes
 
-        requested = []
-
-        class SpyProvider:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def __getattr__(self, name):
-                return getattr(self.inner, name)
-
-            def get_chunks(self, request):
-                requested.extend(request.fingerprints)
-                return self.inner.get_chunks(request)
-
         client = _make_client()
-        client.metadata_dedup = metadata_dedup
         client.upload("A", unique_file(20_000, client_id=1))
         client.upload("B", unique_file(20_000, client_id=2))
         data_fingerprints = {
@@ -240,10 +203,37 @@ class TestSecurity:
                 sealed_key_recipe=stolen.sealed_key_recipe,
             )
         )
-        client.provider = SpyProvider(provider)
+        client.provider = spy = _SpyProvider(provider)
         with pytest.raises(ValueError, match="served for 'A'"):
             client.download("A")
-        assert not data_fingerprints & set(requested)
+        requested = {
+            fingerprint
+            for request in spy.chunk_requests
+            for fingerprint in request.fingerprints
+        }
+        assert not data_fingerprints & requested
+
+    def test_retired_metadata_dedup_recipe_is_refused(self):
+        # A recipe stored in the retired layout fails typed, before any
+        # chunk is fetched.
+        from repro.storage.recipe import unseal
+        from repro.tedstore.messages import PutRecipes
+
+        client = _make_client()
+        assert unseal(client.master_key, _METADEDUP_SEALED_RECIPE)[:4] == (
+            b"MDR1"
+        )
+        client.provider.put_recipes(
+            PutRecipes(
+                file_name="f",
+                sealed_file_recipe=_METADEDUP_SEALED_RECIPE,
+                sealed_key_recipe=b"",
+            )
+        )
+        client.provider = spy = _SpyProvider(client.provider)
+        with pytest.raises(ValueError, match="retired metadata-dedup"):
+            client.download("f")
+        assert spy.chunk_requests == []
 
     def test_key_manager_never_sees_fingerprints(self):
         # The client only ever sends short hashes (ints < sketch width).

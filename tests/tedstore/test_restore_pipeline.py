@@ -69,19 +69,6 @@ class TestTruncationRegression:
         with pytest.raises(ValueError, match="provider returned"):
             deployment.client.download(name)
 
-    def test_metadedup_recipe_fetch_rejects_short_reply(self, tmp_path):
-        """The metadata-chunk fetch goes through the same length check."""
-        deployment, wrapper = _deploy_with_short_replies(
-            tmp_path, metadata_dedup=True, client_batch_size=50
-        )
-        # Enough chunks that the recipes span multiple metadata chunks,
-        # so the armed wrapper sees a multi-chunk metadata fetch.
-        name, chunks = WORKLOAD[0]
-        deployment.client.upload_chunks(name, chunks)
-        wrapper.armed = True
-        with pytest.raises(ValueError, match="provider returned"):
-            deployment.client.download(name)
-
 
 class TestAliasSuppression:
     def test_repeats_fetched_and_decrypted_once(self, tmp_path):

@@ -139,3 +139,36 @@ def test_flag_table_gate_catches_stale_and_missing_flags(tmp_path):
 def test_runbook_flag_tables_match_the_cli():
     tool = _tool("check_docs")
     assert tool.flag_table_problems(tool.RUNBOOK, tool._cli_parsers()) == []
+
+
+def test_every_module_has_a_caller():
+    result = _run("tools/check_callers.py")
+    assert result.returncode == 0, (
+        f"modules without a caller:\n{result.stderr}"
+    )
+
+
+def test_caller_gate_reports_a_planted_module(tmp_path):
+    import shutil
+
+    for directory in ("src", "tools", "perfbook", "benchmarks", "examples"):
+        shutil.copytree(
+            ROOT / directory,
+            tmp_path / directory,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+    package = tmp_path / "src" / "repro" / "utils"
+    (package / "orphan.py").write_text("def unused():\n    return 1\n")
+    init = package / "__init__.py"
+    init.write_text(
+        init.read_text() + "\nfrom repro.utils.orphan import unused\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_orphan.py").write_text(
+        "from repro.utils.orphan import unused\n"
+    )
+    result = _run("tools/check_callers.py", "--root", str(tmp_path))
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        "repro.utils.orphan: imported only by tests or a package __init__"
+    ]
