@@ -20,7 +20,6 @@ from __future__ import annotations
 import bisect
 import functools
 import hashlib
-import time
 from dataclasses import dataclass
 from typing import Iterator, List
 
@@ -32,7 +31,6 @@ from repro.chunking.rabin import (
     window_tables,
 )
 from repro.obs import metrics as obs_metrics
-from repro.utils import kernels
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -59,9 +57,6 @@ _MIN_KERNEL_SCAN = 256
 _REGISTRY = obs_metrics.get_registry()
 _CHUNK_BYTES = _REGISTRY.counter(
     "ted_chunking_bytes_total", "Bytes run through content-defined chunking"
-)
-_CHUNK_COUNT = _REGISTRY.counter(
-    "ted_chunking_chunks_total", "Chunks produced by content-defined chunking"
 )
 
 
@@ -149,20 +144,18 @@ class ContentDefinedChunker:
 
     def chunk(self, data: bytes) -> Iterator[bytes]:
         """Yield consecutive chunks whose concatenation equals ``data``."""
-        produced = produced_bytes = 0
+        produced_bytes = 0
         try:
             if self.algorithm == "gear":
                 inner = self._chunk_gear(data)
             else:
                 inner = self._chunk_rabin(data)
             for piece in inner:
-                produced += 1
                 produced_bytes += len(piece)
                 yield piece
         finally:
             # Accounting covers only what was actually consumed (an
             # abandoned iterator must not claim the whole input).
-            _CHUNK_COUNT.inc(produced)
             _CHUNK_BYTES.inc(produced_bytes)
 
     def chunk_sizes(self, data: bytes) -> List[int]:
@@ -217,7 +210,6 @@ class ContentDefinedChunker:
         steps for the default 8 KiB average. Bytes before the buffer
         contribute nothing, exactly as in the reference's warm-up.
         """
-        started = time.perf_counter()
         mask = self.params.mask
         bits = mask.bit_length()
         table = _gear_table_low(bits)
@@ -233,10 +225,6 @@ class ContentDefinedChunker:
             n <<= 1
         low = acc[block_start - lo :] & table.dtype.type(mask)
         hits = np.flatnonzero(low == mask)
-        scanned = block_end - block_start
-        kernels.observe(
-            "gear_scan", scanned, scanned, time.perf_counter() - started
-        )
         return (hits + (block_start + 1)).tolist()
 
     def _gear_head_cut(
@@ -321,7 +309,6 @@ class ContentDefinedChunker:
         realizes the partially-filled window near ``start`` exactly like
         the reference's zero-initialized ring buffer.
         """
-        started = time.perf_counter()
         rabin = self._rabin
         window = rabin.window_size
         table = window_tables(rabin.polynomial, window)
@@ -329,7 +316,6 @@ class ContentDefinedChunker:
         warm = max(start, scan_from - window)
         horizon = window - 1
         cut = end
-        scanned = 0
         for seg_start in range(scan_from, end, _SEGMENT):
             seg_end = min(seg_start + _SEGMENT, end)
             out_len = seg_end - seg_start
@@ -349,11 +335,7 @@ class ContentDefinedChunker:
                     padded[horizon - d : horizon - d + out_len]
                 ]
             hits = np.nonzero((acc & mask) == mask)[0]
-            scanned += out_len
             if hits.size:
                 cut = seg_start + int(hits[0]) + 1
                 break
-        kernels.observe(
-            "rabin_scan", scanned, scanned, time.perf_counter() - started
-        )
         return cut

@@ -16,10 +16,7 @@ DESIGN.md §4 for the substitution rationale).
 from __future__ import annotations
 
 import struct
-import time
 from typing import List, Tuple
-
-from repro.utils import kernels
 
 
 def _gf_mul(a: int, b: int) -> int:
@@ -266,7 +263,6 @@ class AES:
         view = memoryview(data)
         if len(view) % BLOCK_SIZE:
             raise ValueError("batch length must be a multiple of 16")
-        start = time.perf_counter()
         t0, t1, t2, t3 = _T0, _T1, _T2, _T3
         sbox = _SBOX
         words = self._round_words
@@ -344,12 +340,6 @@ class AES:
                 )
                 ^ words[base + 3],
             )
-        kernels.observe(
-            "aes_blocks",
-            len(view) // BLOCK_SIZE,
-            len(view),
-            time.perf_counter() - start,
-        )
         return bytes(out)
 
     def decrypt_block(self, block: bytes) -> bytes:

@@ -17,11 +17,8 @@ property the experiments actually depend on — is identical.
 from __future__ import annotations
 
 import hashlib
-import time
 
 import numpy as np
-
-from repro.utils import kernels
 
 _DIGEST_SIZE = 32
 
@@ -60,7 +57,6 @@ def keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     if length < 0:
         raise ValueError("length must be non-negative")
     nblocks = (length + _DIGEST_SIZE - 1) // _DIGEST_SIZE
-    start = time.perf_counter()
     copy = hashlib.sha256(key + nonce).copy
     blocks = []
     append = blocks.append
@@ -68,11 +64,7 @@ def keystream(key: bytes, nonce: bytes, length: int) -> bytes:
         h = copy()
         h.update(counter)
         append(h.digest())
-    stream = b"".join(blocks)[:length]
-    kernels.observe(
-        "shactr_keystream", nblocks, length, time.perf_counter() - start
-    )
-    return stream
+    return b"".join(blocks)[:length]
 
 
 def encrypt(key: bytes, nonce: bytes, data: bytes) -> bytes:

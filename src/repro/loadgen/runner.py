@@ -58,11 +58,6 @@ _OPS = _REGISTRY.counter(
     "Load-generator operations by outcome",
     labelnames=("op", "status"),
 )
-_TENANT_OPS = _REGISTRY.counter(
-    "ted_loadgen_tenant_ops_total",
-    "Load-generator operations per tenant",
-    labelnames=("tenant", "op"),
-)
 _BYTES = _REGISTRY.counter(
     "ted_loadgen_bytes_total",
     "Logical bytes moved by the load generator",
@@ -444,7 +439,6 @@ class LoadRunner:
 
         _OP_SECONDS.labels(op=op).observe(elapsed)
         _OPS.labels(op=op, status="ok" if ok else "error").inc()
-        _TENANT_OPS.labels(tenant=tenant, op=op).inc()
         _BYTES.labels(op=op).inc(nbytes)
         self.tracker.observe(op, elapsed, error=not ok)
         if self.flight is not None:

@@ -8,8 +8,7 @@ windowed state, and publishes the judgement as ordinary registry gauges
 so SLO health rides every existing surface (Prometheus text, the wire
 ``stats`` message, ``repro stats``):
 
-* ``ted_slo_window_p99_seconds{op=}`` / ``..._p50_seconds`` — live
-  windowed quantiles;
+* ``ted_slo_window_p99_seconds{op=}`` — live windowed p99;
 * ``ted_slo_error_ratio{op=}`` — windowed errors / operations;
 * ``ted_slo_burn_rate{op=,kind=}`` — error-budget consumption rate
   (see below), ``kind`` ∈ {``latency``, ``error``};
@@ -42,11 +41,6 @@ from repro.obs.window import WindowedCounter, WindowedHistogram
 _P99_BUDGET = 0.01
 
 _REGISTRY = obs_metrics.get_registry()
-_WINDOW_P50 = _REGISTRY.gauge(
-    "ted_slo_window_p50_seconds",
-    "Sliding-window p50 latency per tracked operation",
-    labelnames=("op",),
-)
 _WINDOW_P99 = _REGISTRY.gauge(
     "ted_slo_window_p99_seconds",
     "Sliding-window p99 latency per tracked operation",
@@ -248,7 +242,6 @@ class SLOTracker:
                 breached=breached,
                 reasons=tuple(reasons),
             )
-            _WINDOW_P50.labels(op=op).set(snap.p50)
             _WINDOW_P99.labels(op=op).set(snap.p99)
             _ERROR_RATIO.labels(op=op).set(error_ratio)
             _BURN_RATE.labels(op=op, kind="latency").set(latency_burn)

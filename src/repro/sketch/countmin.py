@@ -36,14 +36,8 @@ _REGISTRY = obs_metrics.get_registry()
 _SKETCH_UPDATES = _REGISTRY.counter(
     "ted_sketch_updates_total", "Count-Min Sketch update operations"
 )
-_SKETCH_ESTIMATES = _REGISTRY.counter(
-    "ted_sketch_estimates_total", "Count-Min Sketch estimate operations"
-)
 _SKETCH_UPDATE_SECONDS = _REGISTRY.histogram(
     "ted_sketch_update_seconds", "Latency of one Count-Min Sketch update"
-)
-_SKETCH_ESTIMATE_SECONDS = _REGISTRY.histogram(
-    "ted_sketch_estimate_seconds", "Latency of one Count-Min Sketch estimate"
 )
 
 
@@ -210,13 +204,9 @@ class CountMinSketch:
     def estimate(self, indices: Sequence[int]) -> int:
         """Row-wise minimum estimate for the item hashed to ``indices``."""
         self._check_indices(indices)
-        start = time.perf_counter()
-        result = int(
+        return int(
             min(self._counters[row, idx] for row, idx in enumerate(indices))
         )
-        _SKETCH_ESTIMATES.inc()
-        _SKETCH_ESTIMATE_SECONDS.observe(time.perf_counter() - start)
-        return result
 
     # -- convenience API hashing internally -------------------------------
 

@@ -79,9 +79,6 @@ _CONTAINER_EVENTS = _REGISTRY.counter(
     "container files, chunk reads through an already-open file)",
     labelnames=("event",),
 )
-_CONTAINER_SEAL_BYTES = _REGISTRY.counter(
-    "ted_container_sealed_bytes_total", "Bytes flushed in sealed containers"
-)
 _RECOVERY_QUARANTINED = _REGISTRY.counter(
     "ted_recovery_containers_quarantined_total",
     "Containers moved to quarantine by startup recovery or fsck",
@@ -459,7 +456,6 @@ class ContainerStore:
         self._open_id += 1
         self.stats["containers_sealed"] += 1
         _CONTAINER_EVENTS.labels(event="sealed").inc()
-        _CONTAINER_SEAL_BYTES.inc(sealed_bytes)
         return sealed_id
 
     # -- reads ------------------------------------------------------------------

@@ -57,13 +57,6 @@ class RingEpochRegressionError(ValueError):
         self.current = current
 
 
-_CACHE_EVENTS = _REGISTRY.counter(
-    "ted_client_fp_cache_events_total",
-    "Client fingerprint-cache events",
-    labelnames=("event",),
-)
-
-
 class FingerprintCache:
     """Client-side duplicate short-circuit: an LRU over acknowledged uploads.
 
@@ -112,7 +105,6 @@ class FingerprintCache:
             else:
                 self._lru.move_to_end(key)
                 self.hits += 1
-        _CACHE_EVENTS.labels(event="hit" if cipher_fp else "miss").inc()
         return cipher_fp
 
     def insert(
@@ -120,17 +112,12 @@ class FingerprintCache:
     ) -> None:
         """Record a provider-acknowledged upload of this pair."""
         key = self.key(fingerprint, seed)
-        evicted = 0
         with self._lock:
             self._lru[key] = cipher_fp
             self._lru.move_to_end(key)
             while len(self._lru) > self.capacity:
                 self._lru.popitem(last=False)
                 self.evictions += 1
-                evicted += 1
-        _CACHE_EVENTS.labels(event="insert").inc()
-        if evicted:
-            _CACHE_EVENTS.labels(event="evict").inc(evicted)
 
     def advance_epoch(self, epoch: int) -> int:
         """Invalidate everything when the provider's ring epoch moves.
@@ -161,8 +148,6 @@ class FingerprintCache:
             self.epoch = epoch
             self.epoch_invalidations += invalidated
             self._lru.clear()
-        if invalidated:
-            _CACHE_EVENTS.labels(event="epoch_invalidate").inc(invalidated)
         return invalidated
 
     def __len__(self) -> int:

@@ -48,9 +48,6 @@ from repro.storage.dedup import DedupEngine
 from repro.storage.sharded import engine_roots
 
 _REGISTRY = obs_metrics.get_registry()
-_SCRUB_PASSES = _REGISTRY.counter(
-    "ted_scrub_passes_total", "Completed scrub/fsck passes"
-)
 _SCRUB_CHUNKS = _REGISTRY.counter(
     "ted_scrub_chunks_verified_total",
     "Chunk checksums verified by scrub/fsck",
@@ -327,7 +324,6 @@ def fsck(
             engine.index.flush()
 
     report.seconds = time.perf_counter() - start
-    _SCRUB_PASSES.inc()
     _SCRUB_SECONDS.observe(report.seconds)
     return report
 

@@ -27,20 +27,10 @@ TENANTS_DIRNAME = "tenants"
 RECIPES_DIRNAME = "recipes"
 
 _REGISTRY = obs_metrics.get_registry()
-_ROUTED_BATCHES = _REGISTRY.counter(
-    "ted_shard_routed_batches_total",
-    "Sub-batches routed to a shard by the consistent-hash ring",
-    labelnames=("side", "shard"),
-)
 _ROUTED_KEYS = _REGISTRY.counter(
     "ted_shard_routed_keys_total",
     "Keys (fingerprints / hash vectors) routed to a shard",
     labelnames=("side", "shard"),
-)
-_IMBALANCE = _REGISTRY.gauge(
-    "ted_shard_imbalance",
-    "Max/mean ratio of per-shard routed-key counts (1.0 = perfectly even)",
-    labelnames=("side",),
 )
 
 
@@ -48,8 +38,10 @@ class ShardFanout:
     """The ring fan-out, written once for every router in the deployment.
 
     One instance per router (fleet client, KM front),
-    labelled by ``side``; it also carries the routed-batch accounting —
-    cumulative per-shard key counts and ``ted_shard_imbalance``.
+    labelled by ``side``; it also carries the routed-key accounting —
+    this router's per-shard key counts (:attr:`counts`) and the
+    process-wide ``ted_shard_routed_keys_total``, which sums every
+    router in the process.
     """
 
     def __init__(self, side: str, shard_ids: Sequence[int]) -> None:
@@ -103,13 +95,7 @@ class ShardFanout:
 
     def record(self, shard: int, keys: int) -> None:
         self._counts[shard] = self._counts.get(shard, 0) + keys
-        _ROUTED_BATCHES.labels(side=self._side, shard=str(shard)).inc()
         _ROUTED_KEYS.labels(side=self._side, shard=str(shard)).inc(keys)
-        counts = self._counts.values()
-        total = sum(counts)
-        if total:
-            mean = total / len(self._counts)
-            _IMBALANCE.labels(side=self._side).set(max(counts) / mean)
 
     @property
     def counts(self) -> Dict[int, int]:

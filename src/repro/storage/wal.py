@@ -36,9 +36,6 @@ from repro.utils.varint import decode_uvarint, encode_uvarint
 _HEADER = struct.Struct("<II")
 
 _REGISTRY = obs_metrics.get_registry()
-_WAL_APPENDS = _REGISTRY.counter(
-    "ted_wal_appends_total", "Records appended to the write-ahead log"
-)
 _WAL_FSYNCS = _REGISTRY.counter(
     "ted_wal_fsyncs_total", "fsync barriers issued by the write-ahead log"
 )
@@ -79,7 +76,6 @@ class WriteAheadLog:
         record = _HEADER.pack(zlib.crc32(payload), len(payload)) + payload
         crash.crashy_write(self._file, record, f"{self.scope}.append")
         self._file.flush()
-        _WAL_APPENDS.inc()
 
     def sync(self) -> None:
         """fsync the log (durability barrier)."""

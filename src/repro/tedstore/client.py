@@ -26,7 +26,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.chunking.cdc import ChunkerParams, ContentDefinedChunker
 from repro.crypto.cipher import SECURE, CipherProfile
-from repro.obs import metrics as obs_metrics, tracing
+from repro.obs import tracing
 from repro.storage.dedup import FingerprintCache
 from repro.storage.recipe import FileRecipe, KeyRecipe, seal, unseal
 from repro.tedstore.messages import (
@@ -40,23 +40,6 @@ from repro.tedstore.transports import KeyManagerTransport, ProviderTransport
 from repro.utils.timer import StageTimer
 
 DEFAULT_BATCH_SIZE = 48_000
-
-_REGISTRY = obs_metrics.get_registry()
-_CLIENT_OPS = _REGISTRY.counter(
-    "ted_client_operations_total",
-    "Completed client file operations",
-    labelnames=("op",),
-)
-_CLIENT_BYTES = _REGISTRY.counter(
-    "ted_client_bytes_total",
-    "Logical bytes moved by the client",
-    labelnames=("op",),
-)
-_CLIENT_CHUNKS = _REGISTRY.counter(
-    "ted_client_chunks_total",
-    "Chunks moved by the client",
-    labelnames=("op",),
-)
 
 
 @dataclass
@@ -204,9 +187,6 @@ class TedStoreClient:
                 self._put_recipes(
                     file_name, uploader.file_recipe, uploader.key_recipe
                 )
-        _CLIENT_OPS.labels(op="upload").inc()
-        _CLIENT_BYTES.labels(op="upload").inc(uploader.logical_bytes)
-        _CLIENT_CHUNKS.labels(op="upload").inc(uploader.chunk_count)
         return UploadResult(
             file_name=file_name,
             logical_bytes=uploader.logical_bytes,
@@ -278,9 +258,6 @@ class TedStoreClient:
             data = PipelinedDownloader(self).run(
                 file_name, file_recipe.entries, key_recipe.keys
             )
-        _CLIENT_OPS.labels(op="download").inc()
-        _CLIENT_BYTES.labels(op="download").inc(len(data))
-        _CLIENT_CHUNKS.labels(op="download").inc(len(file_recipe.entries))
         return data
 
     def _get_chunks_checked(

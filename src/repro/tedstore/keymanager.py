@@ -16,7 +16,7 @@ from repro.core.ted import TedKeyManager
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.tedstore.km_state import KeyManagerStateStore
-from repro.obs import metrics as obs_metrics, tracing
+from repro.obs import tracing
 from repro.tedstore.messages import (
     BatchedKeyGenRequest,
     BatchedKeyGenResponse,
@@ -24,17 +24,6 @@ from repro.tedstore.messages import (
     KeyGenResponse,
 )
 from repro.tedstore.ratelimit import KeyGenRateLimiter
-
-_REGISTRY = obs_metrics.get_registry()
-_BATCH_SIZE = _REGISTRY.histogram(
-    "ted_keymanager_batch_size",
-    "Hash vectors per key-generation batch request",
-    buckets=(1, 8, 64, 512, 4096, 48000, 1 << 20),
-)
-_BATCH_SECONDS = _REGISTRY.histogram(
-    "ted_keymanager_batch_seconds",
-    "Latency of one key-generation batch (lock held)",
-)
 
 
 class KeygenStream:
@@ -127,10 +116,9 @@ class KeyManagerService:
         if self.rate_limiter is not None:
             self.rate_limiter.check(client_id, len(request.hash_vectors))
         batch = len(request.hash_vectors)
-        _BATCH_SIZE.observe(batch)
         with tracing.get_tracer().span(
             "keymanager.keygen", attributes={"batch": batch}
-        ), _BATCH_SECONDS.time(), self._lock:
+        ), self._lock:
             seeds = self._seeds_for_batch(
                 request.hash_vectors, client_id, sequence
             )

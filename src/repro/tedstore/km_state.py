@@ -67,10 +67,6 @@ _SNAPSHOTS_WRITTEN = _REGISTRY.counter(
     "ted_keymanager_snapshots_total",
     "Key-manager state snapshots published",
 )
-_BATCHES_LOGGED = _REGISTRY.counter(
-    "ted_keymanager_state_batches_logged_total",
-    "Key-generation batches appended to the durable delta log",
-)
 _RECOVERY_SNAPSHOTS = _REGISTRY.counter(
     "ted_recovery_km_snapshots_loaded_total",
     "Key-manager snapshots loaded during startup recovery",
@@ -297,7 +293,6 @@ class KeyManagerStateStore:
             self._batch_id, client_id, sequence, hash_vectors
         )
         self._delta.append(OP_PUT, b"batch", payload)
-        _BATCHES_LOGGED.inc()
         self._batches_since_sync += 1
         if self._batches_since_sync >= self.sync_every:
             self._delta.sync()

@@ -119,13 +119,11 @@ class TestAccounting:
         # whole input, so a failed upload over-reported what it chunked.
         data = _pseudo_random(1 << 20 if algorithm == "gear" else 40_000)
         bytes_before = cdc._CHUNK_BYTES.value
-        chunks_before = cdc._CHUNK_COUNT.value
         pieces = ContentDefinedChunker(algorithm=algorithm).chunk(data)
         first = next(pieces)
         pieces.close()
         assert len(first) < len(data)
         assert cdc._CHUNK_BYTES.value - bytes_before == len(first)
-        assert cdc._CHUNK_COUNT.value - chunks_before == 1
 
     def test_full_pass_counts_every_byte(self):
         data = _pseudo_random(100_000)

@@ -85,3 +85,25 @@ def test_admission_is_optional():
     fanout = ShardFanout("test", [0, 1])
     routed = fanout.run([1, 0, 1], "abc", lambda shard, sub: "".join(sub))
     assert routed == [([1], "b"), ([0, 2], "ac")]
+
+
+def test_routed_keys_sum_over_every_router_in_the_process():
+    # Each fleet client owns a router. The process-wide counter sums
+    # them, so its max/mean over shards is the imbalance; a gauge that
+    # each router set from its own counts read 1.0 here.
+    from repro.obs.metrics import get_registry
+
+    keys = get_registry().get("ted_shard_routed_keys_total")
+    before = [keys.labels(side="sum-test", shard=s).value for s in "01"]
+    first = ShardFanout("sum-test", [0, 1])
+    second = ShardFanout("sum-test", [0, 1])
+    first.run([0] * 100, range(100), lambda shard, sub: None)
+    second.run([0] * 5 + [1] * 5, range(10), lambda shard, sub: None)
+    routed = [
+        keys.labels(side="sum-test", shard=s).value - b
+        for s, b in zip("01", before)
+    ]
+    assert routed == [105, 5]
+    assert max(routed) / (sum(routed) / 2) == pytest.approx(1.909, abs=1e-3)
+    assert (first.counts, second.counts) == ({0: 100, 1: 0}, {0: 5, 1: 5})
+    assert get_registry().get("ted_shard_imbalance") is None

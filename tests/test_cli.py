@@ -22,6 +22,26 @@ _DELETED_REGISTRY_COPIES = (
     "ted_keymanager_t",
     "ted_wire_server_events_total",
     "ted_chunking_call_seconds",
+    "ted_kernel_batch_size",
+    "ted_kernel_seconds",
+    "ted_kernel_bytes_total",
+    "ted_sketch_estimates_total",
+    "ted_sketch_estimate_seconds",
+    "ted_chunking_chunks_total",
+    "ted_client_operations_total",
+    "ted_client_bytes_total",
+    "ted_client_chunks_total",
+    "ted_client_fp_cache_events_total",
+    "ted_container_sealed_bytes_total",
+    "ted_keymanager_batch_size",
+    "ted_keymanager_batch_seconds",
+    "ted_keymanager_state_batches_logged_total",
+    "ted_wal_appends_total",
+    "ted_shard_routed_batches_total",
+    "ted_shard_imbalance",
+    "ted_scrub_passes_total",
+    "ted_slo_window_p50_seconds",
+    "ted_loadgen_tenant_ops_total",
 )
 
 

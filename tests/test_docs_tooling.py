@@ -4,7 +4,9 @@ Runs the two doc tools exactly as CI does:
 
 * ``tools/gen_metrics_doc.py --check`` — the committed
   ``docs/METRICS.md`` must match the live metrics registry (freshness
-  gate), and the checked docs may name only registered instruments;
+  gate), the checked docs and ``src/repro`` docstrings may name only
+  registered instruments, and every registered instrument must have a
+  reader;
 * ``tools/check_docs.py`` — every markdown link and anchor across the
   default doc set must resolve, and the runbook's flag tables must match
   the ``repro`` CLI parsers.
@@ -73,16 +75,50 @@ def test_metrics_check_catches_dangling_instrument(tmp_path):
     doc = tmp_path / "DOC.md"
     doc.write_text(
         "Live: `ted_wal_fsyncs_total`, "
-        "`ted_stage_seconds{stage=...}`, `ted_kernel_*`, "
-        "`ted_sketch_{updates,estimates}_total`, "
+        "`ted_stage_seconds{stage=...}`, `ted_scrub_*`, "
+        "`ted_recovery_{containers,sstables}_quarantined_total`, "
         "`ted_shard_health{side,shard}`.\n"
         "Gone: `ted_keymanager_t`, `ted_sketch_{updates,removed}_total`, "
-        "`ted_nosuch_*`.\n"
+        "`ted_nosuch_*`, `ted_kernel_*`.\n"
     )
     assert [token for _doc, token in tool.dangling_names([doc])] == [
         "ted_keymanager_t",
         "ted_sketch_{updates,removed}_total",
         "ted_nosuch_*",
+        "ted_kernel_*",
+    ]
+
+
+def test_every_instrument_has_a_reader():
+    assert _tool("gen_metrics_doc").unread_instruments() == []
+
+
+def test_metrics_check_reports_a_planted_instrument(tmp_path):
+    import shutil
+
+    for directory in ("src", "tools", "docs", "perfbook", "benchmarks",
+                      "tests"):
+        shutil.copytree(
+            ROOT / directory,
+            tmp_path / directory,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+    module = tmp_path / "src" / "repro" / "obs" / "tracing.py"
+    module.write_text(
+        module.read_text()
+        + '\n_PLANTED = obs_metrics.get_registry().counter(\n'
+        '    "ted_planted_unread_total", "Read by nobody"\n)\n'
+        '\n\ndef planted():\n'
+        '    """Bumps ``ted_planted_gone_total``."""\n'
+    )
+    assert _run(str(tmp_path / "tools" / "gen_metrics_doc.py")).returncode == 0
+    result = _run(str(tmp_path / "tools" / "gen_metrics_doc.py"), "--check")
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        "src/repro/obs/tracing.py: `ted_planted_gone_total` names no "
+        "registered instrument",
+        "`ted_planted_unread_total` has no reader: name it in "
+        "docs/RUNBOOK.md, a gate, a view or a test, or delete it",
     ]
 
 

@@ -15,9 +15,14 @@ Usage::
 
 CI runs ``--check`` so the committed reference can never drift from the
 code (the freshness gate next to the markdown link checker). ``--check``
-also fails when a checked doc (:data:`CHECKED_DOCS`) names, in
-backticks, a ``ted_*`` instrument the registry does not register, so a
-deleted instrument cannot live on in the prose.
+also fails
+
+* when a checked file (:data:`CHECKED_DOCS`) names, in backticks, a
+  ``ted_*`` instrument the registry does not register, so a deleted
+  instrument cannot live on in the prose or a docstring;
+* when a registered instrument has no reader: no file under
+  :data:`READERS` names it (a runbook step, a gate, a view or a test),
+  so an instrument nobody reads is deleted rather than kept.
 """
 
 from __future__ import annotations
@@ -40,7 +45,25 @@ CHECKED_DOCS = (
     "ARCHITECTURE.md",
     "EXPERIMENTS.md",
     "docs/*.md",
+    "src/repro/**/*.py",
 )
+
+#: Files whose mention of an instrument makes them its reader. A name
+#: counts bare or with its ``_sum``/``_count``/``_bucket`` export suffix;
+#: the instrument's own registration call does not count.
+READERS = (
+    "docs/RUNBOOK.md",
+    "src/repro/cli.py",
+    "src/repro/loadgen/**/*.py",
+    "tools/**/*.py",
+    "perfbook/**/*.py",
+    "perfbook/**/*.md",
+    "benchmarks/**/*.py",
+    "tests/**/*.py",
+)
+
+#: Reader files whose ``ted_*`` names are sample text, not reads.
+NOT_READERS = frozenset({"tests/test_docs_tooling.py"})
 
 #: Backticked ``ted_``-prefixed names that are not instruments.
 NOT_INSTRUMENTS = frozenset(
@@ -50,6 +73,11 @@ NOT_INSTRUMENTS = frozenset(
 _BACKTICKED_NAME = re.compile(r"`(ted_[^`\s]*)")
 _TRAILING_LABELS = re.compile(r"\{[^{}]*\}$")
 _ALTERNATIVES = re.compile(r"\{([^{}]*)\}")
+_REGISTRATION = re.compile(
+    r"""\.(?:counter|gauge|histogram)\(\s*["']ted_\w+["']"""
+)
+_NAME = re.compile(r"\bted_\w+")
+_EXPORT_SUFFIXES = ("", "_sum", "_count", "_bucket")
 
 _HEADER = """\
 # Metrics reference
@@ -140,9 +168,30 @@ def dangling_names(docs: Iterable[Path]) -> List[Tuple[Path, str]]:
     return found
 
 
-def _checked_docs() -> List[Path]:
+def unread_instruments() -> List[str]:
+    """Registered instruments that no file under :data:`READERS` names."""
+    _register_all_instruments()
+    from repro.obs.metrics import get_registry
+
+    mentioned = set()
+    for path in _expand_globs(READERS):
+        if path.relative_to(ROOT).as_posix() in NOT_READERS:
+            continue
+        text = _REGISTRATION.sub("", path.read_text())
+        mentioned.update(_NAME.findall(text))
     return [
-        path for pattern in CHECKED_DOCS for path in sorted(ROOT.glob(pattern))
+        instrument.name
+        for instrument in get_registry().instruments()
+        if not any(
+            instrument.name + suffix in mentioned
+            for suffix in _EXPORT_SUFFIXES
+        )
+    ]
+
+
+def _expand_globs(patterns: Iterable[str]) -> List[Path]:
+    return [
+        path for pattern in patterns for path in sorted(ROOT.glob(pattern))
     ]
 
 
@@ -167,21 +216,24 @@ def main(argv=None) -> int:
         committed = (
             args.out.read_text() if args.out.exists() else None
         )
+        problems = []
         if committed != content:
-            print(
+            problems.append(
                 f"{args.out} is out of date with the metrics registry.\n"
-                f"Regenerate with: python tools/gen_metrics_doc.py",
-                file=sys.stderr,
+                f"Regenerate with: python tools/gen_metrics_doc.py"
             )
-            return 1
-        dangling = dangling_names(_checked_docs())
-        for doc, token in dangling:
-            print(
+        for doc, token in dangling_names(_expand_globs(CHECKED_DOCS)):
+            problems.append(
                 f"{doc.relative_to(ROOT)}: `{token}` names no registered "
-                f"instrument",
-                file=sys.stderr,
+                f"instrument"
             )
-        if dangling:
+        for name in unread_instruments():
+            problems.append(
+                f"`{name}` has no reader: name it in docs/RUNBOOK.md, a "
+                f"gate, a view or a test, or delete it"
+            )
+        if problems:
+            print("\n".join(problems), file=sys.stderr)
             return 1
         print(f"{args.out} is up to date "
               f"({content.count('| `ted_')} instruments).")
