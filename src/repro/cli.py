@@ -62,7 +62,6 @@ from repro.tedstore.network import (
     serve_key_manager,
     serve_provider,
 )
-from repro.tedstore.pipeline import stage_threads
 from repro.tedstore.provider import ProviderService
 from repro.traces.format import read_snapshot, write_dataset
 from repro.traces.synthetic import generate_fsl_like, generate_ms_like
@@ -76,7 +75,6 @@ def _master_key(path: Optional[str]) -> bytes:
 
 def _make_client(args: argparse.Namespace) -> TedStoreClient:
     workers = getattr(args, "workers", 1)
-    crypto_workers = getattr(args, "crypto_workers", 0)
     cache = None
     if getattr(args, "fp_cache", 0) > 0:
         from repro.storage.dedup import FingerprintCache
@@ -85,7 +83,7 @@ def _make_client(args: argparse.Namespace) -> TedStoreClient:
     # Stage threads overlap data frames with control round trips, which
     # is what dedicated data connections are for (DESIGN.md §10); an
     # inline client sends one request at a time and needs none.
-    data_connections = 2 if stage_threads(workers, crypto_workers) else 0
+    data_connections = 2 if workers > 1 else 0
     auth_token = b""
     if getattr(args, "auth_token", None):
         auth_token = Path(args.auth_token).read_bytes().strip()
@@ -125,9 +123,7 @@ def _make_client(args: argparse.Namespace) -> TedStoreClient:
         sketch_width=args.sketch_width,
         batch_size=args.batch_size,
         workers=workers,
-        pipeline_depth=getattr(args, "pipeline_depth", 4),
         fingerprint_cache=cache,
-        crypto_workers=crypto_workers,
     )
 
 
@@ -790,6 +786,22 @@ def cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type=`` for integers ``>= minimum``: a bad value is
+    a usage error (exit 2), raised before any connection is opened."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="TED/TEDStore command-line tools"
@@ -805,25 +817,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="file hashed into the 32-byte master key")
         p.add_argument("--profile", default="shactr",
                        choices=["secure", "fast", "shactr"])
-        p.add_argument("--sketch-width", type=int, default=2**21)
-        p.add_argument("--batch-size", type=int, default=48_000)
+        positive = _int_at_least(1)
+        p.add_argument("--sketch-width", type=positive, default=2**21)
+        p.add_argument("--batch-size", type=positive, default=48_000)
         p.add_argument(
-            "--workers", type=int, default=1,
+            "--workers", type=positive, default=1,
             help="encrypt/decrypt worker threads; >1 overlaps keygen, "
                  "crypto, and the wire on stage threads (DESIGN.md §10)",
         )
         p.add_argument(
-            "--pipeline-depth", type=int, default=4,
-            help="bounded-queue depth between threaded stages",
-        )
-        p.add_argument(
-            "--crypto-workers", type=int, default=0, metavar="N",
-            help="encrypt in a pool of N OS processes instead of the "
-                 "worker threads (sidesteps the GIL for CPU-bound "
-                 "profiles; stored bytes stay identical, DESIGN.md §16)",
-        )
-        p.add_argument(
-            "--fp-cache", type=int, default=0, metavar="ENTRIES",
+            "--fp-cache", type=_int_at_least(0), default=0,
+            metavar="ENTRIES",
             help="client fingerprint-cache capacity; >0 enables "
                  "client-side duplicate short-circuiting",
         )

@@ -60,14 +60,6 @@ _SCRUB_STRUCTURAL = _REGISTRY.counter(
     "ted_scrub_structural_errors_total",
     "Containers that failed structural validation during scrub/fsck",
 )
-_SCRUB_HEALED = _REGISTRY.counter(
-    "ted_scrub_chunks_healed_total",
-    "Bad chunks healed by re-pointing at a verified redundant copy",
-)
-_SCRUB_DROPPED = _REGISTRY.counter(
-    "ted_scrub_entries_dropped_total",
-    "Index entries dropped by fsck --repair (no good copy existed)",
-)
 _SCRUB_SECONDS = _REGISTRY.histogram(
     "ted_scrub_pass_seconds",
     "Wall time of one scrub/fsck pass",
@@ -198,11 +190,7 @@ def _heal(
             engine.index.delete(fingerprint)
         else:
             engine.index.put(fingerprint, replacement.to_bytes())
-    if replacement is None:
-        _SCRUB_DROPPED.inc()
-        return False
-    _SCRUB_HEALED.inc()
-    return True
+    return replacement is not None
 
 
 def fsck(

@@ -74,22 +74,17 @@ class TedStoreClient:
         batch_size: chunks per key-generation round trip (§3.5).
         chunker: content-defined chunker (paper defaults 4/8/16 KB).
         timer: optional stage timer; a fresh one is created if omitted.
-        workers: encrypt/decrypt worker threads. With ``workers == 1``
-            (and no ``crypto_workers``) the caller's thread runs every
-            stage itself and no thread is started; otherwise encryption
-            and decryption run on a ``workers``-thread executor, and
-            upload PUTs on one writer thread (DESIGN.md §10). Stored
-            state is byte-identical for every value.
-        pipeline_depth: the backpressure knob of the threaded
-            scheduler: upload batches waiting to be written, and
-            ``pipeline_depth × workers`` outstanding decrypt jobs on
-            restore.
+        workers: encrypt/decrypt worker threads, the client's one
+            concurrency setting. With ``workers == 1`` the caller's
+            thread runs every stage itself and no thread is started;
+            otherwise encryption and decryption run on a
+            ``workers``-thread executor, and upload PUTs on one writer
+            thread, with :data:`~repro.tedstore.pipeline.PIPELINE_DEPTH`
+            as the backpressure (DESIGN.md §10). Stored state is
+            byte-identical for every value.
         fingerprint_cache: optional client-side
             :class:`~repro.storage.dedup.FingerprintCache`; hits skip
             encryption and upload for chunks already at the provider.
-        crypto_workers: if > 0, encrypt jobs run in a pool of this many
-            OS processes instead of in the worker threads, sidestepping
-            the GIL for CPU-bound profiles (DESIGN.md §16).
     """
 
     def __init__(
@@ -104,18 +99,12 @@ class TedStoreClient:
         chunker: Optional[ContentDefinedChunker] = None,
         timer: Optional[StageTimer] = None,
         workers: int = 1,
-        pipeline_depth: int = 4,
         fingerprint_cache: Optional["FingerprintCache"] = None,
-        crypto_workers: int = 0,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be at least 1")
-        if crypto_workers < 0:
-            raise ValueError("crypto_workers must be non-negative")
         self.key_manager = key_manager
         self.provider = provider
         self.master_key = master_key
@@ -126,9 +115,7 @@ class TedStoreClient:
         self.chunker = chunker or ContentDefinedChunker(ChunkerParams())
         self.timer = timer or StageTimer()
         self.workers = workers
-        self.pipeline_depth = pipeline_depth
         self.fingerprint_cache = fingerprint_cache
-        self.crypto_workers = crypto_workers
 
     # -- upload ---------------------------------------------------------------
 

@@ -15,9 +15,8 @@ of three stage bodies on :class:`PipelinedUploader`:
   already stored, so the chunk skips encryption *and* upload; repeats of
   a pair already seen in this run are suppressed too (in-flight
   aliases, resolved from the first occurrence at sequencing time).
-* **encrypt** — encrypt the misses and fingerprint the ciphertexts; in
-  this thread, or in a pool of OS processes with ``crypto_workers > 0``
-  (:func:`_mp_encrypt_job`). A pure function of (profile, key, chunk).
+* **encrypt** — encrypt the misses and fingerprint the ciphertexts. A
+  pure function of (profile, key, chunk).
 * **sequence** — put resolved chunks back into file order, cut PUT
   batches every ``batch_size`` chunks, send them one at a time (ordering
   is what keeps container layout byte-identical), insert acknowledged
@@ -25,15 +24,15 @@ of three stage bodies on :class:`PipelinedUploader`:
 
 The schedulers differ only in *who calls the bodies*:
 
-* **inline** (``workers == 1 and crypto_workers == 0``) — the caller's
-  thread runs prepare → encrypt → sequence back to back per
-  ``batch_size`` batch. No thread, no queue: on small files thread
-  start/join and queue hand-offs cost more than there is to overlap.
+* **inline** (``workers == 1``) — the caller's thread runs prepare →
+  encrypt → sequence back to back per ``batch_size`` batch. No thread,
+  no queue: on small files thread start/join and queue hand-offs cost
+  more than there is to overlap.
 * **threaded** (otherwise) — the caller's thread draws ``batch_size``
   batches and prepares each one (keygen stays ordered and single in
   flight); ``workers`` executor threads encrypt the misses; one writer
   thread sequences the batches in submission order. At most
-  ``pipeline_depth`` batches wait to be written (the backpressure:
+  :data:`PIPELINE_DEPTH` batches wait to be written (the backpressure:
   memory stays proportional to the depth, never to the file size). The
   wire and the CPU overlap.
 
@@ -52,7 +51,7 @@ after the error is seen.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
@@ -68,7 +67,7 @@ from repro.tedstore.messages import BatchedKeyGenRequest, PutChunks
 _REGISTRY = obs_metrics.get_registry()
 _WORKERS_BUSY = _REGISTRY.gauge(
     "ted_pipeline_workers_busy",
-    "Encrypt workers currently processing a job",
+    "Encrypt or decrypt jobs currently running on the client",
 )
 _PIPELINE_CHUNKS = _REGISTRY.counter(
     "ted_pipeline_chunks_total",
@@ -77,14 +76,10 @@ _PIPELINE_CHUNKS = _REGISTRY.counter(
 )
 
 
-def stage_threads(workers: int, crypto_workers: int) -> bool:
-    """Whether transfers run their stages on threads (else inline).
-
-    Read off the two existing knobs: with one worker and no process
-    pool there is nothing to overlap, so the caller's thread runs the
-    stage bodies itself.
-    """
-    return workers > 1 or crypto_workers > 0
+#: The backpressure of both threaded schedulers: upload batches waiting
+#: to be written, and ``PIPELINE_DEPTH × workers`` outstanding decrypt
+#: jobs on restore. Memory stays proportional to it, never to file size.
+PIPELINE_DEPTH = 4
 
 
 def batched(chunks: Iterable[bytes], size: int) -> Iterator[List[bytes]]:
@@ -150,33 +145,17 @@ def _encrypt_job(profile, job: List[_Miss]) -> List[_Resolved]:
     return resolved
 
 
-def _mp_encrypt_job(profile_name: str, job: List[_Miss]) -> List[_Resolved]:
-    """:func:`_encrypt_job` in a pool process.
-
-    Module-level so it pickles; resolves the profile by name in the
-    child.
-    """
-    from repro.crypto.cipher import get_profile
-
-    return _encrypt_job(get_profile(profile_name), job)
-
-
 class PipelinedUploader:
     """One upload execution (single use).
 
     Args:
         client: the owning :class:`~repro.tedstore.client.TedStoreClient`
             — supplies transports, profile, sketch geometry, batch size,
-            worker count, depth, and the optional fingerprint cache.
+            worker count, and the optional fingerprint cache.
     """
 
     def __init__(self, client) -> None:
         self.client = client
-        # Each worker thread blocks on one in-flight pool job, so the
-        # pool only stays busy if there are at least as many submitter
-        # threads as processes.
-        self.workers = max(client.workers, client.crypto_workers)
-        self._pool: Optional[ProcessPoolExecutor] = None
         # prepare state: next keygen sequence number, file index of the
         # next chunk, and the (fingerprint, seed) pairs already sent to
         # encryption this run (cache-enabled runs only).
@@ -305,14 +284,8 @@ class PipelinedUploader:
 
     def encrypt(self, job: List[_Miss]) -> List[_Resolved]:
         """Encrypt one job of misses; fingerprint the ciphertexts."""
-        profile = self.client.profile
         with self.client.timer.stage("encryption"), _WORKERS_BUSY.track():
-            if self._pool is not None:
-                resolved = self._pool.submit(
-                    _mp_encrypt_job, profile.name, job
-                ).result()
-            else:
-                resolved = _encrypt_job(profile, job)
+            resolved = _encrypt_job(self.client.profile, job)
         _PIPELINE_CHUNKS.labels(path="encrypted").inc(len(resolved))
         return resolved
 
@@ -394,7 +367,7 @@ class PipelinedUploader:
         """
         client = self.client
         self.file_recipe = FileRecipe(file_name=file_name)
-        if stage_threads(client.workers, client.crypto_workers):
+        if client.workers > 1:
             self._run_threaded(file_name, chunks)
         else:
             self._run_inline(chunks)
@@ -416,20 +389,19 @@ class PipelinedUploader:
         stays ordered and single in flight. The misses go to the encrypt
         executor as contiguous jobs, and one write task per batch goes to
         a one-thread writer whose FIFO order is file order. At most
-        ``pipeline_depth`` batches wait to be written.
+        :data:`PIPELINE_DEPTH` batches wait to be written.
         """
         client = self.client
+        workers = client.workers
         encryptors = ThreadPoolExecutor(
-            self.workers, thread_name_prefix="ted-pipeline-encrypt"
+            workers, thread_name_prefix="ted-pipeline-encrypt"
         )
         writer = ThreadPoolExecutor(1, thread_name_prefix="ted-pipeline-write")
-        if client.crypto_workers:
-            self._pool = ProcessPoolExecutor(max_workers=client.crypto_workers)
         writes: Deque[Future] = deque()
         try:
             with tracing.get_tracer().span(
                 "client.pipeline",
-                attributes={"workers": self.workers, "file": file_name},
+                attributes={"workers": workers, "file": file_name},
             ):
                 for batch in batched(chunks, client.batch_size):
                     # Writes complete in order, so a failed one is seen
@@ -437,7 +409,7 @@ class PipelinedUploader:
                     while writes and writes[0].done():
                         writes.popleft().result()
                     resolved, misses = self.prepare(batch)
-                    size = max(32, -(-len(misses) // self.workers))
+                    size = max(32, -(-len(misses) // workers))
                     jobs = [
                         encryptors.submit(self.encrypt, misses[s : s + size])
                         for s in range(0, len(misses), size)
@@ -446,7 +418,7 @@ class PipelinedUploader:
                     writes.append(
                         writer.submit(self._write, previous, resolved, jobs)
                     )
-                    if len(writes) > client.pipeline_depth:
+                    if len(writes) > PIPELINE_DEPTH:
                         writes.popleft().result()
                 while writes:
                     writes.popleft().result()
@@ -454,10 +426,8 @@ class PipelinedUploader:
         finally:
             # Encryptors first: a write still waiting on a cancelled job
             # then ends without its PUT.
-            for executor in (encryptors, writer, self._pool):
-                if executor is not None:
-                    executor.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+            for executor in (encryptors, writer):
+                executor.shutdown(wait=True, cancel_futures=True)
 
     def _write(
         self,

@@ -21,13 +21,13 @@ exists once, as a stage body on :class:`PipelinedDownloader`:
   recipe-order slot.
 * **assemble** — resolve the aliases and join the slots.
 
-Scheduling follows the upload path (same predicate,
-:func:`~repro.tedstore.pipeline.stage_threads`): **inline**, the
-caller's thread alternates fetch and decrypt per batch and starts no
-thread; **threaded**, the caller's thread fetches and submits decrypt
-jobs to a ``workers``-thread executor, at most ``pipeline_depth ×
-workers`` outstanding, so batch *i+1*'s round trip hides behind batch
-*i*'s decryption — waiting on the jobs is the re-sequencing barrier.
+Scheduling follows the upload path (same predicate, ``workers > 1``):
+**inline**, the caller's thread alternates fetch and decrypt per batch
+and starts no thread; **threaded**, the caller's thread fetches and
+submits decrypt jobs to a ``workers``-thread executor, at most
+``PIPELINE_DEPTH × workers`` outstanding, so batch *i+1*'s round trip
+hides behind batch *i*'s decryption — waiting on the jobs is the
+re-sequencing barrier.
 Output is byte-identical either way. A stage error reaches the caller
 as itself from both; in threaded mode it is the first error in file
 order, the executor is joined before the call returns, and no GET is
@@ -44,10 +44,10 @@ from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 from repro.crypto.hashes import digest
 from repro.obs import tracing
 from repro.tedstore.pipeline import (
+    PIPELINE_DEPTH,
     PipelineError,
     _PIPELINE_CHUNKS,
     _WORKERS_BUSY,
-    stage_threads,
 )
 
 #: One decrypt job: (recipe index, ciphertext fingerprint, chunk key,
@@ -66,7 +66,7 @@ class PipelinedDownloader:
     Args:
         client: the owning :class:`~repro.tedstore.client.TedStoreClient`
             — supplies the provider transport, cipher profile, batch
-            size, worker count, and pipeline depth.
+            size, and worker count.
     """
 
     def __init__(self, client) -> None:
@@ -197,7 +197,7 @@ class PipelinedDownloader:
              keys[start : start + batch_size])
             for start in range(0, len(entries), batch_size)
         )
-        if stage_threads(client.workers, client.crypto_workers):
+        if client.workers > 1:
             self._run_threaded(file_name, slices)
         else:
             for piece in slices:
@@ -209,15 +209,14 @@ class PipelinedDownloader:
     def _run_threaded(self, file_name: str, slices) -> None:
         """Fetch from the caller's thread; decrypt on an executor.
 
-        At most ``pipeline_depth × workers`` decrypt jobs are
+        At most ``PIPELINE_DEPTH × workers`` decrypt jobs are
         outstanding, so memory stays proportional to the depth, never to
         the file size. Waiting on the jobs in submission order yields the
         first error in file order; joining them is the re-sequencing
         barrier.
         """
-        client = self.client
-        workers = client.workers
-        limit = client.pipeline_depth * workers
+        workers = self.client.workers
+        limit = PIPELINE_DEPTH * workers
         decryptors = ThreadPoolExecutor(
             workers, thread_name_prefix="ted-pipeline-decrypt"
         )

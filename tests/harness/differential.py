@@ -5,9 +5,8 @@ state whichever way its stages are scheduled. This harness makes that
 claim executable: build isolated deployments (own key manager, own
 on-disk provider), run the same workload through each — one through the
 straight-line :class:`~tests.harness.reference.ReferenceClient`, the
-others through :class:`TedStoreClient` at some ``workers`` /
-``crypto_workers`` setting — and assert that everything durable is
-equal:
+others through :class:`TedStoreClient` at some ``workers`` setting —
+and assert that everything durable is equal:
 
 * every byte under the provider's storage directory (containers, chunk
   index) — compared file by file;
@@ -117,12 +116,10 @@ def make_deployment(
     directory,
     *,
     workers: int = 1,
-    pipeline_depth: int = 3,
     cache_capacity: int = 0,
     client_batch_size: int = 500,
     km_batch_size: int = 1024,
     rng_seed: int = 7,
-    crypto_workers: int = 0,
     oracle: bool = False,
     key_manager_wrap=None,
     provider_wrap=None,
@@ -130,7 +127,7 @@ def make_deployment(
     """Build one deployment rooted at ``directory``.
 
     ``oracle`` swaps the client for the straight-line reference (which
-    has no batches, workers, cache, or depth — those arguments are then
+    has no batches, workers, or cache — those arguments are then
     unused).
     ``key_manager_wrap`` / ``provider_wrap`` optionally wrap the local
     transports (fault injectors, tracing shims) before the client sees
@@ -167,9 +164,7 @@ def make_deployment(
             provider_transport,
             batch_size=client_batch_size,
             workers=workers,
-            pipeline_depth=pipeline_depth,
             fingerprint_cache=cache,
-            crypto_workers=crypto_workers,
             **common,
         )
     return Deployment(
@@ -190,7 +185,6 @@ def make_sharded_deployment(
     *,
     ring_seed: int = 0,
     workers: int = 1,
-    pipeline_depth: int = 3,
     client_batch_size: int = 500,
     km_batch_size: int = 1024,
     rng_seed: int = 7,
@@ -214,7 +208,6 @@ def make_sharded_deployment(
             mode,
             directory,
             workers=workers,
-            pipeline_depth=pipeline_depth,
             client_batch_size=client_batch_size,
             km_batch_size=km_batch_size,
             rng_seed=rng_seed,
@@ -245,7 +238,6 @@ def make_sharded_deployment(
         sketch_width=_SKETCH_WIDTH,
         batch_size=client_batch_size,
         workers=workers,
-        pipeline_depth=pipeline_depth,
     )
     return Deployment(
         mode=mode,

@@ -1,9 +1,9 @@
 """Differential proof: every upload scheduling ≡ the straight-line oracle.
 
 For each of the paper's operating points (MLE, BTED, FTED) the client —
-inline at ``workers=1``, threaded at ``workers=4``, with a process pool
-at ``crypto_workers=2`` — must leave the provider and the key manager in
-*bit-identical* state to :class:`tests.harness.reference.ReferenceClient`.
+inline at ``workers=1``, threaded at ``workers=4`` — must leave the
+provider and the key manager in *bit-identical* state to
+:class:`tests.harness.reference.ReferenceClient`.
 These tests execute that contract through
 :mod:`tests.harness.differential` against real on-disk providers.
 """
@@ -30,11 +30,10 @@ WORKLOAD = make_workload(
 )
 FILE_NAMES = [name for name, _ in WORKLOAD]
 
-#: The schedulings under test: inline, threaded, threaded + process pool.
+#: The schedulings under test: inline and threaded.
 SCHEDULINGS = {
     "workers1": dict(workers=1),
-    "workers4": dict(workers=4, pipeline_depth=2),
-    "crypto2": dict(crypto_workers=2),
+    "workers4": dict(workers=4),
 }
 
 
@@ -114,7 +113,6 @@ def test_delay_faults_jitter_interleavings_not_state(
         tmp_path,
         "fted",
         workers=workers,
-        pipeline_depth=2,
         client_batch_size=200,  # batch cuts differ from the oracle's too
         key_manager_wrap=lambda t: FaultyKeyManager(t, delay_plan),
         provider_wrap=lambda t: FaultyProvider(t, delay_plan),

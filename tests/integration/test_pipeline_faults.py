@@ -120,7 +120,6 @@ class TestProviderCrashMidPipeline:
             sketch_width=_W,
             batch_size=8,  # many small PUT batches → crash lands mid-stream
             workers=3,
-            pipeline_depth=2,
             fingerprint_cache=FingerprintCache(capacity=4096),
         )
         try:
@@ -166,7 +165,6 @@ class TestInjectedFaults:
             "fted",
             tmp_path,
             workers=workers,
-            pipeline_depth=2,
             client_batch_size=100,
             provider_wrap=lambda t: FaultyProvider(t, drop_plan),
         )
@@ -295,7 +293,6 @@ class TestNothingSentAfterFailure:
             sketch_width=_W,
             batch_size=50,  # 16 keygen/PUT batches per file
             workers=3,
-            pipeline_depth=2,
         )
         try:
             yield client, counted_km, counted_provider

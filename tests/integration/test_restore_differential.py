@@ -1,9 +1,9 @@
 """Differential tests: every restore scheduling ≡ the oracle (DESIGN.md §10).
 
 The restore path promises byte-identical plaintext however its stages
-are scheduled — inline at ``workers=1``, threaded at ``workers=4`` or
-``crypto_workers=2`` — for every operating point, every storage layout,
-and under injected faults. These tests store files through the
+are scheduled — inline at ``workers=1``, threaded at ``workers=4`` —
+for every operating point, every storage layout, and under injected
+faults. These tests store files through the
 straight-line :class:`tests.harness.reference.ReferenceClient`, restore
 them through it and through each scheduling, and compare; and prove the
 path recovers from a provider crash mid-download over real TCP.
@@ -47,11 +47,10 @@ FILE_NAMES = [name for name, _ in WORKLOAD]
 EXPECTED = {name: b"".join(chunks) for name, chunks in WORKLOAD}
 
 
-#: The schedulings under test: inline, threaded, threaded via the pool knob.
+#: The schedulings under test: inline and threaded.
 SCHEDULINGS = {
     "workers1": dict(workers=1),
-    "workers4": dict(workers=4, pipeline_depth=3),
-    "crypto2": dict(crypto_workers=2),
+    "workers4": dict(workers=4),
 }
 
 
@@ -220,7 +219,6 @@ class TestProviderCrashMidDownload:
             sketch_width=_W,
             batch_size=120,  # many GetChunks batches → crash mid-stream
             workers=3,
-            pipeline_depth=2,
         )
         try:
             name, chunks = WORKLOAD[0]

@@ -3,12 +3,14 @@
 Integration-level equivalence lives in
 ``tests/integration/test_pipeline_differential.py``; here the path's
 local contracts are pinned down: ordering, accounting invariants, the
-inline/threaded scheduling choice, error propagation, and the cache's
-thread-safety under a barrier-synchronized race.
+inline/threaded scheduling choice, the threaded scheduler's
+backpressure, error propagation, and the cache's thread-safety under a
+barrier-synchronized race.
 """
 
 import random
 import threading
+import time
 
 import pytest
 
@@ -18,7 +20,7 @@ from repro.storage.dedup import FingerprintCache
 from repro.tedstore.client import TedStoreClient
 from repro.tedstore.inprocess import LocalKeyManager, LocalProvider
 from repro.tedstore.keymanager import KeyManagerService
-from repro.tedstore.pipeline import PipelinedUploader, stage_threads
+from repro.tedstore.pipeline import PIPELINE_DEPTH, PipelinedUploader
 from repro.tedstore.provider import ProviderService
 
 _W = 2**14
@@ -52,7 +54,7 @@ def _chunks(count=600, distinct=30, seed=9):
 class TestOrderingAndAccounting:
     def test_chunk_order_is_preserved(self):
         """Workers finish out of order; the resequencer must not."""
-        client = _client(workers=4, pipeline_depth=2)
+        client = _client(workers=4)
         chunks = _chunks()
         client.upload_chunks("ordered", chunks)
         assert client.download("ordered") == b"".join(chunks)
@@ -93,7 +95,7 @@ class TestOrderingAndAccounting:
         assert client.download("empty") == b""
 
     def test_single_chunk_upload(self):
-        client = _client(workers=4, pipeline_depth=1)
+        client = _client(workers=4)
         result = client.upload_chunks("one", [b"x" * 100])
         assert result.chunk_count == 1
         assert client.download("one") == b"x" * 100
@@ -122,16 +124,10 @@ def started_threads(monkeypatch):
 
 
 class TestSchedulingAndValidation:
-    def test_stage_threads_follow_workers_and_crypto_workers(self):
-        assert not stage_threads(1, 0)
-        assert stage_threads(2, 0)
-        assert stage_threads(1, 1)
-
     @pytest.mark.parametrize("cache", [False, True])
     def test_one_worker_starts_no_thread(self, started_threads, cache):
-        """workers=1, crypto_workers=0: both directions run in the
-        caller's thread — cache or not — so no ``ted-pipeline-*`` thread
-        is ever created."""
+        """workers=1: both directions run in the caller's thread —
+        cache or not — so no ``ted-pipeline-*`` thread is ever created."""
         client = _client(
             workers=1,
             fingerprint_cache=FingerprintCache(capacity=64) if cache else None,
@@ -166,9 +162,64 @@ class TestSchedulingAndValidation:
         with pytest.raises(ValueError):
             _client(workers=0)
 
-    def test_invalid_pipeline_depth_rejected(self):
-        with pytest.raises(ValueError):
-            _client(workers=2, pipeline_depth=0)
+    def test_upload_prepares_at_most_depth_plus_one_batches_ahead(self):
+        """With the first PUT held, the caller's thread prepares
+        ``PIPELINE_DEPTH + 1`` batches (one keygen round trip each) and
+        then waits: memory is bounded by the depth, not the file."""
+        client = _client(workers=2, batch_size=10)
+        release = threading.Event()
+        keygens = []
+
+        class _Counting:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def keygen_batched(self, request):
+                keygens.append(request.sequence)
+                return self._inner.keygen_batched(request)
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        class _HeldFirstPut(_Counting):
+            calls = 0
+
+            def put_chunks(self, request):
+                self.calls += 1
+                if self.calls == 1:
+                    assert release.wait(timeout=30)
+                return self._inner.put_chunks(request)
+
+        client.key_manager = _Counting(client.key_manager)
+        client.provider = _HeldFirstPut(client.provider)
+        chunks = _chunks(count=300)  # 30 keygen/PUT batches
+        results = []
+        upload = threading.Thread(
+            target=lambda: results.append(
+                client.upload_chunks("held", chunks)
+            )
+        )
+        upload.start()
+        try:
+            deadline = time.monotonic() + 10
+            while len(keygens) <= PIPELINE_DEPTH:
+                assert time.monotonic() < deadline, keygens
+                time.sleep(0.01)
+            time.sleep(0.2)  # room to overrun the bound, were it broken
+            assert len(keygens) == PIPELINE_DEPTH + 1
+        finally:
+            release.set()
+            upload.join(timeout=30)
+        assert not upload.is_alive()
+        assert results[0].chunk_count == len(chunks)
+        assert keygens == list(range(len(chunks) // 10))
+        assert client.download("held") == b"".join(chunks)
+        inline = _client(batch_size=10)
+        inline.upload_chunks("held", chunks)
+        assert (
+            client.provider.service.engine.chunks
+            == inline.provider.service.engine.chunks
+        )
 
 
 class TestErrors:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import socket
 
 import pytest
 
@@ -42,6 +43,8 @@ _DELETED_REGISTRY_COPIES = (
     "ted_scrub_passes_total",
     "ted_slo_window_p50_seconds",
     "ted_loadgen_tenant_ops_total",
+    "ted_scrub_chunks_healed_total",
+    "ted_scrub_entries_dropped_total",
 )
 
 
@@ -82,6 +85,39 @@ class TestParser:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}" in err and "'localhost'" in err
+
+    @pytest.mark.parametrize("command", ["upload", "download"])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--workers", "0"],
+            ["--batch-size", "0"],
+            ["--sketch-width", "0"],
+            ["--fp-cache", "-1"],
+            ["--crypto-workers", "2"],  # removed flags stay removed
+            ["--pipeline-depth", "4"],
+        ],
+        ids="=".join,
+    )
+    def test_bad_client_flag_exits_2_before_connecting(
+        self, command, flag, tmp_path
+    ):
+        """A bad numeric flag is a usage error raised while parsing:
+        pointed at a closed port, the call exits 2 instead of failing to
+        connect (or connecting first and raising a traceback)."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            closed = f"127.0.0.1:{probe.getsockname()[1]}"
+        target = tmp_path / "f.bin"
+        target.write_bytes(b"x" * 100)
+        argv = [command, "--km", closed, "--provider", closed, *flag]
+        if command == "upload":
+            argv.append(str(target))
+        else:
+            argv += ["f.bin", "--out", str(tmp_path / "out.bin")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
 
 class TestOfflineCommands:
