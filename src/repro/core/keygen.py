@@ -18,7 +18,10 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
-from repro.crypto.hashes import hash_concat
+from repro.crypto.hashes import hash_concat, hash_function, length_prefixed
+
+# The 4-byte length prefixes of 1..8-byte integer components.
+_SIZE_PREFIX = [size.to_bytes(4, "big") for size in range(9)]
 
 
 def frequency_bucket(frequency: int, t: int) -> int:
@@ -73,15 +76,27 @@ class KeySeedGenerator:
         self.probabilistic = probabilistic
         self.algorithm = algorithm
         self._rng = rng or random.Random()
+        self._hash = hash_function(algorithm)
+        # The first hash_concat component never changes.
+        self._secret_part = length_prefixed(bytes(secret))
 
     def candidate(self, short_hashes: Sequence[int], x: int) -> bytes:
-        """Eq. 2: ``k_x = H(kappa || h_1 || ... || h_r || x)``."""
+        """Eq. 2: ``k_x = H(kappa || h_1 || ... || h_r || x)``.
+
+        Byte for byte ``hash_concat([kappa, h_1, ..., h_r, x])``, built
+        as one buffer around the precomputed secret component.
+        """
         if x < 0:
             raise ValueError("candidate index cannot be negative")
-        parts = [self.secret]
-        parts.extend(short_hashes)
-        parts.append(x)
-        return hash_concat(parts, algorithm=self.algorithm)
+        parts = [self._secret_part]
+        append = parts.append
+        for value in (*short_hashes, x):
+            if value < 0:
+                raise ValueError("negative integers are not hashable inputs")
+            size = (value.bit_length() + 7) // 8 or 1
+            append(_SIZE_PREFIX[size] if size < 9 else size.to_bytes(4, "big"))
+            append(value.to_bytes(size, "big"))
+        return self._hash(b"".join(parts)).digest()
 
     def select_seed(
         self, short_hashes: Sequence[int], frequency: int, t: int
@@ -109,4 +124,6 @@ def derive_key(
     """
     if not seed:
         raise ValueError("seed must be non-empty")
-    return hash_concat([seed, fingerprint], algorithm=algorithm)
+    return hash_function(algorithm)(
+        length_prefixed(seed) + length_prefixed(fingerprint)
+    ).digest()

@@ -18,6 +18,24 @@ HashInput = Union[bytes, bytearray, memoryview, int, str]
 #: Digest sizes of the supported hash profiles.
 DIGEST_SIZES = {"sha256": 32, "md5": 16, "sha1": 20}
 
+# The direct hashlib constructors: one call hashes a whole buffer, where
+# ``hashlib.new`` looks the name up on every call.
+_CONSTRUCTORS = {
+    "sha256": hashlib.sha256,
+    "md5": hashlib.md5,
+    "sha1": hashlib.sha1,
+}
+
+
+def hash_function(algorithm: str):
+    """The hashlib constructor of a supported algorithm name."""
+    try:
+        return _CONSTRUCTORS[algorithm]
+    except KeyError:
+        raise ValueError(
+            f"unsupported hash algorithm: {algorithm!r}"
+        ) from None
+
 
 def _to_bytes(value: HashInput) -> bytes:
     """Canonicalize a hash input component to bytes."""
@@ -33,18 +51,20 @@ def _to_bytes(value: HashInput) -> bytes:
     raise TypeError(f"unsupported hash input type: {type(value)!r}")
 
 
+def length_prefixed(raw: bytes) -> bytes:
+    """One :func:`hash_concat` component: 4-byte big-endian length, then
+    the bytes."""
+    return len(raw).to_bytes(4, "big") + raw
+
+
 def new_hash(algorithm: str):
     """Return a fresh hashlib object for a supported algorithm name."""
-    if algorithm not in DIGEST_SIZES:
-        raise ValueError(f"unsupported hash algorithm: {algorithm!r}")
-    return hashlib.new(algorithm)
+    return hash_function(algorithm)()
 
 
 def digest(data: bytes, algorithm: str = "sha256") -> bytes:
     """Hash a single byte string."""
-    h = new_hash(algorithm)
-    h.update(data)
-    return h.digest()
+    return hash_function(algorithm)(data).digest()
 
 
 def hash_concat(parts: Iterable[HashInput], algorithm: str = "sha256") -> bytes:
@@ -53,13 +73,11 @@ def hash_concat(parts: Iterable[HashInput], algorithm: str = "sha256") -> bytes:
     Length prefixes prevent ambiguity between e.g. (b"ab", b"c") and
     (b"a", b"bc"), which matters because the key manager concatenates the
     global secret, short hashes, and the frequency bucket index (Eq. 2).
+    The components are joined into one buffer and hashed in one call.
     """
-    h = new_hash(algorithm)
-    for part in parts:
-        raw = _to_bytes(part)
-        h.update(len(raw).to_bytes(4, "big"))
-        h.update(raw)
-    return h.digest()
+    return hash_function(algorithm)(
+        b"".join([length_prefixed(_to_bytes(part)) for part in parts])
+    ).digest()
 
 
 def hmac_digest(key: bytes, data: bytes, algorithm: str = "sha256") -> bytes:

@@ -11,7 +11,9 @@ the test suite against the SMHasher verification value (0x6384BA69).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
+
+import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _C1 = 0x87C37B91114253D5
@@ -128,3 +130,103 @@ def short_hashes(data: bytes, rows: int, width: int, seed: int = 0) -> List[int]
             indices.append(word % width)
         block += 1
     return indices
+
+
+#: Below this many fingerprints :func:`short_hashes_batch` loops over the
+#: scalar :func:`short_hashes`: the numpy pass costs about 70 µs of array
+#: calls whatever the batch size, so it only pays from here up
+#: (DESIGN.md §16 has the measurement).
+BATCH_MIN = 10
+
+_U64 = np.uint64
+
+
+def _rotl64_array(value: np.ndarray, shift: int) -> np.ndarray:
+    return (value << _U64(shift)) | (value >> _U64(64 - shift))
+
+
+def _fmix64_array(k: np.ndarray) -> np.ndarray:
+    k ^= k >> _U64(33)
+    k *= _U64(0xFF51AFD7ED558CCD)
+    k ^= k >> _U64(33)
+    k *= _U64(0xC4CEB9FE1A85EC53)
+    k ^= k >> _U64(33)
+    return k
+
+
+def _murmur3_words(data: np.ndarray, seed: int) -> np.ndarray:
+    """:func:`murmur3_x64_128` of every row of an ``(n, length)`` uint8
+    array, as an ``(n, 4)`` array of its little-endian 32-bit words."""
+    n, length = data.shape
+    nblocks = length // 16
+    h1 = np.full(n, seed & _MASK64, dtype=np.uint64)
+    h2 = h1.copy()
+    c1 = _U64(_C1)
+    c2 = _U64(_C2)
+    blocks = np.ascontiguousarray(data[:, : nblocks * 16]).view("<u8")
+    for block in range(nblocks):
+        k1 = blocks[:, 2 * block] * c1
+        h1 ^= _rotl64_array(k1, 31) * c2
+        h1 = _rotl64_array(h1, 27) + h2
+        h1 = h1 * _U64(5) + _U64(0x52DCE729)
+        k2 = blocks[:, 2 * block + 1] * c2
+        h2 ^= _rotl64_array(k2, 33) * c1
+        h2 = _rotl64_array(h2, 31) + h1
+        h2 = h2 * _U64(5) + _U64(0x38495AB5)
+    tail_len = length - nblocks * 16
+    if tail_len:
+        tail = np.zeros((n, 16), dtype=np.uint8)
+        tail[:, :tail_len] = data[:, nblocks * 16 :]
+        tail_words = tail.view("<u8")
+        if tail_len >= 9:
+            h2 ^= _rotl64_array(tail_words[:, 1] * c2, 33) * c1
+        h1 ^= _rotl64_array(tail_words[:, 0] * c1, 31) * c2
+    h1 ^= _U64(length)
+    h2 ^= _U64(length)
+    h1 += h2
+    h2 += h1
+    h1 = _fmix64_array(h1)
+    h2 = _fmix64_array(h2)
+    h1 += h2
+    h2 += h1
+    return np.stack((h1, h2), axis=1).view("<u4")
+
+
+def short_hashes_batch(
+    fingerprints: Sequence[bytes], rows: int, width: int, seed: int = 0
+) -> List[List[int]]:
+    """:func:`short_hashes` of every fingerprint, in one pass per batch.
+
+    The fingerprints must share one length (a batch of digests from one
+    hash profile). From :data:`BATCH_MIN` fingerprints up, one vectorised
+    MurmurHash3 pass hashes the whole batch; below it the scalar
+    reference is cheaper and is what runs. Either way the result is
+    value-for-value :func:`short_hashes`, which the parity tests pin.
+
+    Raises:
+        ValueError: for non-positive ``rows``/``width`` or fingerprints
+            of unequal length.
+    """
+    if rows <= 0:
+        raise ValueError("rows must be positive")
+    if width <= 0:
+        raise ValueError("width must be positive")
+    count = len(fingerprints)
+    if count < BATCH_MIN:
+        return [short_hashes(fp, rows, width, seed) for fp in fingerprints]
+    joined = b"".join(fingerprints)
+    length = len(fingerprints[0])
+    if len(joined) != count * length:
+        raise ValueError("fingerprints in one batch must have equal length")
+    data = np.frombuffer(joined, dtype=np.uint8).reshape(count, length)
+    digests = -(-rows // 4)
+    with np.errstate(over="ignore"):
+        words = np.concatenate(
+            [_murmur3_words(data, seed + block) for block in range(digests)],
+            axis=1,
+        )
+    words = words[:, :rows]
+    if width <= 0xFFFFFFFF:
+        words = words % np.uint32(width)
+    # A wider sketch leaves every 32-bit word below ``width`` as it is.
+    return words.tolist()

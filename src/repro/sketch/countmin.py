@@ -157,6 +157,12 @@ class CountMinSketch:
             idx = np.asarray(batch, dtype=np.int64)
         except OverflowError:
             raise self._range_error() from None
+        except ValueError:
+            # numpy's own text ("inhomogeneous shape") names no rule.
+            raise ValueError(
+                f"expected {self.rows} short hashes per item, got a "
+                f"ragged batch"
+            ) from None
         if idx.ndim != 2 or idx.shape[1] != self.rows:
             raise ValueError(
                 f"expected {self.rows} short hashes per item, got "

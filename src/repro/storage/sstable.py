@@ -11,21 +11,23 @@ read. On-disk layout::
 
 Each record is ``key_len varint || key || flag(1) || value_len varint ||
 value`` where ``flag`` 1 marks a tombstone. The sparse index stores every
-``index_interval``-th key with its file offset, so a point lookup
-binary-searches it and scans at most one interval of the data block — the
-same structure LevelDB uses, minus block compression. There is no filter:
-the whole table is read into memory when opened, so a lookup never reads
-the disk a filter would let it skip. Readers skip the filter block, so
-tables from builds that wrote one still open.
+``index_interval``-th key with its file offset — the structure LevelDB
+uses, minus block compression — and is written so the on-disk format
+stays one format. The reader does not need it: opening a table reads the
+whole file and decodes every record once into a dict (insertion order
+is key order), so a point lookup is one hash probe and never decodes a
+record again (DESIGN.md §16 has the cost per entry). There is no filter
+either, since a lookup never reads the disk a filter would let it skip.
+Readers skip the filter and index blocks, so tables from builds that
+wrote a filter still open.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from bisect import bisect_right
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.storage import crash
 from repro.utils.varint import decode_uvarint, encode_uvarint
@@ -52,18 +54,47 @@ def _encode_record(key: bytes, value: Optional[bytes]) -> bytes:
     )
 
 
-def _decode_record(data: bytes, offset: int) -> Tuple[bytes, Optional[bytes], int]:
-    key_len, pos = decode_uvarint(data, offset)
-    key = data[pos : pos + key_len]
-    pos += key_len
-    flag = data[pos]
-    pos += 1
-    value_len, pos = decode_uvarint(data, pos)
-    value = data[pos : pos + value_len]
-    pos += value_len
-    if flag == FLAG_TOMBSTONE:
-        return key, None, pos
-    return key, value, pos
+def _decode_records(data: bytes) -> Dict[bytes, Optional[bytes]]:
+    """Every record of a data block, in key order (``None``: tombstone).
+
+    Raises:
+        ValueError: on a truncated record, an unknown flag or keys that
+            do not strictly ascend — a malformed block, never an
+            ``IndexError``.
+    """
+    records: Dict[bytes, Optional[bytes]] = {}
+    end = len(data)
+    pos = 0
+    last = b""
+    try:
+        while pos < end:
+            key_len = data[pos]
+            pos += 1
+            if key_len > 0x7F:
+                key_len, pos = decode_uvarint(data, pos - 1)
+            key = data[pos : pos + key_len]
+            pos += key_len
+            # A key running past the end makes this read an IndexError.
+            flag = data[pos]
+            value_len = data[pos + 1]
+            pos += 2
+            if value_len > 0x7F:
+                value_len, pos = decode_uvarint(data, pos - 1)
+            if pos + value_len > end:
+                raise ValueError("truncated record value")
+            if key <= last and records:
+                raise ValueError("record keys do not strictly ascend")
+            last = key
+            if flag == FLAG_VALUE:
+                records[key] = data[pos : pos + value_len]
+            elif flag == FLAG_TOMBSTONE:
+                records[key] = None
+            else:
+                raise ValueError(f"unknown record flag {flag}")
+            pos += value_len
+    except IndexError:
+        raise ValueError("truncated record") from None
+    return records
 
 
 def write_sstable(
@@ -133,49 +164,24 @@ class SSTable:
             raise ValueError(f"SSTable length mismatch: {self.path}")
         if zlib.crc32(body) != crc:
             raise ValueError(f"SSTable checksum failure: {self.path}")
-        self._data = body[:data_len]
-        self._index_keys: List[bytes] = []
-        self._index_offsets: List[int] = []
-        pos = 0
-        index_block = body[data_len + filter_len :]
-        while pos < len(index_block):
-            key_len, pos = decode_uvarint(index_block, pos)
-            self._index_keys.append(index_block[pos : pos + key_len])
-            pos += key_len
-            offset, pos = decode_uvarint(index_block, pos)
-            self._index_offsets.append(offset)
+        try:
+            self._records = _decode_records(body[:data_len])
+        except ValueError as exc:
+            raise ValueError(f"malformed SSTable {self.path}: {exc}") from exc
 
     def get(self, key: bytes) -> LookupResult:
         """Point lookup; ``(True, None)`` signals a tombstone."""
-        slot = bisect_right(self._index_keys, key) - 1
-        if slot < 0:
-            return False, None
-        offset = self._index_offsets[slot]
-        end = (
-            self._index_offsets[slot + 1]
-            if slot + 1 < len(self._index_offsets)
-            else len(self._data)
-        )
-        while offset < end:
-            record_key, value, offset = _decode_record(self._data, offset)
-            if record_key == key:
-                return True, value
-            if record_key > key:
-                return False, None
+        records = self._records
+        if key in records:
+            return True, records[key]
         return False, None
 
     def __iter__(self) -> Iterator[Tuple[bytes, Optional[bytes]]]:
         """Iterate all records (including tombstones) in key order."""
-        offset = 0
-        while offset < len(self._data):
-            key, value, offset = _decode_record(self._data, offset)
-            yield key, value
+        return iter(self._records.items())
 
     def __len__(self) -> int:
-        count = 0
-        for _ in self:
-            count += 1
-        return count
+        return len(self._records)
 
     def file_bytes(self) -> int:
         """Size of the table file on disk."""

@@ -116,6 +116,12 @@ class KeyManagerService:
         if self.rate_limiter is not None:
             self.rate_limiter.check(client_id, len(request.hash_vectors))
         batch = len(request.hash_vectors)
+        if not batch:
+            # Nothing to count, select or log: an empty batch has no
+            # frequency effect, so it costs no log record, no fsync, no
+            # snapshot cadence and no observer fan-out.
+            with self._lock:
+                return KeyGenResponse(seeds=[], current_t=self.key_manager.t)
         with tracing.get_tracer().span(
             "keymanager.keygen", attributes={"batch": batch}
         ), self._lock:

@@ -53,6 +53,7 @@ from repro.utils.varint import (
     decode_uvarint,
     decode_vectors,
     encode_uvarint,
+    encode_uvarints,
     encode_vectors,
 )
 
@@ -375,32 +376,33 @@ class KeyManagerStateStore:
     def _encode_snapshot(self, key_manager: TedKeyManager) -> bytes:
         sketch = key_manager.sketch
         cells, counters = _encode_counters(sketch._counters)
-        payload = bytearray()
-        for value in (
-            sketch.rows,
-            sketch.width,
-            sketch.total,
-            key_manager.t,
-            key_manager._requests_in_batch,
-            key_manager.stats.requests,
-            key_manager.stats.batches_tuned,
-            self._batch_id,
-            cells,
-            len(counters),
-        ):
-            payload.extend(encode_uvarint(value))
-        payload.extend(counters)
+        header = encode_uvarints(
+            (
+                sketch.rows,
+                sketch.width,
+                sketch.total,
+                key_manager.t,
+                key_manager._requests_in_batch,
+                key_manager.stats.requests,
+                key_manager.stats.batches_tuned,
+                self._batch_id,
+                cells,
+                len(counters),
+            )
+        )
+        # The frequency map, one flat run of varints: its size, then per
+        # identity its length, its short hashes and its frequency. This
+        # encode runs under the key-manager lock (DESIGN.md §12).
         freq = key_manager._freq_by_identity
-        payload.extend(encode_uvarint(len(freq)))
+        flat = [len(freq)]
         for identity, frequency in freq.items():
-            payload.extend(encode_uvarint(len(identity)))
-            for short_hash in identity:
-                payload.extend(encode_uvarint(short_hash))
-            payload.extend(encode_uvarint(frequency))
+            flat.append(len(identity))
+            flat.extend(identity)
+            flat.append(frequency)
         # Reserved slot: older snapshots carry a per-client sequence map
         # here; it is written empty so the layout stays one format.
-        payload.extend(encode_uvarint(0))
-        body = bytes(payload)
+        flat.append(0)
+        body = header + counters + encode_uvarints(flat)
         return _MAGIC + zlib.crc32(body).to_bytes(4, "little") + body
 
     def _decode_snapshot_into(

@@ -58,7 +58,7 @@ from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.keygen import derive_key
 from repro.crypto.hashes import digest
-from repro.crypto.murmur3 import short_hashes
+from repro.crypto.murmur3 import short_hashes_batch
 from repro.obs import metrics as obs_metrics, tracing
 from repro.storage.dedup import FingerprintCache
 from repro.storage.recipe import FileRecipe, KeyRecipe
@@ -201,10 +201,9 @@ class PipelinedUploader:
         # path (the C++ prototype murmurs whole chunks because Murmur is
         # nearly free there; in Python it is not).
         with timer.stage("hashing"):
-            hash_vectors = [
-                short_hashes(fp, client.sketch_rows, client.sketch_width)
-                for fp in fingerprints
-            ]
+            hash_vectors = short_hashes_batch(
+                fingerprints, client.sketch_rows, client.sketch_width
+            )
         with timer.stage("key seeding"):
             seeds = client.key_manager.keygen_batched(
                 BatchedKeyGenRequest(

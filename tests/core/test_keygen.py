@@ -10,6 +10,7 @@ from repro.core.keygen import (
     derive_key,
     frequency_bucket,
 )
+from repro.crypto.hashes import hash_concat
 
 _HASHES = [17, 42, 99, 7]
 
@@ -130,3 +131,62 @@ class TestDeriveKey:
 
     def test_md5_length(self):
         assert len(derive_key(b"s", b"fp", algorithm="md5")) == 16
+
+
+class TestGoldenBytes:
+    """Seeds and keys keep the bytes ``hash_concat`` gave them before
+    the one-buffer encoders: every stored ciphertext depends on them."""
+
+    _CANDIDATES = {
+        "sha256": [
+            "6b32cfaf2bb875090dd855532ea0a6dda30e51885360d1bf20496f5ce55d0ed9",
+            "809ebaf581949d04c6282e2925b1af6f1b3f286a73c4ed9cf2ac60c9bcc0719d",
+            "a8cc388de6c6160c686a8e621be0157239faa35cdf940367e4d411ae49b9c41a",
+        ],
+        "md5": [
+            "6c842bd6b1e50ed41488670196de136b",
+            "57e7d2dbe5854b41cd8187553a8e6ced",
+            "83ea1ec4886f6b9092a2abcb6fc163cd",
+        ],
+    }
+    _ZERO_CANDIDATE = {
+        "sha256": "4bda870fc0946aaf4bf4bb39ab38c2da1df055056b60d6f2bd0a42e1b3079f6e",
+        "md5": "c47868e32bd33e90a282b3a36f1b7484",
+    }
+    _KEYS = {
+        "sha256": "2bcb9d00aaf494dc75be45f1fdb1fd94e468e156dfccd86858ff937512dba973",
+        "md5": "65827e74f2a35e2708a7573c7984c4b7",
+    }
+
+    @pytest.mark.parametrize("algorithm", ["sha256", "md5"])
+    def test_candidates(self, algorithm):
+        gen = KeySeedGenerator(secret=b"kappa-secret", algorithm=algorithm)
+        hashes = [1, 255, 256, 2**21 - 1]
+        assert [
+            gen.candidate(hashes, x).hex() for x in (0, 1, 300)
+        ] == self._CANDIDATES[algorithm]
+        assert (
+            gen.candidate([0, 0, 0, 0], 0).hex()
+            == self._ZERO_CANDIDATE[algorithm]
+        )
+
+    @pytest.mark.parametrize("algorithm", ["sha256", "md5"])
+    def test_derive_key(self, algorithm):
+        key = derive_key(b"\x07" * 32, bytes(range(32)), algorithm)
+        assert key.hex() == self._KEYS[algorithm]
+
+    def test_candidate_is_hash_concat(self):
+        rng = random.Random(4)
+        gen = KeySeedGenerator(secret=b"\x00" * 3 + b"k")
+        for _ in range(200):
+            hashes = [
+                rng.randrange(2 ** rng.randrange(1, 80)) for _ in range(4)
+            ]
+            x = rng.randrange(2 ** rng.randrange(1, 70))
+            assert gen.candidate(hashes, x) == hash_concat(
+                [gen.secret, *hashes, x]
+            )
+
+    def test_candidate_rejects_a_negative_short_hash(self):
+        with pytest.raises(ValueError):
+            KeySeedGenerator(secret=b"k").candidate([1, -2, 3, 4], 0)

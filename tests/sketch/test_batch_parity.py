@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.core.ted import TedKeyManager
+from repro.crypto.murmur3 import BATCH_MIN, short_hashes, short_hashes_batch
 from repro.sketch.countmin import CountMinSketch
 from repro.tedstore.fleet import RemoteKmShardPool
 from repro.tedstore.messages import KeyGenRequest
@@ -65,6 +66,34 @@ def test_update_batch_empty_and_shape_checks():
         pass
     else:
         raise AssertionError("wrong-arity item was accepted")
+
+
+def test_ragged_batch_fails_with_the_sketch_rule():
+    sketch = CountMinSketch(rows=4, width=64)
+    sketch.update_batch([[1, 2, 3, 4]])
+    before = (sketch._counters.copy(), sketch.total)
+    with pytest.raises(ValueError, match="expected 4 short hashes per item"):
+        sketch.update_batch([[1, 2, 3, 4], [1, 2, 3], [5, 6, 7, 8]])
+    assert (sketch._counters == before[0]).all()
+    assert sketch.total == before[1]
+
+
+@pytest.mark.parametrize("count", [1, BATCH_MIN - 1, BATCH_MIN, 257])
+@pytest.mark.parametrize("length", [16, 32])
+def test_batched_short_hashes_count_like_hash_item(count, length):
+    """The client's batched short hashes and the sketch's own
+    ``hash_item`` convenience path count the same cells."""
+    rng = random.Random(count * length)
+    pool = [rng.randbytes(length) for _ in range(max(1, count // 3))]
+    items = [rng.choice(pool) for _ in range(count)]
+    batched = CountMinSketch(rows=4, width=1024)
+    scalar = CountMinSketch(rows=4, width=1024)
+    estimates = batched.update_batch(short_hashes_batch(items, 4, 1024))
+    assert estimates == [scalar.update_item(item) for item in items]
+    assert (batched._counters == scalar._counters).all()
+    assert short_hashes_batch(items, 4, 1024) == [
+        short_hashes(item, 4, 1024) for item in items
+    ]
 
 
 def _key_manager(**kwargs):

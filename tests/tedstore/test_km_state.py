@@ -8,6 +8,7 @@ selection (``probabilistic=False``) makes that comparable seed-for-seed.
 """
 
 import hashlib
+import os
 import random
 import zlib
 
@@ -22,8 +23,9 @@ from repro.tedstore import km_state as km_state_mod
 from repro.tedstore.km_state import KeyManagerStateStore
 from repro.tedstore.keymanager import KeyManagerService
 from repro.tedstore.messages import BatchedKeyGenRequest, KeyGenRequest
+from repro.tedstore.ratelimit import KeyGenRateLimiter, RateLimitExceeded
 from repro.tedstore.reshard import _peek_geometry
-from repro.utils.varint import encode_uvarint
+from repro.utils.varint import decode_uvarint, encode_uvarint
 
 _WIDTH = 1024
 
@@ -534,3 +536,150 @@ class TestDeltaCodec:
             "8101030401ac02808040858080801000027f8001"
         )
         assert BatchedKeyGenRequest.decode(request.encode()) == request
+
+
+def _golden_store(directory):
+    """Three logged FTED batches (one repeated identity), no retune."""
+    store = KeyManagerStateStore(directory, snapshot_every=100)
+    km = TedKeyManager(
+        secret=b"golden",
+        blowup_factor=1.05,
+        batch_size=64,
+        sketch_width=_WIDTH,
+        probabilistic=False,
+    )
+    rng = random.Random(5)
+    batches = [
+        [[rng.randrange(_WIDTH) for _ in range(4)] for _ in range(6)]
+        for _ in range(3)
+    ]
+    batches[1][2] = list(batches[0][1])
+    for sequence, batch in enumerate(batches):
+        km.generate_seeds(batch)
+        store.log_batch("client-é", sequence, batch, key_manager=km)
+    return store, km
+
+
+def _snapshot_parts(blob):
+    """(varint header hex, SHA-256 of the inflated counters, tail hex).
+
+    The deflated bytes themselves are left out: they belong to the zlib
+    build, not to this codec.
+    """
+    payload = blob[km_state_mod._PREFIX :]
+    pos = 0
+    for _ in range(9):
+        _, pos = decode_uvarint(payload, pos)
+    length, pos = decode_uvarint(payload, pos)
+    counters = zlib.decompress(payload[pos : pos + length])
+    return (
+        payload[:pos].hex(),
+        hashlib.sha256(counters).hexdigest(),
+        payload[pos + length :].hex(),
+    )
+
+
+class TestGoldenStateBytes:
+    """The delta log and the snapshot keep, byte for byte, what the
+    per-value varint encoder wrote for the same state."""
+
+    def test_delta_log_bytes(self, tmp_path):
+        store, _ = _golden_store(tmp_path)
+        store.close()
+        assert (tmp_path / "delta.log").read_bytes().hex() == (
+            "a5852c884800000000056261746368400109636c69656e742dc3a90006048b"
+            "04de053bb90704fe036ac102e70104f905c007f8038b0604d001fe031abb03"
+            "04c306bc04f4029d0604c60293019c028f0790b6cebb470000000005626174"
+            "63683f0209636c69656e742dc3a901060483028e02030a04ac03b903d302d4"
+            "0204fe036ac102e70104f40293039006e304042ce305d106d30204aa029c04"
+            "8501a7052797e30846000000000562617463683e0309636c69656e742dc3a9"
+            "020604e90406b405870104fa04d705f204d807048605fa02d907c70704e802"
+            "748c042e04dc05bb0625d90604ed058206129f07"
+        )
+
+    def test_fted_snapshot_bytes(self, tmp_path):
+        store, km = _golden_store(tmp_path)
+        store.snapshot(km)
+        store.close()
+        blob = (tmp_path / "snapshot.bin").read_bytes()
+        assert blob.startswith(b"TEDKMS2\n")
+        assert _snapshot_parts(blob) == (
+            "048008120112120003445d",
+            "a6421c14e33c25019851205a004609dd6839ceadad1a9ad865ad3fd25dbdf84f",
+            "11048b04de053bb9070104fe036ac102e7010204f905c007f8038b060104d0"
+            "01fe031abb030104c306bc04f4029d060104c60293019c028f07010483028e"
+            "02030a0104ac03b903d302d4020104f40293039006e30401042ce305d106d3"
+            "020104aa029c048501a7050104e90406b40587010104fa04d705f204d80701"
+            "048605fa02d907c7070104e802748c042e0104dc05bb0625d9060104ed0582"
+            "06129f070100",
+        )
+        assert blob[8:12] == zlib.crc32(blob[12:]).to_bytes(4, "little")
+
+    def test_frequency_map_encodes_like_the_per_value_encoder(self, tmp_path):
+        store, km = _golden_store(tmp_path)
+        store.snapshot(km)
+        store.close()
+        blob = (tmp_path / "snapshot.bin").read_bytes()
+        tail = bytes.fromhex(_snapshot_parts(blob)[2])
+        assert tail == freq_map_bytes(km) + encode_uvarint(0)
+
+
+class TestEmptyBatch:
+    """An empty keygen batch has no frequency effect, so it must cost
+    nothing durable: no record, no fsync, no snapshot cadence."""
+
+    def _service(self, tmp_path):
+        return KeyManagerService(
+            make_km(),
+            rate_limiter=KeyGenRateLimiter(
+                chunks_per_second=1, burst_chunks=1
+            ),
+            state_store=KeyManagerStateStore(tmp_path, snapshot_every=64),
+        )
+
+    def test_empty_batches_log_and_sync_nothing(self, tmp_path, monkeypatch):
+        service = self._service(tmp_path)
+        delta = tmp_path / "delta.log"
+        before = delta.read_bytes() if delta.exists() else b""
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1]
+        )
+        for _ in range(200):
+            response = service.handle_keygen(
+                KeyGenRequest(hash_vectors=[]), client_id="c"
+            )
+            assert response.seeds == []
+        assert fsyncs == []
+        assert (delta.read_bytes() if delta.exists() else b"") == before
+        assert not (tmp_path / "snapshot.bin").exists()
+        assert service.key_manager.stats.requests == 0
+        assert service.rate_limiter.stats == {"allowed": 0, "rejected": 0}
+        # The limiter's one-chunk budget is still whole.
+        service.handle_keygen(
+            KeyGenRequest(hash_vectors=[[1, 2, 3, 4]]), client_id="c"
+        )
+        with pytest.raises(RateLimitExceeded):
+            service.handle_keygen(
+                KeyGenRequest(hash_vectors=[[1, 2, 3, 4]]), client_id="c"
+            )
+        service.close()
+
+    def test_empty_sequenced_batch_keeps_the_stream_order(self, tmp_path):
+        from repro.tedstore.keymanager import KeygenStream
+
+        service = self._service(tmp_path)
+        stream = KeygenStream()
+        response = service.handle_keygen_batched(
+            BatchedKeyGenRequest(sequence=3, hash_vectors=[]),
+            stream=stream,
+        )
+        assert (response.sequence, response.seeds) == (3, [])
+        assert response.current_t == service.key_manager.t
+        with pytest.raises(ValueError, match="stale"):
+            service.handle_keygen_batched(
+                BatchedKeyGenRequest(sequence=2, hash_vectors=[]),
+                stream=stream,
+            )
+        service.close()

@@ -1,9 +1,12 @@
 """Wire protocol: framing and message serialization."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.tedstore import messages as m
+from repro.utils.varint import encode_uvarint
 
 
 def _loop_reader(data: bytes):
@@ -122,6 +125,75 @@ class TestKeyGenMessages:
     def test_hash_vector_messages_golden_bytes(self, message, golden):
         assert message.encode().hex() == golden
         assert type(message).decode(bytes.fromhex(golden)) == message
+
+    def test_batched_request_golden_bytes_at_the_varint_edges(self):
+        # One- to ten-byte varints, 2**64 - 1 included, and an empty
+        # vector; frozen from the per-value encoder.
+        request = m.BatchedKeyGenRequest(
+            sequence=300,
+            hash_vectors=[
+                [0, 127, 128, 2**21 - 1],
+                [16383, 16384, 2**32, 2**64 - 1],
+                [],
+                [5],
+            ],
+        )
+        golden = (
+            "ac020404007f8001ffff7f04ff7f8080018080808010"
+            "ffffffffffffffffff01000105"
+        )
+        assert request.encode().hex() == golden
+        assert m.BatchedKeyGenRequest.decode(bytes.fromhex(golden)) == request
+
+
+class TestHostileVectors:
+    """``_Reader.vectors`` fails typed on hostile payloads, allocating by
+    what the payload holds, never by what it claims."""
+
+    @staticmethod
+    def _vectors(payload):
+        """Decode, with the peak allocation bounded by 64 KiB."""
+        tracemalloc.start()
+        try:
+            return m._Reader(payload).vectors()
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 64 * 1024
+
+    def test_huge_count_in_twelve_bytes(self):
+        payload = encode_uvarint(2**40) + b"\x01\x07" * 3
+        assert len(payload) == 12
+        with pytest.raises(m.ProtocolError, match="truncated varint"):
+            self._vectors(payload)
+
+    def test_huge_length_in_a_short_payload(self):
+        payload = b"\x01" + encode_uvarint(2**40) + b"\x05" * 5
+        with pytest.raises(m.ProtocolError, match="truncated varint"):
+            self._vectors(payload)
+
+    def test_eleven_byte_varint(self):
+        payload = b"\x01\x01" + b"\x80" * 10 + b"\x01"
+        with pytest.raises(m.ProtocolError, match="varint too long"):
+            self._vectors(payload)
+
+    def test_ten_byte_varint_is_the_edge(self):
+        payload = b"\x01\x01" + b"\xff" * 9 + b"\x01"
+        assert self._vectors(payload) == [[2**64 - 1]]
+
+    @pytest.mark.parametrize("cut", range(1, 8))
+    def test_truncated_mid_vector(self, cut):
+        payload = m.KeyGenRequest(hash_vectors=[[1, 300, 2**20]]).encode()
+        assert len(payload) == 8
+        with pytest.raises(m.ProtocolError, match="truncated varint"):
+            self._vectors(payload[:cut])
+
+    def test_trailing_bytes_are_left_for_expect_end(self):
+        body = m.KeyGenRequest(hash_vectors=[[1, 2], [300]]).encode()
+        reader = m._Reader(body + b"\x80\xff")
+        assert reader.vectors() == [[1, 2], [300]]
+        with pytest.raises(m.ProtocolError, match="trailing bytes"):
+            reader.expect_end()
 
 
 class TestChunkMessages:
